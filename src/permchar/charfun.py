@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclo import Cyclotomic, CycloSum
+from .cyclo import Cyclotomic, CycloSum, factorize
 from .group import PermGroup, coset_action
-from .perm import Permutation
 
 
 def _coerce_value(v) -> Cyclotomic:
@@ -129,7 +128,7 @@ class CharacterTable:
         if k == 0:
             return 0
         cur = i
-        for p in _prime_factorization(k):
+        for p in factorize(k):
             pm = self.power_maps.get(p)
             if pm is None:
                 raise CharacterTableError(
@@ -154,6 +153,8 @@ class CharacterTable:
             raise CharacterTableError("class 0 must be the identity class")
         if any(self.order % s for s in self.sizes):
             raise CharacterTableError("class size does not divide the group order")
+        if any(o < 1 or self.order % o for o in self.orders):
+            raise CharacterTableError("element order is not a positive divisor of the group order")
         for p, pm in self.power_maps.items():
             if pm[0] != 0:
                 raise CharacterTableError(f"power map {p} moves the identity class")
@@ -210,33 +211,17 @@ def _letter(k: int) -> str:
             return out
 
 
-def _prime_factorization(k: int) -> list:
-    out = []
-    d = 2
-    while d * d <= k:
-        while k % d == 0:
-            out.append(d)
-            k //= d
-        d += 1
-    if k > 1:
-        out.append(k)
-    return out
-
-
 # -- core operations -------------------------------------------------------------
 
 
 def perm_character(G: PermGroup, H: PermGroup, reps) -> ClassFunction:
     """The permutation character of G on the cosets of H: its value at each
     class is the number of cosets fixed by that class representative."""
-    action = coset_action(G, H)
-    return ClassFunction(
-        [Fraction(action.fixed_cosets(r)) for r in reps]
-    )
+    return perm_character_values(coset_action(G, H), reps)
 
 
 def perm_character_values(action, reps) -> ClassFunction:
-    """Same as perm_character but over an existing CosetAction."""
+    """The permutation character of an existing CosetAction at `reps`."""
     return ClassFunction([Fraction(action.fixed_cosets(r)) for r in reps])
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from math import lcm
 
+from .cyclo import factorize, prime_factors
 from .group import PermGroup
 from .perm import Permutation, inv_images, order_of_images, power_images
 
@@ -19,6 +20,24 @@ _RETAIN_ELEMENT_MAP_MAX = 10_000
 
 class EnumerationThresholdError(RuntimeError):
     """Raised when a group is too large for full class enumeration."""
+
+
+def conjugation_orbit(group: PermGroup, images: tuple) -> set:
+    """The conjugacy class of an element of `group`, as image tuples: the
+    closure of {images} under conjugation by the generators."""
+    gens = [g.images for g in group.generators]
+    inv_gens = [inv_images(g) for g in gens]
+    rng_n = range(group.degree)
+    orbit = {images}
+    queue = [images]
+    while queue:
+        y = queue.pop()
+        for g, gi in zip(gens, inv_gens):
+            z = tuple(g[y[gi[i]]] for i in rng_n)
+            if z not in orbit:
+                orbit.add(z)
+                queue.append(z)
+    return orbit
 
 
 class ConjugacyClassSet:
@@ -37,25 +56,13 @@ class ConjugacyClassSet:
                 " use table-based class matching instead"
             )
         self.group = group
-        gens = [g.images for g in group.generators]
-        inv_gens = [inv_images(g) for g in gens]
-        n = group.degree
-        rng_n = range(n)
 
         element_class: dict = {}
         raw: list[tuple] = []  # (rep images, size)
         for x in group.element_images_iter():
             if x in element_class:
                 continue
-            orbit = {x}
-            queue = [x]
-            while queue:
-                y = queue.pop()
-                for g, gi in zip(gens, inv_gens):
-                    z = tuple(g[y[gi[i]]] for i in rng_n)
-                    if z not in orbit:
-                        orbit.add(z)
-                        queue.append(z)
+            orbit = conjugation_orbit(group, x)
             idx = len(raw)
             raw.append((min(orbit), len(orbit)))
             for y in orbit:
@@ -78,7 +85,7 @@ class ConjugacyClassSet:
         self.power_maps: dict[int, tuple] = {}
         # prime 2 is always stored: indicator sums square class reps even in
         # odd-order groups
-        for p in sorted({2, *_primes_dividing(self.exponent)}):
+        for p in sorted({2, *prime_factors(self.exponent)}):
             self.power_maps[p] = tuple(
                 remap[power_images(r.images, p)] for r in self.reps
             )
@@ -97,22 +104,7 @@ class ConjugacyClassSet:
         if hit is not None:
             return hit
         # the lex-least member of the conjugation orbit is the stored rep
-        gens = [g.images for g in self.group.generators]
-        inv_gens = [inv_images(g) for g in gens]
-        rng_n = range(self.group.degree)
-        orbit = {images}
-        queue = [images]
-        best = images
-        while queue:
-            y = queue.pop()
-            for g, gi in zip(gens, inv_gens):
-                z = tuple(g[y[gi[i]]] for i in rng_n)
-                if z not in orbit:
-                    orbit.add(z)
-                    queue.append(z)
-                    if z < best:
-                        best = z
-        return self._rep_index[best]
+        return self._rep_index[min(conjugation_orbit(self.group, images))]
 
     def power_class(self, i: int, k: int) -> int:
         """Class of rep_i^k for any integer k."""
@@ -125,7 +117,7 @@ class ConjugacyClassSet:
         if k == m - 1:
             return self.inverse_map[i]
         cur = i
-        for p in _factorize(k):
+        for p in factorize(k):
             pm = self.power_maps.get(p)
             if pm is not None:
                 cur = pm[cur]
@@ -137,21 +129,9 @@ class ConjugacyClassSet:
         """images tuple -> class index, rebuilt on demand for larger groups."""
         if self._element_class is not None:
             return self._element_class
-        gens = [g.images for g in self.group.generators]
-        inv_gens = [inv_images(g) for g in gens]
-        rng_n = range(self.group.degree)
         out: dict = {}
         for i, rep in enumerate(self.reps):
-            orbit = {rep.images}
-            queue = [rep.images]
-            while queue:
-                y = queue.pop()
-                for g, gi in zip(gens, inv_gens):
-                    z = tuple(g[y[gi[i2]]] for i2 in rng_n)
-                    if z not in orbit:
-                        orbit.add(z)
-                        queue.append(z)
-            for y in orbit:
+            for y in conjugation_orbit(self.group, rep.images):
                 out[y] = i
         return out
 
@@ -173,31 +153,3 @@ def power_map(C: ConjugacyClassSet, k: int) -> tuple:
     if k == -1:
         return C.inverse_map
     return tuple(C.power_class(i, k) for i in range(len(C)))
-
-
-def _primes_dividing(n: int) -> list:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _factorize(k: int) -> list:
-    """Prime factors with multiplicity."""
-    out = []
-    d = 2
-    while d * d <= k:
-        while k % d == 0:
-            out.append(d)
-            k //= d
-        d += 1
-    if k > 1:
-        out.append(k)
-    return out

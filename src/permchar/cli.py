@@ -2,8 +2,12 @@
 
 Verbs: table, decompose, fsind, real-classes, verify, reproduce, sweep.
 Exit status is the machine contract: 0 when every requested check passes,
-1 on a verification failure, 2 on usage errors. All runs are reproducible
-for fixed flags (seed defaults to 0).
+1 when a check fails, 2 on a usage or input error (unknown family or
+selector, an unreadable or malformed group or table file, a table that
+fails validation or matches no classes of the group, a group too large to
+enumerate), and 3 on an internal error (an AssertionError or any other
+unexpected exception). All runs are reproducible for fixed flags (seed
+defaults to 0).
 """
 
 from __future__ import annotations
@@ -11,15 +15,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import corpus, verify
-from .charfun import atlas_string, decompose as decompose_pi
-from .classes import DEFAULT_ENUMERATION_THRESHOLD
+from .charfun import atlas_string
+from .classes import DEFAULT_ENUMERATION_THRESHOLD, EnumerationThresholdError
 from .cyclo import render_cyclotomic
 from .group import PermGroup
-from .tableio import find_representatives, load_table, serialize_table
+from .tableio import MatchingError, find_representatives, load_table, serialize_table
 
 
 def _add_common(p: argparse.ArgumentParser, subgroup: bool = False) -> None:
@@ -118,15 +123,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except SystemExit2 as exc:
+    except (SystemExit2, OSError, ValueError, MatchingError, EnumerationThresholdError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError, AssertionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except Exception:
+        traceback.print_exc()
+        print("internal error", file=sys.stderr)
+        return 3
 
 
 def _dispatch(args) -> int:

@@ -15,6 +15,7 @@ from importlib import resources
 from math import gcd
 from pathlib import Path
 
+from .cyclo import divisors
 from .group import PermGroup, setwise_stabilizer, sylow_2, trivial_group
 from .perm import Permutation, parse_permutation, cycle_string
 
@@ -304,7 +305,7 @@ def agl1(q: int) -> CorpusGroup:
         "f": translations,
         "h2p": lambda: _agl_h2p(field, t),
     }
-    for m in _divisors(q - 1):
+    for m in divisors(q - 1):
         if m > 1:
             selectors[f"c{m}"] = (lambda mm: lambda: mult_subgroup(mm))(m)
             selectors[f"fc{m}"] = (lambda mm: lambda: f_extended(mm))(m)
@@ -321,11 +322,6 @@ def _agl_h2p(field: GF, t: Permutation) -> PermGroup:
     if H.order() != 2 * field.p:
         raise AssertionError("order-2p subgroup construction broke")
     return H
-
-
-def _divisors(n: int):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
 
 
 # -- linear families -------------------------------------------------------------
@@ -539,7 +535,7 @@ def load_group_file(path) -> PermGroup:
         raise ValueError(f"{path}: missing 'degree N' line")
     G = PermGroup(gens, degree)
     if expected_order is not None and G.order() != expected_order:
-        raise AssertionError(
+        raise ValueError(
             f"{path}: constructed order {G.order()} != declared order {expected_order}"
         )
     return G

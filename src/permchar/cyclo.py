@@ -44,6 +44,24 @@ def prime_factors(n: int) -> tuple:
     return tuple(out)
 
 
+def factorize(k: int) -> list:
+    """Prime factors of k with multiplicity, in increasing order."""
+    out = []
+    d = 2
+    while d * d <= k:
+        while k % d == 0:
+            out.append(d)
+            k //= d
+        d += 1
+    if k > 1:
+        out.append(k)
+    return out
+
+
+def divisors(n: int) -> list:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
 def _poly_divmod_int(num: list, den: list) -> tuple:
     """Exact division of integer polynomials (low-to-high coefficients)."""
     num = list(num)

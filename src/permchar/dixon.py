@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .charfun import CharacterTable, ClassFunction
-from .classes import ConjugacyClassSet, conjugacy_classes
-from .cyclo import Cyclotomic, euler_phi
+from .charfun import CharacterTable
+from .classes import ConjugacyClassSet, conjugacy_classes, conjugation_orbit
+from .cyclo import Cyclotomic
 from .group import PermGroup
 from .perm import inv_images, mul_images
 
@@ -256,25 +256,6 @@ class ClassMatrix:
         )
 
 
-def class_members(C: ConjugacyClassSet, i: int):
-    """All image tuples of one class, regenerated by conjugation orbit."""
-    G = C.group
-    gens = [g.images for g in G.generators]
-    inv_gens = [inv_images(g) for g in gens]
-    rng_n = range(G.degree)
-    start = C.reps[i].images
-    orbit = {start}
-    queue = [start]
-    while queue:
-        y = queue.pop()
-        for g, gi in zip(gens, inv_gens):
-            z = tuple(g[y[gi[t]]] for t in rng_n)
-            if z not in orbit:
-                orbit.add(z)
-                queue.append(z)
-    return orbit
-
-
 def class_matrix(C, i: int, classify=None) -> ClassMatrix:
     """Exact structure constants for acting class i.
 
@@ -286,7 +267,7 @@ def class_matrix(C, i: int, classify=None) -> ClassMatrix:
         classify = C.element_class_map().__getitem__
     entries = [[0] * k for _ in range(k)]
     reps = [r.images for r in C.reps]
-    for x in class_members(C, i):
+    for x in conjugation_orbit(C.group, reps[i]):
         xi = inv_images(x)
         for col in range(k):
             j = classify(mul_images(xi, reps[col]))

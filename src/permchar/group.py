@@ -15,7 +15,6 @@ from .perm import (
     identity_images,
     inv_images,
     mul_images,
-    order_of_images,
 )
 
 # Above this degree, transversals hold Schreier-vector entries instead of
@@ -362,10 +361,6 @@ def centralizer(G: PermGroup, x: Permutation) -> PermGroup:
 
     _, stab = orbit_stabilizer(G, x.images, act)
     return stab
-
-
-def _subgroup_key(elements_images) -> frozenset:
-    return frozenset(elements_images)
 
 
 def normalizer(G: PermGroup, H: PermGroup) -> PermGroup:

@@ -20,8 +20,10 @@ from dataclasses import dataclass
 from math import gcd
 from pathlib import Path
 
-from .charfun import CharacterTable, CharacterTableError, ClassFunction, decompose
-from .cyclo import parse_cyclotomic, render_cyclotomic
+from .charfun import CharacterTable, ClassFunction, decompose
+from .classes import conjugation_orbit
+from .cyclo import divisors, parse_cyclotomic, render_cyclotomic
+from .dixon import is_prime
 from .group import PermGroup
 from .perm import Permutation, power_images
 
@@ -56,7 +58,10 @@ def parse_table(text: str, validate: bool = True) -> CharacterTable:
             elif key == "orders":
                 orders = [int(x) for x in fields[1:]]
             elif key == "power":
-                power_maps[int(fields[1])] = tuple(int(x) for x in fields[2:])
+                p = int(fields[1])
+                if not is_prime(p):
+                    raise TableSyntaxError(f"line {lineno}: power map key {p} is not a prime")
+                power_maps[p] = tuple(int(x) for x in fields[2:])
             elif key == "chi":
                 rows.append([parse_cyclotomic(tok) for tok in fields[1:]])
             else:
@@ -196,10 +201,6 @@ class ClassMatching:
     ambiguity_groups: list
     samples_used: int
 
-    def perm_character_values(self, count_fixed) -> ClassFunction:
-        """Build a class function from a fixed-point counter over reps."""
-        return ClassFunction([count_fixed(r) for r in self.reps])
-
     def alternate_reps(self) -> list:
         """A second full representative set with every ambiguity group's
         orientation swapped (for harmlessness checks)."""
@@ -213,14 +214,10 @@ class ClassMatching:
 
 def _fingerprint(images: tuple, order: int) -> tuple:
     fixed = []
-    for d in _divisors(order):
+    for d in divisors(order):
         pw = power_images(images, d)
         fixed.append(sum(1 for i, j in enumerate(pw) if i == j))
     return (order, tuple(fixed))
-
-
-def _divisors(n: int) -> list:
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 class _Sampler:
@@ -253,7 +250,7 @@ class _Sampler:
         for orbit, size in self._probed[order]:
             if images in orbit:
                 return (fp, size)
-        orbit = _class_orbit(self.G, images)
+        orbit = conjugation_orbit(self.G, images)
         self._probed[order].append((orbit, len(orbit)))
         return (fp, len(orbit))
 
@@ -262,22 +259,6 @@ class _Sampler:
         if key not in self.buckets:
             self.buckets[key] = images
         return key
-
-
-def _class_orbit(G: PermGroup, images: tuple) -> frozenset:
-    from .perm import conj_images
-
-    gens = [g.images for g in G.generators]
-    seen = {images}
-    queue = [images]
-    while queue:
-        y = queue.pop()
-        for g in gens:
-            z = conj_images(y, g)
-            if z not in seen:
-                seen.add(z)
-                queue.append(z)
-    return frozenset(seen)
 
 
 def find_representatives(
@@ -313,7 +294,7 @@ def find_representatives(
         for _ in range(round_size):
             g = G.random_element(rng).images
             o = _order_of(g)
-            for d in _divisors(o):
+            for d in divisors(o):
                 sampler.add(power_images(g, d), o // gcd(o, d))
         used += round_size
         try:

@@ -13,32 +13,24 @@ from dataclasses import dataclass, field
 
 from . import corpus
 from .charfun import (
-    CharacterTable,
     ClassFunction,
     atlas_string,
     decompose,
     inner_product,
-    perm_character_values,
+    perm_character,
     restriction_values,
 )
-from .classes import (
-    DEFAULT_ENUMERATION_THRESHOLD,
-    ConjugacyClassSet,
-    EnumerationThresholdError,
-    conjugacy_classes,
-)
+from .classes import DEFAULT_ENUMERATION_THRESHOLD, conjugacy_classes
 from .dixon import character_table
 from .group import (
     PermGroup,
-    coset_action,
-    core,
     is_normal_in,
     is_subgroup,
     o_2prime,
     sylow_2,
 )
-from .perm import Permutation, conj_images
-from .tableio import ClassMatching, bundled_table, find_representatives
+from .perm import conj_images
+from .tableio import bundled_table, find_representatives
 
 
 @dataclass
@@ -105,6 +97,7 @@ class GroupContext:
         self.matching = matching
         self._o2prime = None
         self._sylow2 = None
+        self._perm_characters: dict = {}
 
     @classmethod
     def for_family(
@@ -142,12 +135,35 @@ class GroupContext:
         return self.corpus_group.subgroup(selector)
 
     def perm_character(self, H: PermGroup) -> ClassFunction:
-        action = coset_action(self.group, H)
-        return perm_character_values(action, self.reps)
+        return perm_character(self.group, H, self.reps)
 
     def decompose_perm_character(self, H: PermGroup):
-        pi = self.perm_character(H)
-        return pi, decompose(pi, self.table)
+        """(pi, multiplicities) of 1_H^G over the table rows. The only
+        place pi is computed: it is kept per generating set of H, so every
+        checker on the same subgroup shares one coset action. Callers must
+        not mutate the returned list."""
+        key = tuple(g.images for g in H.generators)
+        hit = self._perm_characters.get(key)
+        if hit is None:
+            pi = self.perm_character(H)
+            hit = self._perm_characters[key] = (pi, decompose(pi, self.table))
+        return hit
+
+    def core_order(self, pi: ClassFunction) -> int:
+        """|core_G(H)| for pi = 1_H^G: the core is the kernel of G on G/H,
+        the union of the classes where pi takes its degree."""
+        return sum(s for s, v in zip(self.table.sizes, pi.values) if v == pi.values[0])
+
+    def product_covers(self, K: PermGroup, pi: ClassFunction) -> bool:
+        """Whether K H = G, for K normal in G and pi = 1_H^G. Burnside's
+        count of K-orbits on G/H gives sum over the classes k inside K of
+        |k| pi(k) = |K| [G : KH], so KH = G iff that sum is |K|."""
+        total = sum(
+            s * v.as_rational()
+            for s, v, r in zip(self.table.sizes, pi.values, self.reps)
+            if K.contains_images(r.images)
+        )
+        return total == K.order()
 
     def o2prime(self, seed: int = 0) -> PermGroup:
         if self._o2prime is None:
@@ -171,7 +187,7 @@ _context_cache: dict = {}
 
 
 def context(family: str, seed: int = 0) -> GroupContext:
-    key = (family, seed)
+    key = (family, seed, corpus.data_dir())
     if key not in _context_cache:
         _context_cache[key] = GroupContext.for_family(family, seed=seed)
     return _context_cache[key]
@@ -195,8 +211,7 @@ def check_theorem_A(ctx: GroupContext, H: PermGroup, subgroup_name: str = "") ->
         for i, m in enumerate(mults)
         if m > 0 and indicators[i] == 1 and table.rows[i].is_real_valued()
     ]
-    K = core(ctx.group, H)
-    core_index = ctx.group.order() // K.order()
+    core_index = ctx.group.order() // ctx.core_order(pi)
     odd_core_index = core_index % 2 == 1
     unique = len(plus_real) == 1
     report = VerificationReport(
@@ -229,11 +244,11 @@ def check_theorem_B(
     permutation character has a nontrivial real constituent of odd
     multiplicity."""
     G = ctx.group
+    pi, mults = ctx.decompose_perm_character(H)
     K = ctx.o2prime(seed=seed)
-    h1 = _product_covers(G, K, H)
+    h1 = ctx.product_covers(K, pi)
     h2 = not is_subgroup(K, H)
     proper = H.order() < G.order()
-    pi, mults = ctx.decompose_perm_character(H)
     table = ctx.table
     triv = ctx.trivial_row_index()
     odd_real = [
@@ -266,25 +281,6 @@ def check_theorem_B(
     )
     report.passed = (not (proper and h1 and h2)) or conclusion
     return report
-
-
-def _product_covers(G: PermGroup, K: PermGroup, H: PermGroup) -> bool:
-    """Whether K H = G, for K normal in G: the H-generators must act
-    transitively on the cosets of K."""
-    if K.order() == G.order():
-        return True
-    action = coset_action(G, K)
-    images = [action.image_of(h).images for h in H.generators]
-    seen = {0}
-    queue = [0]
-    while queue:
-        a = queue.pop()
-        for img in images:
-            b = img[a]
-            if b not in seen:
-                seen.add(b)
-                queue.append(b)
-    return len(seen) == action.degree
 
 
 def sylow2_conjugates(G: PermGroup, P: PermGroup) -> list:
@@ -475,14 +471,13 @@ def check_theorem_4_6(
         "iii_even_fixed_count_on_real_class": h_iii,
     }
     if maximal is not None:
-        K = core(G, H)
         hyps["iv_maximal_with_even_core_quotient"] = (
-            maximal and (G.order() // K.order()) % 2 == 0
+            maximal and (G.order() // ctx.core_order(pi)) % 2 == 0
         )
     K2 = ctx.o2prime(seed=seed)
     hyps["v_o2prime_complement"] = (
         H.order() < G.order()
-        and _product_covers(G, K2, H)
+        and ctx.product_covers(K2, pi)
         and not is_subgroup(K2, H)
     )
     triggered = [k for k, v in hyps.items() if v]

@@ -72,8 +72,57 @@ def test_usage_error_exit_2(capsys):
 
 def test_unknown_family_is_an_error(capsys):
     code, _, err = run(capsys, "decompose", "--family", "nope", "--subgroup", "x")
-    assert code in (1, 2)
+    assert code == 2
     assert err
+
+
+def _bad_s3_table(tmp_path, name, old, new):
+    from permchar.corpus import data_dir
+
+    path = tmp_path / f"{name}.ctbl"
+    path.write_text((data_dir() / "tables" / "s3.ctbl").read_text().replace(old, new))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--family", "s4", "--subgroup", "nope"],
+    ["fsind", "--family", "s3", "--table-file", "{syntax}"],
+    ["fsind", "--family", "s3", "--table-file", "{invalid}"],
+    ["fsind", "--family", "s4", "--table-file", "{s3}"],
+    ["fsind", "--group-file", "{group}"],
+])
+def test_input_errors_exit_2(tmp_path, capsys, argv):
+    from permchar.corpus import data_dir
+
+    group = tmp_path / "g.grp"
+    group.write_text("# order: 999\ndegree 4\n(1,2)\n")
+    files = {
+        "syntax": _bad_s3_table(tmp_path, "syntax", "power 2 ", "power 0 "),
+        "invalid": _bad_s3_table(tmp_path, "invalid", "chi 2 0 -1", "chi 2 0 1"),
+        "s3": str(data_dir() / "tables" / "s3.ctbl"),
+        "group": str(group),
+    }
+    code, _, err = run(capsys, *[a.format(**files) for a in argv])
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_failed_check_exits_1_and_internal_error_exits_3(capsys, monkeypatch):
+    from permchar import verify
+
+    def failing(ctx):
+        return verify.VerificationReport("burnside-odd-order", ctx.name, None, {}, {})
+
+    monkeypatch.setattr(verify, "check_burnside", failing)
+    code, out, _ = run(capsys, "verify", "burnside", "--family", "c3")
+    assert code == 1 and "[FAIL]" in out
+
+    def broken(ctx):
+        raise AssertionError("invariant broken")
+
+    monkeypatch.setattr(verify, "check_burnside", broken)
+    code, _, err = run(capsys, "verify", "burnside", "--family", "c3")
+    assert code == 3 and "invariant broken" in err
 
 
 def test_group_file_input(tmp_path, capsys):

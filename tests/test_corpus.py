@@ -119,8 +119,9 @@ def test_group_file_errors(tmp_path):
     assert ":2:" in str(err.value)
     worse = tmp_path / "worse.grp"
     worse.write_text("# order: 999\ndegree 4\n(1,2)\n")
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError) as err:
         corpus.load_group_file(worse)
+    assert "999" in str(err.value)
     nodeg = tmp_path / "nodeg.grp"
     nodeg.write_text("(1,2)\n")
     with pytest.raises(ValueError):

@@ -138,3 +138,21 @@ def test_m22_dixon_agrees_with_bundled():
     G = corpus.build("m22").group
     T = character_table(G, name="m22")
     assert tables_match(T, bundled_table("m22"))
+
+
+@pytest.mark.parametrize("old, new, error", [
+    ("power 2 ", "power 0 ", TableSyntaxError),
+    ("power 2 ", "power 1 ", TableSyntaxError),
+    ("power 2 ", "power 4 ", TableSyntaxError),
+    ("power 2 ", "power -2 ", TableSyntaxError),
+    ("orders 1 2 3", "orders 1 0 3", CharacterTableError),
+    ("orders 1 2 3", "orders 1 -2 3", CharacterTableError),
+    ("orders 1 2 3", "orders 1 2 5", CharacterTableError),
+])
+def test_malformed_power_keys_and_orders_are_rejected(old, new, error):
+    from permchar.corpus import data_dir
+
+    text = (data_dir() / "tables" / "s3.ctbl").read_text()
+    assert old in text
+    with pytest.raises(error):
+        parse_table(text.replace(old, new))

@@ -216,3 +216,74 @@ def test_lemma_4_2_restriction_property():
                 and inner_product(restriction_values(chi, fusion), theta, NT.sizes, NT.order) != 0
             ]
             assert len(above_real) == 1, (fam, j)
+
+
+# -- quantities derived from the permutation character -------------------------------
+
+ORACLE_FAMILIES = ["s4", "s5", "a4", "a5", "d12", "q16", "sl23", "f7_3", "agl1_8", "agl1_9",
+                   "psl3_2", "c12"]
+
+
+def _check_pi_derivations(ctx, H):
+    from permchar.group import core
+
+    G = ctx.group
+    pi, _ = ctx.decompose_perm_character(H)
+    assert ctx.core_order(pi) == core(G, H).order()
+    K = ctx.o2prime()
+    covers = PermGroup(K.generators + H.generators, G.degree).order() == G.order()
+    assert ctx.product_covers(K, pi) == covers
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("family", ORACLE_FAMILIES)
+def test_pi_derivations_match_group_oracles(family, seed):
+    """|core_G(H)| and O^{2'}(G)H = G read off pi agree with the kernel
+    chain and with the order of the generated product."""
+    ctx = verify.context(family)
+    for _, H in verify.sample_subgroups(ctx.group, seed=seed):
+        _check_pi_derivations(ctx, H)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("family, selector", [
+    (f, s) for f, s, _, _ in verify.PAPER_TABLE_ITEMS if s != "triad"
+])
+def test_pi_derivations_match_group_oracles_mathieu(family, selector):
+    ctx = verify.context(family)
+    _check_pi_derivations(ctx, ctx.subgroup(selector))
+
+
+def test_checkers_share_one_coset_action_per_subgroup(monkeypatch):
+    from permchar import charfun, group
+
+    calls = []
+    original = group.coset_action
+
+    def counting(G, H):
+        calls.append(H)
+        return original(G, H)
+
+    for mod in (group, charfun):
+        monkeypatch.setattr(mod, "coset_action", counting)
+    ctx = verify.GroupContext.for_family("psl3_2")
+    H = ctx.subgroup("point")
+    verify.check_theorem_A(ctx, H, "point")
+    verify.check_lemma_bob(ctx, H, "point")
+    verify.check_theorem_4_6(ctx, H, "point", maximal=True)
+    verify.check_real_coverage(ctx, H, "point")
+    verify.check_theorem_B(ctx, H, "point")
+    assert len(calls) == 1
+    again = PermGroup(list(H.generators), H.degree)
+    assert ctx.decompose_perm_character(again) is ctx.decompose_perm_character(H)
+    assert len(calls) == 1
+
+
+def test_context_cache_is_keyed_on_the_data_dir(tmp_path):
+    verify.context("m11")
+    corpus.set_data_dir(tmp_path)
+    try:
+        with pytest.raises(OSError):
+            verify.context("m11")
+    finally:
+        corpus.set_data_dir(None)
