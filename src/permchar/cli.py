@@ -24,7 +24,7 @@ from .charfun import atlas_string
 from .classes import DEFAULT_ENUMERATION_THRESHOLD, EnumerationThresholdError
 from .cyclo import render_cyclotomic
 from .group import PermGroup
-from .tableio import MatchingError, find_representatives, load_table, serialize_table
+from .tableio import MatchingError, load_table, serialize_table
 
 
 def _add_common(p: argparse.ArgumentParser, subgroup: bool = False) -> None:
@@ -78,26 +78,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _context_from_args(args) -> verify.GroupContext:
-    if args.data_dir:
-        corpus.set_data_dir(args.data_dir)
+    cg = None
     if args.group_file:
-        G = corpus.load_group_file(args.group_file)
-        name = Path(args.group_file).stem
-        if args.table_file:
-            table = load_table(args.table_file)
-            matching = find_representatives(G, table, seed=args.seed)
-            return verify.GroupContext(name, G, table, matching.reps, matching=matching)
-        return verify.GroupContext.for_group(name, G, seed=args.seed, threshold=args.threshold)
-    if not args.family:
-        raise SystemExit2("one of --family or --group-file is required")
-    if args.table_file:
+        name, group = Path(args.group_file).stem, corpus.load_group_file(args.group_file)
+    elif args.family:
         cg = corpus.build(args.family)
-        table = load_table(args.table_file)
-        matching = find_representatives(cg.group, table, seed=args.seed)
-        ctx = verify.GroupContext(cg.name, cg.group, table, matching.reps, matching=matching)
-        ctx.corpus_group = cg
-        return ctx
-    return verify.GroupContext.for_family(args.family, seed=args.seed, threshold=args.threshold)
+        name, group = cg.name, cg.group
+    else:
+        raise SystemExit2("one of --family or --group-file is required")
+    table = load_table(args.table_file) if args.table_file else None
+    return verify.GroupContext.for_group(
+        name, group, seed=args.seed, threshold=args.threshold, corpus_group=cg, table=table
+    )
 
 
 class SystemExit2(Exception):
@@ -121,6 +113,8 @@ def _emit_reports(reports, as_json: bool) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.data_dir:
+        previous_data_dir = corpus.set_data_dir(args.data_dir)
     try:
         return _dispatch(args)
     except (SystemExit2, OSError, ValueError, MatchingError, EnumerationThresholdError) as exc:
@@ -130,20 +124,19 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print("internal error", file=sys.stderr)
         return 3
+    finally:
+        if args.data_dir:
+            corpus.set_data_dir(previous_data_dir)
 
 
 def _dispatch(args) -> int:
     verb = args.verb
 
     if verb == "reproduce":
-        if args.data_dir:
-            corpus.set_data_dir(args.data_dir)
         reports = _run_reproduce(args)
         return _emit_reports(reports, args.as_json)
 
     if verb == "sweep":
-        if args.data_dir:
-            corpus.set_data_dir(args.data_dir)
         result = verify.theorem_a_sweep(seed=args.seed, min_pairs=args.min_pairs)
         burnside_reports = []
         for fam in ["c3", "c15", "c21", "f7_3", "f13_3"]:

@@ -16,7 +16,7 @@ from math import gcd
 from pathlib import Path
 
 from .cyclo import divisors
-from .group import PermGroup, setwise_stabilizer, sylow_2, trivial_group
+from .group import PermGroup, _point_orbits, setwise_stabilizer, sylow_2, trivial_group
 from .perm import Permutation, parse_permutation, cycle_string
 
 # Lexicographically least primitive polynomial per (p, a), coefficients low
@@ -492,10 +492,13 @@ def c3_q16() -> CorpusGroup:
 _DATA_DIR_OVERRIDE: Path | None = None
 
 
-def set_data_dir(path) -> None:
-    """Point bundled-data lookups somewhere else (CLI --data-dir)."""
+def set_data_dir(path) -> Path | None:
+    """Point bundled-data lookups somewhere else (CLI --data-dir); None
+    restores the bundled data. Returns the previous override."""
     global _DATA_DIR_OVERRIDE
+    previous = _DATA_DIR_OVERRIDE
     _DATA_DIR_OVERRIDE = Path(path) if path else None
+    return previous
 
 
 def data_dir() -> Path:
@@ -559,7 +562,7 @@ def _hexad_of(G22: PermGroup) -> frozenset:
     has orbit sizes 3+16 on the remaining points; the 3-orbit completes
     the hexad."""
     stab = G22.pointwise_stabilizer([0, 1, 2])
-    orb = _orbit_sets(stab)
+    orb = [set(o) for o in _point_orbits(stab)]
     three = [o for o in orb if len(o) == 3 and not (o & {0, 1, 2})]
     if len(three) != 1:
         raise AssertionError("hexad construction: expected a unique 3-orbit")
@@ -568,17 +571,11 @@ def _hexad_of(G22: PermGroup) -> frozenset:
 
 def _heptad_of(G23: PermGroup) -> frozenset:
     stab = G23.pointwise_stabilizer([0, 1, 2, 3])
-    orb = _orbit_sets(stab)
+    orb = [set(o) for o in _point_orbits(stab)]
     three = [o for o in orb if len(o) == 3 and not (o & {0, 1, 2, 3})]
     if len(three) != 1:
         raise AssertionError("heptad construction: expected a unique 3-orbit")
     return frozenset({0, 1, 2, 3} | three[0])
-
-
-def _orbit_sets(G: PermGroup):
-    from .group import _point_orbits
-
-    return [set(o) for o in _point_orbits(G)]
 
 
 def mathieu11() -> CorpusGroup:

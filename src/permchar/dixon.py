@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .charfun import CharacterTable
 from .classes import ConjugacyClassSet, conjugacy_classes, conjugation_orbit
-from .cyclo import Cyclotomic
+from .cyclo import Cyclotomic, prime_factors
 from .group import PermGroup
 from .perm import inv_images, mul_images
 
@@ -55,17 +55,7 @@ def dixon_prime(exponent: int, group_order: int) -> int:
 
 
 def primitive_root(p: int) -> int:
-    factors = []
-    n = p - 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            factors.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        factors.append(n)
+    factors = prime_factors(p - 1)
     g = 2
     while True:
         if all(pow(g, (p - 1) // q, p) != 1 for q in factors):

@@ -16,8 +16,9 @@ functions cannot see the difference.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 from .charfun import CharacterTable, ClassFunction, decompose
@@ -25,7 +26,7 @@ from .classes import conjugation_orbit
 from .cyclo import divisors, parse_cyclotomic, render_cyclotomic
 from .dixon import is_prime
 from .group import PermGroup
-from .perm import Permutation, power_images
+from .perm import Permutation, order_of_images, power_images
 
 
 class TableSyntaxError(ValueError):
@@ -63,7 +64,7 @@ def parse_table(text: str, validate: bool = True) -> CharacterTable:
                     raise TableSyntaxError(f"line {lineno}: power map key {p} is not a prime")
                 power_maps[p] = tuple(int(x) for x in fields[2:])
             elif key == "chi":
-                rows.append([parse_cyclotomic(tok) for tok in fields[1:]])
+                rows.append((lineno, fields[1:]))
             else:
                 raise TableSyntaxError(f"line {lineno}: unknown directive {key!r}")
         except TableSyntaxError:
@@ -81,10 +82,31 @@ def parse_table(text: str, validate: bool = True) -> CharacterTable:
     for p, pm in power_maps.items():
         if len(pm) != k or any(not 0 <= x < k for x in pm):
             raise TableSyntaxError(f"power map {p} is not a map on 0..{k-1}")
-    table = CharacterTable(name, order, sizes, orders, power_maps, rows)
+    table = CharacterTable(name, order, sizes, orders, power_maps, _parse_rows(rows, orders))
     if validate:
         table.validate()
     return table
+
+
+_ROOT_OF_UNITY = re.compile(r"E\((-?\d+)\)")
+
+
+def _parse_rows(rows, orders) -> list:
+    """Parse the `chi` entries. Every value of a character lies in
+    Q(zeta_e) for the exponent e = lcm(orders), so a row with an E(n), n
+    not dividing 2e, is rejected before it is parsed: arithmetic in
+    Q(zeta_n) builds a table with phi(n)^2 entries."""
+    bound = 2 * lcm(*(o for o in orders if o > 0))
+    out = []
+    for lineno, tokens in rows:
+        try:
+            for n in map(int, _ROOT_OF_UNITY.findall(" ".join(tokens))):
+                if n < 1 or bound % n:
+                    raise ValueError(f"E({n}): {n} does not divide 2*lcm(orders) = {bound}")
+            out.append([parse_cyclotomic(tok) for tok in tokens])
+        except (ValueError, IndexError, ZeroDivisionError) as exc:
+            raise TableSyntaxError(f"line {lineno}: {exc}") from None
+    return out
 
 
 def serialize_table(table: CharacterTable) -> str:
@@ -293,7 +315,7 @@ def find_representatives(
         round_size = min(chunk, budget - used)
         for _ in range(round_size):
             g = G.random_element(rng).images
-            o = _order_of(g)
+            o = order_of_images(g)
             for d in divisors(o):
                 sampler.add(power_images(g, d), o // gcd(o, d))
         used += round_size
@@ -306,12 +328,6 @@ def find_representatives(
                     f"no consistent matching within the sampling budget ({used} samples): "
                     f"{last_error}"
                 ) from None
-
-
-def _order_of(images: tuple) -> int:
-    from .perm import order_of_images
-
-    return order_of_images(images)
 
 
 def _assign(G: PermGroup, table: CharacterTable, sampler: _Sampler, used: int) -> ClassMatching:
@@ -330,7 +346,7 @@ def _assign(G: PermGroup, table: CharacterTable, sampler: _Sampler, used: int) -
         processed.add(key)
         for p in primes:
             h = power_images(buckets[key], p)
-            key2 = sampler.add(h, _order_of(h))
+            key2 = sampler.add(h, order_of_images(h))
             power_bucket[(key, p)] = key2
             if key2 not in processed:
                 queue.append(key2)

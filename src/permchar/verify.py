@@ -20,12 +20,13 @@ from .charfun import (
     perm_character,
     restriction_values,
 )
-from .classes import DEFAULT_ENUMERATION_THRESHOLD, conjugacy_classes
+from .classes import DEFAULT_ENUMERATION_THRESHOLD, EnumerationThresholdError, conjugacy_classes
 from .dixon import character_table
 from .group import (
     PermGroup,
-    is_normal_in,
+    _point_orbits,
     is_subgroup,
+    normalizer,
     o_2prime,
     sylow_2,
 )
@@ -86,18 +87,24 @@ _BUNDLED_TABLES = {"m11", "m22", "m23"}
 
 class GroupContext:
     """A group together with its character table and per-column class
-    representatives, from either full enumeration or table matching."""
+    representatives, from either full enumeration or table matching;
+    built by `for_group` (or `for_family`)."""
 
-    def __init__(self, name, group, table, reps, classes=None, matching=None):
+    def __init__(self, name, group, table, reps, threshold, corpus_group,
+                 classes=None, matching=None):
         self.name = name
         self.group = group
         self.table = table
         self.reps = reps
+        self.threshold = threshold
+        self.corpus_group = corpus_group
         self.classes = classes
         self.matching = matching
         self._o2prime = None
         self._sylow2 = None
+        self._sylow2_normalizer = None
         self._perm_characters: dict = {}
+        self._decompositions: dict = {}
 
     @classmethod
     def for_family(
@@ -117,36 +124,44 @@ class GroupContext:
         seed: int = 0,
         threshold: int = DEFAULT_ENUMERATION_THRESHOLD,
         corpus_group=None,
+        table=None,
     ) -> "GroupContext":
-        if name in _BUNDLED_TABLES:
+        """Match `table`, or the bundled table for `name`, to the classes of
+        `group` by seeded sampling; with neither, enumerate the classes and
+        build the table. Without `corpus_group` only generic selectors work."""
+        if corpus_group is None:
+            corpus_group = corpus.CorpusGroup(name, group)
+        if table is None and name in _BUNDLED_TABLES:
             table = bundled_table(name)
+        if table is not None:
             matching = find_representatives(group, table, seed=seed)
-            ctx = cls(name, group, table, matching.reps, matching=matching)
-        else:
-            classes = conjugacy_classes(group, threshold=threshold)
-            table = character_table(group, classes, name=name)
-            ctx = cls(name, group, table, classes.reps, classes=classes)
-        ctx.corpus_group = corpus_group
-        return ctx
+            return cls(name, group, table, matching.reps, threshold, corpus_group,
+                       matching=matching)
+        classes = conjugacy_classes(group, threshold=threshold)
+        table = character_table(group, classes, name=name)
+        return cls(name, group, table, classes.reps, threshold, corpus_group, classes=classes)
 
     def subgroup(self, selector: str) -> PermGroup:
-        if getattr(self, "corpus_group", None) is None:
-            self.corpus_group = corpus.build(self.name)
         return self.corpus_group.subgroup(selector)
 
     def perm_character(self, H: PermGroup) -> ClassFunction:
-        return perm_character(self.group, H, self.reps)
+        """pi = 1_H^G at the class representatives. The only place pi is
+        computed: it is kept per generating set of H, so every checker on
+        the same subgroup shares one coset action."""
+        key = tuple(g.images for g in H.generators)
+        pi = self._perm_characters.get(key)
+        if pi is None:
+            pi = self._perm_characters[key] = perm_character(self.group, H, self.reps)
+        return pi
 
     def decompose_perm_character(self, H: PermGroup):
-        """(pi, multiplicities) of 1_H^G over the table rows. The only
-        place pi is computed: it is kept per generating set of H, so every
-        checker on the same subgroup shares one coset action. Callers must
-        not mutate the returned list."""
+        """(pi, multiplicities) of 1_H^G over the table rows, kept per
+        generating set of H. Callers must not mutate the returned list."""
         key = tuple(g.images for g in H.generators)
-        hit = self._perm_characters.get(key)
+        hit = self._decompositions.get(key)
         if hit is None:
             pi = self.perm_character(H)
-            hit = self._perm_characters[key] = (pi, decompose(pi, self.table))
+            hit = self._decompositions[key] = (pi, decompose(pi, self.table))
         return hit
 
     def core_order(self, pi: ClassFunction) -> int:
@@ -174,6 +189,16 @@ class GroupContext:
         if self._sylow2 is None:
             self._sylow2 = sylow_2(self.group, seed=seed)
         return self._sylow2
+
+    def sylow2_normalizer(self, seed: int = 0) -> PermGroup:
+        """N_G(P) for P = sylow2(seed). Its conjugation orbit holds about
+        |G| elements, so past the context's threshold this raises."""
+        if self._sylow2_normalizer is None:
+            if self.group.order() > self.threshold:
+                raise EnumerationThresholdError(f"group order {self.group.order()} exceeds"
+                                                f" enumeration threshold {self.threshold}")
+            self._sylow2_normalizer = normalizer(self.group, self.sylow2(seed=seed))
+        return self._sylow2_normalizer
 
     def trivial_row_index(self) -> int:
         one = ClassFunction([1] * self.table.n_classes)
@@ -302,40 +327,23 @@ def sylow2_conjugates(G: PermGroup, P: PermGroup) -> list:
 def check_theorem_D(ctx: GroupContext, seed: int = 0) -> VerificationReport:
     """Equivalence of: Sylow 2-subgroup normal; no nontrivial real elements
     of odd order; every real element of odd order normalizes a Sylow
-    2-subgroup. The 2-Brauer part (iii) is out of scope and reported so."""
-    G = ctx.group
-    C = ctx.classes
-    if C is None:
-        # matched contexts (bundled tables) can still enumerate when the
-        # group is under the threshold; beyond it this raises
-        C = conjugacy_classes(G)
-        ctx.classes = C
-    P = ctx.sylow2(seed=seed)
-    part_i = is_normal_in(P, G)
-    real_odd = [
-        k
-        for k in C.real_class_indices()
-        if C.orders[k] % 2 == 1 and C.orders[k] > 1
-    ]
+    2-subgroup. The 2-Brauer part (iii) is out of scope and reported so.
+
+    The Sylow 2-subgroups form the G-set G/N_G(P), so the number of them
+    that x normalizes is pi(x) for pi = 1_{N_G(P)}^G, and pi(1) is their
+    number; the real odd-order classes come from the table."""
+    table = ctx.table
+    N = ctx.sylow2_normalizer(seed=seed)
+    pi = ctx.perm_character(N)
+    counts = [int(v.as_rational()) for v in pi.values]
+    real_odd = [k for k in table.real_class_indices()
+                if table.orders[k] % 2 == 1 and table.orders[k] > 1]
+    part_i = counts[0] == 1
     part_ii = not real_odd
-    conjugates = sylow2_conjugates(G, P) if P.order() > 1 else []
-    normalized_counts = {}
-    for k in real_odd:
-        x = C.reps[k].images
-        count = 0
-        for Q in conjugates:
-            if all(conj_images(e, x) in Q for e in Q):
-                count += 1
-        normalized_counts[k] = count
-    part_iv = all(count > 0 for count in normalized_counts.values())
-    if P.order() == 1:
-        part_iv = True  # everything normalizes the trivial subgroup
+    part_iv = all(counts[k] > 0 for k in real_odd)
     # the Brauer-character argument makes the normalized-Sylow count even
-    # for nontrivial real elements of odd order; only meaningful with an
-    # honest 2-part
-    parity_ok = P.order() == 1 or all(
-        count % 2 == 0 for count in normalized_counts.values()
-    )
+    # for nontrivial real elements of odd order
+    parity_ok = all(counts[k] % 2 == 0 for k in real_odd)
     report = VerificationReport(
         statement="theorem-D",
         group=ctx.name,
@@ -349,13 +357,13 @@ def check_theorem_D(ctx: GroupContext, seed: int = 0) -> VerificationReport:
         },
         witnesses=[
             {
-                "real_odd_class_order": C.orders[k],
-                "class_size": C.sizes[k],
-                "normalized_sylow_count": normalized_counts[k],
+                "real_odd_class_order": table.orders[k],
+                "class_size": table.sizes[k],
+                "normalized_sylow_count": counts[k],
             }
             for k in real_odd
         ],
-        notes=[f"sylow2_order={P.order()}", f"sylow2_conjugates={len(conjugates)}"],
+        notes=[f"sylow2_order={ctx.sylow2(seed=seed).order()}", f"sylow2_conjugates={counts[0]}"],
     )
     if not parity_ok:
         report.notes.append("PARITY VIOLATION: odd count of normalized Sylow 2-subgroups")
@@ -673,7 +681,7 @@ def sample_subgroups(G: PermGroup, seed: int = 0, budget: int = 12) -> list:
     seen_orders = set()
 
     def push(name, H):
-        key = (H.order(), tuple(sorted(len(o) for o in _orbits_of(H))))
+        key = (H.order(), tuple(sorted(len(o) for o in _point_orbits(H))))
         if key in seen_orders:
             return
         seen_orders.add(key)
@@ -695,12 +703,6 @@ def sample_subgroups(G: PermGroup, seed: int = 0, budget: int = 12) -> list:
             H = PermGroup([g, h], G.degree)
             push(f"gen2_{H.order()}", H)
     return out
-
-
-def _orbits_of(H: PermGroup):
-    from .group import _point_orbits
-
-    return _point_orbits(H)
 
 
 def theorem_a_sweep(

@@ -5,10 +5,9 @@ string or integer equality, never approximation."""
 import pytest
 
 from permchar import corpus, verify
-from permchar.charfun import atlas_string, decompose, fs_indicator, fs_indicator_brute
+from permchar.charfun import atlas_string, fs_indicator, fs_indicator_brute
 from permchar.classes import conjugacy_classes
 from permchar.dixon import character_table
-from permchar.group import PermGroup
 from permchar.tableio import bundled_table, tables_match
 
 

@@ -6,7 +6,7 @@ from permchar.classes import (
     conjugacy_classes,
 )
 from permchar.group import trivial_group
-from permchar.perm import Permutation, parse_permutation
+from permchar.perm import parse_permutation
 
 
 def test_s3_spec_example():

@@ -139,10 +139,30 @@ def test_data_dir_override(tmp_path, capsys):
     # an empty data dir must break bundled-table loading loudly
     code, _, err = run(capsys, "decompose", "--family", "m11", "--subgroup", "s5",
                        "--data-dir", str(tmp_path))
-    assert code in (1, 2)
+    assert code == 2
+    # and must not outlive the call
+    code, out, _ = run(capsys, "decompose", "--family", "m11", "--subgroup", "s5")
+    assert code == 0
+    assert out.strip() == "1a+10a+11a+44a"
+
+
+def test_theorem_d_with_a_table_file(tmp_path, capsys):
     from permchar import corpus
 
-    corpus.set_data_dir(None)
+    table = str(corpus.data_dir() / "tables" / "m11.ctbl")
+    code, out, _ = run(capsys, "verify", "theorem-d", "--family", "m11", "--table-file", table)
+    assert code == 0 and "[pass]" in out
+    path = tmp_path / "g.grp"
+    corpus.save_group_file(path, corpus.build("m11").group, "m11copy")
+    code, out, _ = run(capsys, "verify", "theorem-d", "--group-file", str(path),
+                       "--table-file", table)
+    assert code == 0 and "[pass] theorem-D: g" in out
+
+
+def test_theorem_d_over_the_threshold_exits_2(capsys):
+    code, _, err = run(capsys, "verify", "theorem-d", "--family", "m23")
+    assert code == 2
+    assert err.startswith("error:") and "exceeds enumeration threshold" in err
 
 
 def test_verify_c3q16(capsys):

@@ -1,10 +1,7 @@
-import itertools
-
 import pytest
 
 from permchar import corpus
 from permchar.group import is_subgroup
-from permchar.perm import parse_permutation
 
 
 @pytest.mark.parametrize("family,order,degree", [

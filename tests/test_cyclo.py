@@ -1,6 +1,3 @@
-import cmath
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 

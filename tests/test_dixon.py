@@ -3,12 +3,10 @@ from fractions import Fraction
 import pytest
 
 from permchar import corpus
-from permchar.charfun import CharacterTable, inner_product
 from permchar.classes import conjugacy_classes
 from permchar.dixon import (
     character_table,
     class_matrices,
-    class_matrix,
     dixon_prime,
     is_prime,
     poly_roots_mod,

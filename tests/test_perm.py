@@ -3,8 +3,6 @@ import pytest
 from permchar.perm import (
     Permutation,
     cycle_string,
-    mul_images,
-    inv_images,
     conj_images,
     order_of_images,
     parse_permutation,

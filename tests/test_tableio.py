@@ -9,7 +9,6 @@ from permchar.tableio import (
     TableSyntaxError,
     bundled_table,
     find_representatives,
-    load_table,
     parse_table,
     serialize_table,
     tables_match,
@@ -156,3 +155,43 @@ def test_malformed_power_keys_and_orders_are_rejected(old, new, error):
     assert old in text
     with pytest.raises(error):
         parse_table(text.replace(old, new))
+
+
+@pytest.mark.parametrize("value", ["E(7)", "E(0)", "E(-3)", "E(5)^2", "1+E(9)", "1/0"])
+def test_bad_table_values_are_syntax_errors(value):
+    from permchar.corpus import data_dir
+
+    text = (data_dir() / "tables" / "s3.ctbl").read_text()
+    with pytest.raises(TableSyntaxError, match="line 11"):
+        parse_table(text.replace("chi 2 0 -1", f"chi 2 0 {value}"))
+
+
+def test_huge_conductor_is_rejected_before_any_arithmetic():
+    """Without the bound, E(100000) builds a phi(n) x phi(n) product table;
+    the child's address space is capped so that cannot take the machine."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import permchar
+    from permchar.corpus import data_dir
+
+    text = (data_dir() / "tables" / "s3.ctbl").read_text()
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from permchar.tableio import TableSyntaxError, parse_table\n"
+        "try:\n"
+        "    parse_table(sys.stdin.read())\n"
+        "except TableSyntaxError as exc:\n"
+        "    print('rejected:', exc)\n"
+    )
+    src = str(Path(permchar.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", child],
+        input=text.replace("chi 2 0 -1", "chi 2 0 E(100000)"),
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": src, "PATH": ""},
+    )
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert proc.stdout.startswith("rejected: line 11: E(100000)")

@@ -72,8 +72,11 @@ def test_theorem_B_agl_counterexample():
     assert mults[theta] != 364
 
 
-@pytest.mark.parametrize("family", ["c6", "s4", "a5", "psl3_2", "agl1_27", "q8", "sl23",
-                                    "d10", "q16", "a4", "c3q16", "f7_3", "f13_3", "a4c4"])
+THEOREM_D_FAMILIES = ["c6", "s4", "a5", "psl3_2", "agl1_27", "q8", "sl23",
+                      "d10", "q16", "a4", "c3q16", "f7_3", "f13_3", "a4c4"]
+
+
+@pytest.mark.parametrize("family", THEOREM_D_FAMILIES)
 def test_theorem_D_equivalence(family):
     r = verify.check_theorem_D(verify.context(family))
     assert r.passed, r.render()
@@ -92,6 +95,72 @@ def test_theorem_D_witness_details():
     counts = {w["real_odd_class_order"]: w["normalized_sylow_count"] for w in r5.witnesses}
     assert counts[5] == 0  # 5-cycles normalize no Sylow 2-subgroup
     assert counts[3] % 2 == 0  # parity from the Brauer-character argument
+
+
+def _check_theorem_D_against_brute_force(family):
+    """The normalized-Sylow counts read off pi_{N_G(P)} against the
+    conjugates of P, and the real odd-order classes read off the table
+    against full enumeration."""
+    from permchar.classes import conjugacy_classes
+    from permchar.perm import conj_images
+
+    ctx = verify.context(family)
+    r = verify.check_theorem_D(ctx)
+    G, P, table = ctx.group, ctx.sylow2(), ctx.table
+    C = conjugacy_classes(G)
+    real_odd = sorted(
+        (C.orders[k], C.sizes[k])
+        for k in C.real_class_indices()
+        if C.orders[k] % 2 == 1 and C.orders[k] > 1
+    )
+    assert sorted((w["real_odd_class_order"], w["class_size"]) for w in r.witnesses) == real_odd
+    conjugates = verify.sylow2_conjugates(G, P)
+    if P.order() > 1:
+        assert f"sylow2_conjugates={len(conjugates)}" in r.notes
+    columns = [
+        k
+        for k in table.real_class_indices()
+        if table.orders[k] % 2 == 1 and table.orders[k] > 1
+    ]
+    assert len(columns) == len(r.witnesses)
+    for k, w in zip(columns, r.witnesses):
+        x = ctx.reps[k].images
+        brute = sum(1 for Q in conjugates if all(conj_images(e, x) in Q for e in Q))
+        assert w["normalized_sylow_count"] == brute, (family, k)
+
+
+@pytest.mark.parametrize("family", THEOREM_D_FAMILIES + ["m11"])
+def test_theorem_D_counts_match_sylow_conjugates(family):
+    _check_theorem_D_against_brute_force(family)
+
+
+@pytest.mark.slow
+def test_theorem_D_counts_match_sylow_conjugates_m22():
+    _check_theorem_D_against_brute_force("m22")
+
+
+def test_theorem_D_reads_the_table_and_enumerates_nothing(monkeypatch):
+    matched = verify.GroupContext.for_family("m11")
+    enumerated = verify.GroupContext.for_family("s4")
+    classes = enumerated.classes
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("theorem D must not enumerate classes or Sylow conjugates")
+
+    monkeypatch.setattr(verify, "conjugacy_classes", forbidden)
+    monkeypatch.setattr(verify, "sylow2_conjugates", forbidden)
+    assert verify.check_theorem_D(matched).passed
+    assert verify.check_theorem_D(enumerated).passed
+    assert matched.classes is None
+    assert enumerated.classes is classes
+
+
+def test_theorem_D_refuses_groups_over_the_threshold():
+    from permchar.classes import EnumerationThresholdError
+
+    ctx = verify.GroupContext.for_family("m11", threshold=1000)
+    with pytest.raises(EnumerationThresholdError, match="threshold 1000"):
+        verify.check_theorem_D(ctx)
 
 
 def test_simple_sylow_avoidance():

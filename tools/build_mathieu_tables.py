@@ -24,11 +24,11 @@ import random
 
 from permchar import corpus
 from permchar.classes import conjugacy_classes
+from permchar.cyclo import prime_factors
 from permchar.dixon import character_table
 from permchar.perm import (
     Permutation,
     inv_images,
-    mul_images,
     order_of_images,
     power_images,
 )
@@ -147,7 +147,7 @@ class SampledClassData:
             if sum(1 for _, packed in lst if packed is None) != 1 and len(lst) > 1:
                 raise AssertionError("exactly one class per type may classify by elimination")
         self.power_maps = {}
-        for p in sorted({2, *_primes(self.exponent)}):
+        for p in sorted({2, *prime_factors(self.exponent)}):
             self.power_maps[p] = tuple(
                 self.classify(power_images(r.images, p)) for r in self.reps
             )
@@ -192,20 +192,6 @@ def cycle_type_of(images):
             length += 1
         out.append(length)
     return tuple(sorted(out))
-
-
-def _primes(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def build_m22(tables_dir):
