@@ -29,7 +29,7 @@ from .classes import (
     conjugacy_classes,
     power_map,
 )
-from .cyclo import Cyclotomic, CycloSum, parse_cyclotomic, render_cyclotomic, root_of_unity
+from .cyclo import Cyclotomic, parse_cyclotomic, render_cyclotomic, root_of_unity
 from .charfun import (
     CharacterTable,
     CharacterTableError,
@@ -59,7 +59,7 @@ __all__ = [
     "is_normal_in", "is_subgroup", "normal_closure", "normalizer",
     "o_2prime", "setwise_stabilizer", "sylow_2", "trivial_group",
     "ConjugacyClassSet", "EnumerationThresholdError", "conjugacy_classes", "power_map",
-    "Cyclotomic", "CycloSum", "parse_cyclotomic", "render_cyclotomic", "root_of_unity",
+    "Cyclotomic", "parse_cyclotomic", "render_cyclotomic", "root_of_unity",
     "CharacterTable", "CharacterTableError", "ClassFunction", "atlas_string",
     "decompose", "fs_indicator", "inner_product", "perm_character",
     "character_table", "class_matrices",

@@ -3,13 +3,25 @@
 Inner products, decomposition into irreducibles with ATLAS-style
 rendering, Frobenius-Schur indicators via the squaring power map, and
 real-class detection. Everything is exact; no floating point.
+
+The arithmetic runs on an integer kernel. A value a in Q(zeta_c), stored
+in the power basis, is read as the element sum_j x_j t^j of the group
+ring Z[C_c] (t^c = 1), after scaling the whole class function by a common
+denominator. Complex conjugation is t^j -> t^-j and a product is a cyclic
+convolution, both over Python ints. Sums collect their terms in buckets
+keyed by the lcm M of the conductors involved, and each bucket is reduced
+modulo Phi_M once. Galois-conjugate classes carry values of the same
+conductor, so for characters every bucket is Galois-stable and reduces to
+a rational; a bucket that does not is added exactly as a Cyclotomic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
-from .cyclo import Cyclotomic, CycloSum, factorize
+from .cyclo import Cyclotomic, cyclotomic_polynomial, factorize
 from .group import PermGroup, coset_action
 
 
@@ -23,10 +35,11 @@ class ClassFunction:
     """A vector of exact cyclotomic values, one per conjugacy class, in the
     class order of the owning table or class data (identity class first)."""
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "_form")
 
     def __init__(self, values):
         self.values = tuple(_coerce_value(v) for v in values)
+        self._form = None
 
     def __len__(self):
         return len(self.values)
@@ -44,8 +57,21 @@ class ClassFunction:
     def degree(self) -> Cyclotomic:
         return self.values[0]
 
+    def kernel_form(self) -> tuple:
+        """(den, forms): den times value k is the group-ring element
+        forms[k] = (c, ((j, x), ...)) of Z[C_c], c the conductor. Built
+        once per class function."""
+        if self._form is None:
+            den = lcm(*(x.denominator for v in self.values for x in v.coords))
+            self._form = (den, tuple(
+                (v.conductor, tuple((j, x.numerator * (den // x.denominator))
+                                    for j, x in enumerate(v.coords) if x))
+                for v in self.values
+            ))
+        return self._form
+
     def is_real_valued(self) -> bool:
-        return all(v.is_real() for v in self.values)
+        return all(_is_real(f) for f in self.kernel_form()[1])
 
     def is_rational_valued(self) -> bool:
         return all(v.is_rational() for v in self.values)
@@ -79,6 +105,8 @@ class CharacterTable:
         self.rows = [r if isinstance(r, ClassFunction) else ClassFunction(r) for r in rows]
         self._fs = None
         self._letters = None
+        self._real_rows = None
+        self._real_classes = None
 
     # -- basic derived data -------------------------------------------------
 
@@ -111,15 +139,19 @@ class CharacterTable:
         return self._fs
 
     def real_row_flags(self) -> list:
-        return [r.is_real_valued() for r in self.rows]
+        """Whether each row is real-valued; computed once."""
+        if self._real_rows is None:
+            self._real_rows = [r.is_real_valued() for r in self.rows]
+        return self._real_rows
 
     def real_class_indices(self) -> list:
-        """Classes where every irreducible takes a real value."""
-        return [
-            k
-            for k in range(self.n_classes)
-            if all(r.values[k].is_real() for r in self.rows)
-        ]
+        """Classes where every irreducible takes a real value; computed once."""
+        if self._real_classes is None:
+            forms = [r.kernel_form()[1] for r in self.rows]
+            self._real_classes = [
+                k for k in range(self.n_classes) if all(_is_real(f[k]) for f in forms)
+            ]
+        return self._real_classes
 
     def power_class(self, i: int, k: int) -> int:
         """Class of g^k for g in class i, composed from stored prime maps."""
@@ -141,30 +173,17 @@ class CharacterTable:
 
     def validate(self) -> None:
         """Check every table invariant; raises CharacterTableError naming
-        the first violated relation."""
+        the first violated relation.
+
+        Column orthogonality is not checked separately: for a square table,
+        row orthogonality X D X* = |G| I makes X invertible, so
+        X* X = |G| D^-1, which is column orthogonality."""
         k = self.n_classes
         if len(self.rows) != k:
             raise CharacterTableError("row count differs from class count")
         if any(len(r) != k for r in self.rows):
             raise CharacterTableError("row length differs from class count")
-        if sum(self.sizes) != self.order:
-            raise CharacterTableError("class sizes do not sum to the group order")
-        if self.sizes[0] != 1 or self.orders[0] != 1:
-            raise CharacterTableError("class 0 must be the identity class")
-        if any(self.order % s for s in self.sizes):
-            raise CharacterTableError("class size does not divide the group order")
-        if any(o < 1 or self.order % o for o in self.orders):
-            raise CharacterTableError("element order is not a positive divisor of the group order")
-        for p, pm in self.power_maps.items():
-            if pm[0] != 0:
-                raise CharacterTableError(f"power map {p} moves the identity class")
-            for i, j in enumerate(pm):
-                oi, oj = self.orders[i], self.orders[j]
-                expect = oi // p if oi % p == 0 else oi
-                if oj != expect:
-                    raise CharacterTableError(
-                        f"power map {p} maps order {oi} to order {oj} at class {i}"
-                    )
+        check_class_data(self.order, self.sizes, self.orders, self.power_maps)
         for r in self.rows:
             d = r.degree.as_rational()
             if d is None or d.denominator != 1 or d <= 0:
@@ -179,27 +198,42 @@ class CharacterTable:
                     raise CharacterTableError(
                         f"row orthogonality fails for rows {i},{j}: <.,.> = {got}"
                     )
-        for a in range(k):
-            for b in range(a, k):
-                acc = CycloSum()
-                for r in self.rows:
-                    acc.add(r.values[a] * r.values[b].conjugate())
-                got = acc.total_rational()
-                want = Fraction(self.order, self.sizes[a]) if a == b else Fraction(0)
-                if got != want:
-                    raise CharacterTableError(
-                        f"column orthogonality fails for classes {a},{b}"
-                    )
         if 2 in self.power_maps:
+            real = self.real_row_flags()
             for i, nu in enumerate(self.fs_indicators()):
                 if nu not in (-1, 0, 1):
                     raise CharacterTableError(
                         f"indicator of row {i} is {nu}, outside {{0,+1,-1}}"
                     )
-                if (nu != 0) != self.rows[i].is_real_valued():
+                if (nu != 0) != real[i]:
                     raise CharacterTableError(
                         f"indicator of row {i} disagrees with real-valuedness"
                     )
+
+
+def check_class_data(order: int, sizes, orders, power_maps) -> None:
+    """The class-data invariants: sizes sum to the order, the identity class
+    comes first, sizes and element orders divide the order, and each prime
+    power map sends a class of order o to one of order o/p or o. Raises
+    CharacterTableError naming the first violated relation."""
+    if sum(sizes) != order:
+        raise CharacterTableError("class sizes do not sum to the group order")
+    if sizes[0] != 1 or orders[0] != 1:
+        raise CharacterTableError("class 0 must be the identity class")
+    if any(s < 1 or order % s for s in sizes):
+        raise CharacterTableError("class size does not divide the group order")
+    if any(o < 1 or order % o for o in orders):
+        raise CharacterTableError("element order is not a positive divisor of the group order")
+    for p, pm in power_maps.items():
+        if pm[0] != 0:
+            raise CharacterTableError(f"power map {p} moves the identity class")
+        for i, j in enumerate(pm):
+            oi, oj = orders[i], orders[j]
+            expect = oi // p if oi % p == 0 else oi
+            if oj != expect:
+                raise CharacterTableError(
+                    f"power map {p} maps order {oi} to order {oj} at class {i}"
+                )
 
 
 def _letter(k: int) -> str:
@@ -209,6 +243,104 @@ def _letter(k: int) -> str:
         k = k // 26 - 1
         if k < 0:
             return out
+
+
+# -- the integer group-ring kernel ----------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _phi_tail(M: int) -> tuple:
+    """(phi(M), the nonzero terms (j, c) of Phi_M below its leading one)."""
+    poly = cyclotomic_polynomial(M)
+    phi = len(poly) - 1
+    return phi, tuple((j, c) for j, c in enumerate(poly[:phi]) if c)
+
+
+def _reduce(vec: list, M: int) -> list:
+    """Power-basis coordinates of the Z[C_M] element `vec` (a dense list
+    of length M, consumed) in Q(zeta_M): the remainder modulo Phi_M."""
+    phi, tail = _phi_tail(M)
+    for i in range(M - 1, phi - 1, -1):
+        c = vec[i]
+        if c:
+            base = i - phi
+            for j, pj in tail:
+                vec[base + j] -= c * pj
+    return vec[:phi]
+
+
+def _is_real(form) -> bool:
+    """A value v is real when v - reflect(v) is 0 modulo Phi_c."""
+    c, pairs = form
+    if c == 1:
+        return True
+    vec = [0] * c
+    for j, x in pairs:
+        vec[j] += x
+        vec[-j % c] -= x
+    return not any(_reduce(vec, c))
+
+
+def _total(scalar, buckets: dict, den):
+    """The exact value of (scalar + the bucket elements) / den: a Fraction
+    when rational, else a Cyclotomic."""
+    rest = None
+    for M, vec in buckets.items():
+        coords = _reduce(vec, M)
+        if any(coords[1:]):
+            v = Cyclotomic(M, tuple(Fraction(x, den) for x in coords))
+            rest = v if rest is None else rest + v
+        else:
+            scalar += coords[0]
+    total = Fraction(scalar, den)
+    if rest is None:
+        return total
+    rest = rest + total
+    return rest.as_rational() if rest.is_rational() else rest
+
+
+def _correlation(weights, fa, fb, den):
+    """sum_k w_k a_k conj(b_k) / den for kernel forms fa, fb; exact."""
+    scalar = 0
+    buckets: dict = {}
+    for w, (ca, pa), (cb, pb) in zip(weights, fa, fb):
+        if not (w and pa and pb):
+            continue
+        if ca == cb == 1:
+            scalar += w * pa[0][1] * pb[0][1]
+            continue
+        M = lcm(ca, cb)
+        vec = buckets.get(M)
+        if vec is None:
+            vec = buckets[M] = [0] * M
+        ea, eb = M // ca, M // cb
+        for i, x in pa:
+            wx, ia = w * x, i * ea
+            for j, y in pb:
+                vec[(ia - j * eb) % M] += wx * y
+    return _total(scalar, buckets, den)
+
+
+def _combination(terms, den):
+    """sum w v / den over (w, kernel form of v) pairs; exact."""
+    scalar = 0
+    buckets: dict = {}
+    for w, (c, pairs) in terms:
+        if not (w and pairs):
+            continue
+        if c == 1:
+            scalar += w * pairs[0][1]
+            continue
+        vec = buckets.get(c)
+        if vec is None:
+            vec = buckets[c] = [0] * c
+        for j, x in pairs:
+            vec[j] += w * x
+    return _total(scalar, buckets, den)
+
+
+def _as_class_function(a) -> ClassFunction:
+    return a if isinstance(a, ClassFunction) else ClassFunction(a)
 
 
 # -- core operations -------------------------------------------------------------
@@ -231,15 +363,12 @@ def inner_product(a, b, sizes, order) -> Fraction:
     Raises if the lengths mismatch or the result is irrational (which
     signals values indexed by different class orders).
     """
-    av = a.values if isinstance(a, ClassFunction) else tuple(map(_coerce_value, a))
-    bv = b.values if isinstance(b, ClassFunction) else tuple(map(_coerce_value, b))
-    if len(av) != len(bv) or len(av) != len(sizes):
+    a, b = _as_class_function(a), _as_class_function(b)
+    if len(a) != len(b) or len(a) != len(sizes):
         raise ValueError("class-function length mismatch")
-    acc = CycloSum()
-    for s, x, y in zip(sizes, av, bv):
-        acc.add(x * y.conjugate() * s)
-    total = acc.total_rational()
-    if total is None:
+    (da, fa), (db, fb) = a.kernel_form(), b.kernel_form()
+    total = _correlation(sizes, fa, fb, da * db)
+    if not isinstance(total, Fraction):
         raise ValueError("inner product is not rational; mismatched class data?")
     return total / order
 
@@ -259,12 +388,13 @@ def decompose(pi: ClassFunction, table: CharacterTable) -> list:
                 f"multiplicity of {table.row_name(i)} is {m}, not a nonnegative integer"
             )
         mults.append(int(m))
+    forms = [row.kernel_form() for row in table.rows]
+    d_pi, f_pi = pi.kernel_form()
+    den = lcm(d_pi, *(d for d, _ in forms))
     for k in range(table.n_classes):
-        acc = CycloSum()
-        for m, row in zip(mults, table.rows):
-            if m:
-                acc.add(row.values[k] * m)
-        if not (acc.total() == pi.values[k]):
+        terms = [(m * (den // d), f[k]) for m, (d, f) in zip(mults, forms) if m]
+        terms.append((-(den // d_pi), f_pi[k]))
+        if _combination(terms, den) != 0:
             raise ValueError("recomposition mismatch: input is not a character here")
     return mults
 
@@ -285,11 +415,9 @@ def fs_indicator(row: ClassFunction, table: CharacterTable) -> int:
     squares = table.power_maps.get(2)
     if squares is None:
         raise CharacterTableError("power map for 2 is required to compute indicators")
-    acc = CycloSum()
-    for k, s in enumerate(table.sizes):
-        acc.add(row.values[squares[k]] * s)
-    total = acc.total_rational()
-    if total is None:
+    den, forms = row.kernel_form()
+    total = _combination(((s, forms[squares[k]]) for k, s in enumerate(table.sizes)), den)
+    if not isinstance(total, Fraction):
         raise ValueError("indicator sum is not rational: corrupted table")
     nu = total / table.order
     if nu.denominator != 1 or int(nu) not in (-1, 0, 1):
@@ -306,11 +434,9 @@ def fs_indicator_brute(row: ClassFunction, group: PermGroup, class_of) -> Fracti
     for g in group.element_images_iter():
         k = class_of(mul_images(g, g))
         counts[k] = counts.get(k, 0) + 1
-    acc = CycloSum()
-    for k, c in counts.items():
-        acc.add(row.values[k] * c)
-    total = acc.total_rational()
-    if total is None:
+    den, forms = row.kernel_form()
+    total = _combination(((c, forms[k]) for k, c in counts.items()), den)
+    if not isinstance(total, Fraction):
         raise ValueError("brute-force indicator sum irrational")
     return total / group.order()
 

@@ -507,6 +507,11 @@ def data_dir() -> Path:
     return Path(resources.files("permchar")) / "data"
 
 
+# Every generator is a tuple of `degree` images, so a file declaring a huge
+# degree would exhaust memory before any check could fail.
+MAX_GROUP_FILE_DEGREE = 1 << 16
+
+
 def load_group_file(path) -> PermGroup:
     """Read the group-definition format: `degree N` then one generator per
     line in 1-based disjoint-cycle notation. `# name:`/`# order:` header
@@ -529,6 +534,9 @@ def load_group_file(path) -> PermGroup:
             if not m:
                 raise ValueError(f"{path}:{lineno}: expected 'degree N' before generators")
             degree = int(m.group(1))
+            if degree > MAX_GROUP_FILE_DEGREE:
+                raise ValueError(f"{path}:{lineno}: degree {degree} exceeds the supported"
+                                 f" maximum {MAX_GROUP_FILE_DEGREE}")
             continue
         try:
             gens.append(parse_permutation(line, degree))

@@ -5,13 +5,14 @@ n-th cyclotomic polynomial, with the conductor minimized after every
 public operation, so equality is plain structural comparison. Rationals
 are arbitrary-precision. Values are immutable and safe to share.
 
-Large sums that mix conductors (inner products, indicator sums) should go
-through CycloSum, which buckets terms by pairwise-coprime conductor
-components instead of lifting everything into one huge compositum.
+This module parses, renders and stores values. Sums over many classes
+(inner products, indicator sums) run on the integer group-ring kernel in
+`charfun` instead.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -479,58 +480,6 @@ def root_of_unity(n: int, k: int = 1) -> Cyclotomic:
     return Cyclotomic(n, tuple(_ONE if i == k else _ZERO for i in range(n)))
 
 
-# -- mixed-conductor accumulation ---------------------------------------------
-
-
-class CycloSum:
-    """Exact accumulator for sums whose terms have assorted conductors.
-
-    Terms are bucketed by conductor; buckets whose conductors share a
-    factor are merged (lifted to their lcm), so the buckets stay pairwise
-    coprime. Q(zeta_a) and Q(zeta_b) with gcd(a,b)=1 intersect in Q only,
-    hence the total is rational iff every bucket is, which avoids ever
-    building the full compositum.
-    """
-
-    def __init__(self):
-        self._buckets: dict[int, Cyclotomic] = {}
-        self._rational = _ZERO
-
-    def add(self, v: Cyclotomic) -> None:
-        if v.conductor == 1:
-            self._rational += v.coords[0]
-            return
-        n = v.conductor
-        to_merge = [m for m in self._buckets if gcd(m, n) > 1]
-        for m in to_merge:
-            v = v + self._buckets.pop(m)
-            n = lcm(n, m)
-        if v.conductor == 1:
-            self._rational += v.coords[0]
-        else:
-            key = v.conductor
-            # a merged value may again collide after minimization
-            if any(gcd(key, m) > 1 for m in self._buckets):
-                self.add(v)
-            else:
-                self._buckets[key] = v
-
-    def total(self) -> Cyclotomic:
-        out = Cyclotomic.rational(self._rational)
-        for v in self._buckets.values():
-            out = out + v
-        return out
-
-    def total_rational(self):
-        """Fraction if the sum is rational, else None (exact, no lifting)."""
-        if self._buckets:
-            return None
-        return self._rational
-
-    def is_zero(self) -> bool:
-        return not self._buckets and self._rational == 0
-
-
 # -- text format ---------------------------------------------------------------
 
 
@@ -593,13 +542,27 @@ def parse_cyclotomic(text: str) -> Cyclotomic:
     return total
 
 
+_RATIONAL = re.compile(r"[0-9./]+")
+
+
+def _rational(text: str) -> Fraction:
+    """A rational in the rendering grammar: p, p/q or a decimal. Exponents
+    are not part of it (Fraction('1e999999999') builds a billion-digit int)."""
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"malformed rational {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _parse_term(term: str) -> Cyclotomic:
     if "E(" not in term:
-        return Cyclotomic.rational(Fraction(term))
+        return Cyclotomic.rational(_rational(term))
     coeff = _ONE
     if "*" in term:
         coeff_s, term = term.split("*", 1)
-        coeff = Fraction(coeff_s)
+        coeff = _rational(coeff_s)
     if not term.startswith("E("):
         raise ValueError(f"malformed cyclotomic term {term!r}")
     close = term.index(")")

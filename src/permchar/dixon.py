@@ -4,8 +4,8 @@ Class-multiplication structure constants are computed exactly; the table
 is first found modulo a prime p = 1 (mod exp(G)) with p > 2*sqrt(|G|) by
 splitting the common eigenspaces of the class matrices, then lifted to
 exact cyclotomic values by the discrete Fourier sum over each element
-order. The lifted table is validated (both orthogonality relations) before
-it is returned.
+order. The lifted table is validated (row orthogonality, which implies
+column orthogonality for a square table) before it is returned.
 """
 
 from __future__ import annotations

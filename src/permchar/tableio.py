@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from pathlib import Path
 
-from .charfun import CharacterTable, ClassFunction, decompose
+from .charfun import CharacterTable, ClassFunction, check_class_data, decompose
 from .classes import conjugation_orbit
 from .cyclo import divisors, parse_cyclotomic, render_cyclotomic
 from .dixon import is_prime
@@ -82,13 +82,17 @@ def parse_table(text: str, validate: bool = True) -> CharacterTable:
     for p, pm in power_maps.items():
         if len(pm) != k or any(not 0 <= x < k for x in pm):
             raise TableSyntaxError(f"power map {p} is not a map on 0..{k-1}")
+    if validate:
+        # before any value is parsed: arithmetic in Q(zeta_n) costs phi(n)^2
+        check_class_data(order, sizes, orders, power_maps)
     table = CharacterTable(name, order, sizes, orders, power_maps, _parse_rows(rows, orders))
     if validate:
         table.validate()
     return table
 
 
-_ROOT_OF_UNITY = re.compile(r"E\((-?\d+)\)")
+# what parse_cyclotomic reads as n in E(n): everything up to the first ")"
+_ROOT_OF_UNITY = re.compile(r"E\(([^)]*)\)")
 
 
 def _parse_rows(rows, orders) -> list:
@@ -100,7 +104,7 @@ def _parse_rows(rows, orders) -> list:
     out = []
     for lineno, tokens in rows:
         try:
-            for n in map(int, _ROOT_OF_UNITY.findall(" ".join(tokens))):
+            for n in (int(n) for tok in tokens for n in _ROOT_OF_UNITY.findall(tok)):
                 if n < 1 or bound % n:
                     raise ValueError(f"E({n}): {n} does not divide 2*lcm(orders) = {bound}")
             out.append([parse_cyclotomic(tok) for tok in tokens])

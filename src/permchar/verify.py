@@ -234,7 +234,7 @@ def check_theorem_A(ctx: GroupContext, H: PermGroup, subgroup_name: str = "") ->
     plus_real = [
         i
         for i, m in enumerate(mults)
-        if m > 0 and indicators[i] == 1 and table.rows[i].is_real_valued()
+        if m > 0 and indicators[i] == 1 and table.real_row_flags()[i]
     ]
     core_index = ctx.group.order() // ctx.core_order(pi)
     odd_core_index = core_index % 2 == 1
@@ -279,7 +279,7 @@ def check_theorem_B(
     odd_real = [
         i
         for i, m in enumerate(mults)
-        if i != triv and m % 2 == 1 and table.rows[i].is_real_valued()
+        if i != triv and m % 2 == 1 and table.real_row_flags()[i]
     ]
     conclusion = bool(odd_real)
     report = VerificationReport(
@@ -394,7 +394,7 @@ def check_real_coverage(ctx: GroupContext, H: PermGroup, subgroup_name: str = ""
     pi, mults = ctx.decompose_perm_character(H)
     table = ctx.table
     odd_real = [
-        i for i, m in enumerate(mults) if m % 2 == 1 and table.rows[i].is_real_valued()
+        i for i, m in enumerate(mults) if m % 2 == 1 and table.real_row_flags()[i]
     ]
     hypothesis = len(odd_real) == 1
     index = ctx.group.order() // H.order()
@@ -432,7 +432,7 @@ def check_lemma_bob(ctx: GroupContext, H: PermGroup, subgroup_name: str = "") ->
             "indicator": indicators[i],
         }
         for i, m in enumerate(mults)
-        if m % 2 == 1 and table.rows[i].is_real_valued()
+        if m % 2 == 1 and table.real_row_flags()[i]
     ]
     bad = [t for t in triples if t["indicator"] != 1]
     report = VerificationReport(
@@ -465,7 +465,7 @@ def check_theorem_4_6(
     odd_real = [
         i
         for i, m in enumerate(mults)
-        if i != triv and m % 2 == 1 and table.rows[i].is_real_valued()
+        if i != triv and m % 2 == 1 and table.real_row_flags()[i]
     ]
     conclusion = bool(odd_real)
     index = G.order() // H.order()
@@ -508,7 +508,7 @@ def check_burnside(ctx: GroupContext) -> VerificationReport:
     table = ctx.table
     odd_order = ctx.group.order() % 2 == 1
     triv = ctx.trivial_row_index()
-    real_rows = [i for i, r in enumerate(table.rows) if r.is_real_valued()]
+    real_rows = [i for i, real in enumerate(table.real_row_flags()) if real]
     nontrivial_real = [i for i in real_rows if i != triv]
     indicators = table.fs_indicators()
     nonzero_ind = [i for i in range(len(table.rows)) if i != triv and indicators[i] != 0]
@@ -536,7 +536,7 @@ def induction_real_constituents(ctx: GroupContext, H: PermGroup):
     h_indicators = h_table.fs_indicators()
     out = []
     for j, theta in enumerate(h_table.rows):
-        if not theta.is_real_valued():
+        if not h_table.real_row_flags()[j]:
             continue
         mults = []
         for chi in ctx.table.rows:
@@ -549,7 +549,7 @@ def induction_real_constituents(ctx: GroupContext, H: PermGroup):
         real_constituents = [
             ctx.table.row_name(i)
             for i, m in enumerate(mults)
-            if m > 0 and ctx.table.rows[i].is_real_valued()
+            if m > 0 and ctx.table.real_row_flags()[i]
         ]
         out.append(
             {

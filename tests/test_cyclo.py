@@ -3,7 +3,6 @@ from hypothesis import given, settings, strategies as st
 
 from permchar.cyclo import (
     Cyclotomic,
-    CycloSum,
     cyclotomic_polynomial,
     euler_phi,
     parse_cyclotomic,
@@ -144,24 +143,6 @@ def test_field_embedding_lift_commutes(a):
     assert a * z * z**6 == a
     z2 = root_of_unity(8)
     assert (a + z2) - z2 == a
-
-
-def test_cyclosum_coprime_buckets():
-    acc = CycloSum()
-    acc.add(root_of_unity(7))
-    acc.add(root_of_unity(5))
-    assert acc.total_rational() is None
-    acc2 = CycloSum()
-    for k in range(5):
-        acc2.add(root_of_unity(5, k) * 3)
-    assert acc2.total_rational() == 0
-    acc3 = CycloSum()
-    acc3.add(root_of_unity(8))
-    acc3.add(root_of_unity(12))
-    acc3.add(-root_of_unity(8))
-    acc3.add(-root_of_unity(12))
-    assert acc3.total_rational() == 0
-    assert acc3.is_zero()
 
 
 def test_render_parse_round_trip():

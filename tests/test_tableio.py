@@ -166,32 +166,58 @@ def test_bad_table_values_are_syntax_errors(value):
         parse_table(text.replace("chi 2 0 -1", f"chi 2 0 {value}"))
 
 
-def test_huge_conductor_is_rejected_before_any_arithmetic():
-    """Without the bound, E(100000) builds a phi(n) x phi(n) product table;
-    the child's address space is capped so that cannot take the machine."""
+def _parse_in_capped_child(text):
+    """parse_table(text) in a child whose address space is capped at 1 GiB,
+    so a table that would exhaust memory cannot take the machine. Prints
+    `rejected: <exception type>: <message>`."""
     import subprocess
     import sys
     from pathlib import Path
 
     import permchar
-    from permchar.corpus import data_dir
 
-    text = (data_dir() / "tables" / "s3.ctbl").read_text()
     child = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-        "from permchar.tableio import TableSyntaxError, parse_table\n"
+        "from permchar.tableio import parse_table\n"
         "try:\n"
         "    parse_table(sys.stdin.read())\n"
-        "except TableSyntaxError as exc:\n"
-        "    print('rejected:', exc)\n"
+        "except ValueError as exc:\n"
+        "    print(f'rejected: {type(exc).__name__}: {exc}')\n"
     )
     src = str(Path(permchar.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-c", child],
-        input=text.replace("chi 2 0 -1", "chi 2 0 E(100000)"),
-        capture_output=True, text=True, timeout=120,
+        input=text, capture_output=True, text=True, timeout=120,
         env={"PYTHONPATH": src, "PATH": ""},
     )
     assert proc.returncode == 0, proc.stderr[-500:]
-    assert proc.stdout.startswith("rejected: line 11: E(100000)")
+    return proc.stdout
+
+
+def test_huge_conductor_is_rejected_before_any_arithmetic():
+    """Without the bound, E(100000) builds a phi(n) x phi(n) product table."""
+    from permchar.corpus import data_dir
+
+    text = (data_dir() / "tables" / "s3.ctbl").read_text()
+    for value in ["E(100000)", "E(+100000)", "E(1_00000)"]:
+        out = _parse_in_capped_child(text.replace("chi 2 0 -1", f"chi 2 0 {value}"))
+        assert out.startswith("rejected: TableSyntaxError: line 11: E(100000)"), out
+
+
+def test_impossible_header_is_rejected_before_any_value():
+    """The class data are checked before the rows are parsed: a class of
+    size 99999 in a group of order 100000 is impossible, so E(100000),
+    which 2*lcm(orders) = 200000 allows, is never evaluated."""
+    text = ("name bad\norder 100000\nclasses 2\nsizes 1 99999\norders 1 100000\n"
+            "chi 1 1\nchi 1 E(100000)\n")
+    out = _parse_in_capped_child(text)
+    assert out == "rejected: CharacterTableError: class size does not divide the group order\n"
+
+
+@pytest.mark.parametrize("sizes", ["1 0 5", "1 -1 6"])
+def test_class_sizes_must_be_positive(sizes):
+    text = ("name bad\norder 6\nclasses 3\nsizes " + sizes + "\norders 1 2 3\n"
+            "chi 1 1 1\nchi 1 -1 1\nchi 2 0 -1\n")
+    with pytest.raises(CharacterTableError, match="class size does not divide"):
+        parse_table(text)
