@@ -18,10 +18,9 @@ a rational; a bucket that does not is added exactly as a Cyclotomic.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
-from .cyclo import Cyclotomic, cyclotomic_polynomial, factorize
+from .cyclo import Cyclotomic, factorize, reduce_mod_phi
 from .group import PermGroup, coset_action
 
 
@@ -75,9 +74,6 @@ class ClassFunction:
 
     def is_rational_valued(self) -> bool:
         return all(v.is_rational() for v in self.values)
-
-    def conjugate(self) -> "ClassFunction":
-        return ClassFunction([v.conjugate() for v in self.values])
 
     def __repr__(self):
         return f"ClassFunction([{', '.join(str(v) for v in self.values)}])"
@@ -248,27 +244,6 @@ def _letter(k: int) -> str:
 # -- the integer group-ring kernel ----------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _phi_tail(M: int) -> tuple:
-    """(phi(M), the nonzero terms (j, c) of Phi_M below its leading one)."""
-    poly = cyclotomic_polynomial(M)
-    phi = len(poly) - 1
-    return phi, tuple((j, c) for j, c in enumerate(poly[:phi]) if c)
-
-
-def _reduce(vec: list, M: int) -> list:
-    """Power-basis coordinates of the Z[C_M] element `vec` (a dense list
-    of length M, consumed) in Q(zeta_M): the remainder modulo Phi_M."""
-    phi, tail = _phi_tail(M)
-    for i in range(M - 1, phi - 1, -1):
-        c = vec[i]
-        if c:
-            base = i - phi
-            for j, pj in tail:
-                vec[base + j] -= c * pj
-    return vec[:phi]
-
-
 def _is_real(form) -> bool:
     """A value v is real when v - reflect(v) is 0 modulo Phi_c."""
     c, pairs = form
@@ -278,7 +253,7 @@ def _is_real(form) -> bool:
     for j, x in pairs:
         vec[j] += x
         vec[-j % c] -= x
-    return not any(_reduce(vec, c))
+    return not any(reduce_mod_phi(vec, c))
 
 
 def _total(scalar, buckets: dict, den):
@@ -286,7 +261,7 @@ def _total(scalar, buckets: dict, den):
     when rational, else a Cyclotomic."""
     rest = None
     for M, vec in buckets.items():
-        coords = _reduce(vec, M)
+        coords = reduce_mod_phi(vec, M)
         if any(coords[1:]):
             v = Cyclotomic(M, tuple(Fraction(x, den) for x in coords))
             rest = v if rest is None else rest + v

@@ -1,13 +1,16 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-Values are kept in the power basis zeta^0 .. zeta^(phi(n)-1) modulo the
-n-th cyclotomic polynomial, with the conductor minimized after every
-public operation, so equality is plain structural comparison. Rationals
-are arbitrary-precision. Values are immutable and safe to share.
+Every value is built one way: as a group-ring element sum_i c_i zeta_n^i,
+reduced modulo the n-th cyclotomic polynomial by `reduce_mod_phi` and
+moved to its minimal conductor by a descent through the primes of n that
+needs no linear algebra (see `_descend`). The stored form is the power
+basis zeta^0 .. zeta^(phi(n)-1) at that minimal n, with Fraction
+coordinates, so equality is plain structural comparison. Values are
+immutable and safe to share.
 
 This module parses, renders and stores values. Sums over many classes
 (inner products, indicator sums) run on the integer group-ring kernel in
-`charfun` instead.
+`charfun`, which reduces with the same `reduce_mod_phi`.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from itertools import combinations
+from math import gcd, lcm, prod
 
-Rat = Fraction
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -63,188 +66,131 @@ def divisors(n: int) -> list:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _poly_divmod_int(num: list, den: list) -> tuple:
-    """Exact division of integer polynomials (low-to-high coefficients)."""
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1]
-        if c % den[-1]:
-            raise ArithmeticError("non-exact polynomial division")
-        c //= den[-1]
-        q[i] = c
-        if c:
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    if any(num):
-        raise ArithmeticError("non-exact polynomial division")
-    return q
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple:
-    """Coefficients of Phi_n, low to high."""
+    """Coefficients of Phi_n, low to high. For n > 1, Phi_n is the product
+    of (1 - x^(n/s))^mu(s) over the squarefree s | n; each factor, or its
+    inverse 1 + x^k + x^2k + ..., is applied as a power series cut at
+    degree phi(n), which is exact because the product is a polynomial of
+    that degree."""
     if n == 1:
         return (-1, 1)
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
-    poly = num
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_divmod_int(poly, list(cyclotomic_polynomial(d)))
+    phi = euler_phi(n)
+    poly = [1] + [0] * phi
+    primes = prime_factors(n)
+    for r in range(len(primes) + 1):
+        for s in combinations(primes, r):
+            k = n // prod(s)
+            if r % 2:
+                for i in range(k, phi + 1):
+                    poly[i] += poly[i - k]
+            else:
+                for i in range(phi, k - 1, -1):
+                    poly[i] -= poly[i - k]
     return tuple(poly)
 
 
-class _Context:
-    """Per-conductor reduction data."""
-
-    __slots__ = ("n", "phi", "poly", "powers", "descents")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.poly = cyclotomic_polynomial(n)
-        self.phi = len(self.poly) - 1
-        # x^k mod Phi_n for k in [phi, 2*phi-2], as Fraction tuples
-        self.powers: list = []
-        prev = [_ZERO] * self.phi
-        if self.phi:
-            prev[self.phi - 1] = _ONE
-        for _ in range(self.phi - 1):
-            shifted = [_ZERO] + prev
-            lead = shifted.pop()
-            if lead:
-                shifted = [c - lead * pc for c, pc in zip(shifted, self.poly[: self.phi])]
-            self.powers.append(tuple(shifted))
-            prev = shifted
-        self.descents: dict = {}
-
-    def descent(self, p: int):
-        """Data for testing/rewriting into Q(zeta_{n/p}); None when n/p is
-        not a proper cyclotomic subfield step (p does not divide n)."""
-        if p in self.descents:
-            return self.descents[p]
-        n, d = self.n, self.n // p
-        kernel = [k for k in range(1, n + 1, d) if gcd(k, n) == 1]
-        m = len(kernel)
-        gen = None
-        if m > 1:
-            for k in kernel:
-                o, x = 1, k
-                while x != 1 % n:
-                    x = x * k % n
-                    o += 1
-                if o == m:
-                    gen = k
-                    break
-        # basis of Q(zeta_d) lifted to conductor n: columns M[:, j] = zeta_d^j
-        phid = euler_phi(d)
-        cols = [_reduce_mod(_monomial(n, (j * (n // d)) % n), self) for j in range(phid)]
-        # choose pivot rows making a square invertible system, invert it
-        rows, inv = _pivot_inverse(cols, self.phi, phid)
-        data = (d, gen, cols, rows, inv)
-        self.descents[p] = data
-        return data
-
-
 @lru_cache(maxsize=None)
-def _context(n: int) -> _Context:
-    return _Context(n)
+def _phi_tail(n: int) -> tuple:
+    """(phi(n), the nonzero terms (j, c) of Phi_n below its leading one)."""
+    poly = cyclotomic_polynomial(n)
+    phi = len(poly) - 1
+    return phi, tuple((j, c) for j, c in enumerate(poly[:phi]) if c)
 
 
-def _monomial(n: int, k: int) -> list:
-    out = [_ZERO] * (k + 1)
-    out[k] = _ONE
-    return out
-
-
-def _reduce_mod(coeffs: list, ctx: _Context) -> tuple:
-    """Reduce a low-to-high coefficient list modulo Phi_n."""
-    phi = ctx.phi
-    coeffs = list(coeffs)
-    if len(coeffs) <= 2 * phi - 1:
-        # fold via the precomputed power table
-        out = [Fraction(c) for c in coeffs[:phi]] + [_ZERO] * (phi - min(len(coeffs), phi))
-        for k in range(phi, len(coeffs)):
-            c = coeffs[k]
-            if c:
-                row = ctx.powers[k - phi]
-                for i in range(phi):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return tuple(out)
-    # long division for high degrees (lifts, Galois maps)
-    poly = ctx.poly
-    coeffs = [Fraction(c) for c in coeffs]
-    for i in range(len(coeffs) - 1, phi - 1, -1):
-        c = coeffs[i]
+def reduce_mod_phi(vec: list, n: int) -> list:
+    """Power-basis coordinates of the group-ring element `vec` of Z[C_n] or
+    Q[C_n] (a dense list of length n, consumed) in Q(zeta_n): the remainder
+    of sum vec[i] x^i modulo Phi_n."""
+    phi, tail = _phi_tail(n)
+    for i in range(n - 1, phi - 1, -1):
+        c = vec[i]
         if c:
-            coeffs[i] = _ZERO
-            for j in range(phi):
-                coeffs[i - phi + j] -= c * poly[j]
-    out = coeffs[:phi]
-    out += [_ZERO] * (phi - len(out))
-    return tuple(out)
+            base = i - phi
+            for j, pj in tail:
+                vec[base + j] -= c * pj
+    return vec[:phi]
 
 
-def _pivot_inverse(cols: list, nrows: int, ncols: int) -> tuple:
-    """Select pivot rows of the column matrix and invert that square block."""
-    # Gaussian elimination to find independent rows
-    work = [[cols[j][i] for j in range(ncols)] for i in range(nrows)]
-    rows = []
-    used = [False] * nrows
-    basis: list = []
-    for _ in range(ncols):
-        found = None
-        for i in range(nrows):
-            if used[i]:
-                continue
-            v = list(work[i])
-            for prow, pcol in basis:
-                f = v[pcol]
-                if f:
-                    v = [a - f * b for a, b in zip(v, prow)]
-            nz = next((j for j, a in enumerate(v) if a), None)
-            if nz is not None:
-                found = (i, v, nz)
-                break
-        if found is None:
-            raise ArithmeticError("lifted basis is rank-deficient")
-        i, v, nz = found
-        used[i] = True
-        rows.append(i)
-        basis.append(([a / v[nz] for a in v], nz))
-    square = [[cols[j][i] for j in range(ncols)] for i in rows]
-    inv = _invert_matrix(square)
-    return rows, inv
+def _descend(n: int, coords: list) -> tuple:
+    """(m, coords) of the same value at its minimal conductor m, from its
+    integer power-basis coordinates at conductor n. One prime at a time:
+    if the value lies in Q(zeta_{n/p}), move there and try p again."""
+    if not any(coords[1:]):
+        return 1, coords[:1]
+    for p in prime_factors(n):
+        while n % p == 0:
+            d = n // p
+            if d % p == 0:
+                # Phi_n(x) = Phi_d(x^p): the power basis of Q(zeta_d) is the
+                # zeta_n^i with p | i, part of the power basis of Q(zeta_n)
+                if any(coords[i] for i in range(len(coords)) if i % p):
+                    break
+                coords = coords[::p]
+            else:
+                lower = _coprime_descent(n, p, coords)
+                if lower is None:
+                    break
+                coords = lower
+            n = d
+    return n, coords
 
 
-def _invert_matrix(m: list) -> list:
-    k = len(m)
-    aug = [list(row) + [_ONE if i == j else _ZERO for j in range(k)] for i, row in enumerate(m)]
-    for col in range(k):
-        piv = next(r for r in range(col, k) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        f = aug[col][col]
-        aug[col] = [a / f for a in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[k:] for row in aug]
+def _coprime_descent(n: int, p: int, coords: list):
+    """Coordinates at conductor d = n/p, p not dividing d, or None when the
+    value is not in Q(zeta_d). With zeta_d = zeta_n^p and zeta_p = zeta_n^d,
+    zeta_n^i = zeta_d^a zeta_p^b (CRT), so the value is sum_b alpha_b
+    zeta_p^b with alpha_b in Q[C_d]. Over Q(zeta_d), zeta_p .. zeta_p^(p-1)
+    is a basis and 1 = -(their sum); so the value is sum_(b>=1) (alpha_b -
+    alpha_0) zeta_p^b, and it lies in Q(zeta_d) exactly when every
+    alpha_b - alpha_0 is the same beta modulo Phi_d. It is then -beta."""
+    d = n // p
+    p_inv, d_inv = pow(p, -1, d), pow(d, -1, p)
+    alphas = [[0] * d for _ in range(p)]
+    for i, c in enumerate(coords):
+        if c:
+            alphas[i * d_inv % p][i * p_inv % d] += c
+    a0 = alphas[0]
+    beta = None
+    for alpha in alphas[1:]:
+        diff = reduce_mod_phi([x - y for x, y in zip(alpha, a0)], d)
+        if beta is None:
+            beta = diff
+        elif diff != beta:
+            return None
+    return [-x for x in beta]
+
+
+def _canonical(n: int, terms) -> tuple:
+    """(conductor, Fraction coords) of sum_i terms[i] zeta_n^i in canonical
+    form. The terms are scaled to integers over a common denominator, so
+    the reduction and the descent run on ints."""
+    if n < 1:
+        raise ValueError("conductor must be positive")
+    den = lcm(*(c.denominator for c in terms if c))
+    vec = [0] * n
+    for i, c in enumerate(terms):
+        if c:
+            vec[i % n] += c.numerator * (den // c.denominator)
+    n, coords = _descend(n, reduce_mod_phi(vec, n))
+    return n, tuple(Fraction(x, den) for x in coords)
 
 
 class Cyclotomic:
-    """An element of some Q(zeta_n), with n minimal."""
+    """An element of some Q(zeta_n), with n minimal.
+
+    `Cyclotomic(n, terms)` is the group-ring element sum_i terms[i] zeta_n^i
+    (indices taken mod n, coefficients ints or Fractions), reduced modulo
+    Phi_n and moved to its minimal conductor. `coords` are then its
+    power-basis coordinates there, as Fractions."""
 
     __slots__ = ("conductor", "coords")
 
-    def __init__(self, conductor: int, coords: tuple, _reduced: bool = False):
+    def __init__(self, conductor: int, terms, _reduced: bool = False):
         if not _reduced:
-            ctx = _context(conductor)
-            coords = _reduce_mod(list(coords), ctx)
-            conductor, coords = _minimize(conductor, coords)
+            conductor, terms = _canonical(conductor, terms)
         object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "coords", terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclotomic is immutable")
@@ -255,24 +201,7 @@ class Cyclotomic:
     def rational(q) -> "Cyclotomic":
         return Cyclotomic(1, (Fraction(q),), _reduced=True)
 
-    @staticmethod
-    def zero() -> "Cyclotomic":
-        return _RAT_ZERO
-
-    @staticmethod
-    def one() -> "Cyclotomic":
-        return _RAT_ONE
-
     # -- ring operations ------------------------------------------------
-
-    def _lift_coeffs(self, m: int) -> list:
-        """Low-to-high coefficient list of self as a polynomial in zeta_m."""
-        step = m // self.conductor
-        out = [_ZERO] * ((len(self.coords) - 1) * step + 1) if self.coords else [_ZERO]
-        for i, c in enumerate(self.coords):
-            if c:
-                out[i * step] = c
-        return out
 
     def __add__(self, other) -> "Cyclotomic":
         other = _coerce(other)
@@ -281,10 +210,12 @@ class Cyclotomic:
         if self.conductor == 1 and other.conductor == 1:
             return Cyclotomic(1, (self.coords[0] + other.coords[0],), _reduced=True)
         m = lcm(self.conductor, other.conductor)
-        ctx = _context(m)
-        a = _reduce_mod(self._lift_coeffs(m), ctx)
-        b = _reduce_mod(other._lift_coeffs(m), ctx)
-        return _from_reduced(m, tuple(x + y for x, y in zip(a, b)))
+        vec = [0] * m
+        for v in (self, other):
+            step = m // v.conductor
+            for i, c in enumerate(v.coords):
+                vec[i * step] += c
+        return Cyclotomic(m, vec)
 
     __radd__ = __add__
 
@@ -318,16 +249,14 @@ class Cyclotomic:
                 self.conductor, tuple(q * c for c in self.coords), _reduced=True
             ) if q else _RAT_ZERO
         m = lcm(self.conductor, other.conductor)
-        ctx = _context(m)
-        a = _reduce_mod(self._lift_coeffs(m), ctx)
-        b = _reduce_mod(other._lift_coeffs(m), ctx)
-        prod = [_ZERO] * (2 * len(a) - 1)
-        for i, x in enumerate(a):
+        ea, eb = m // self.conductor, m // other.conductor
+        prod = [0] * m
+        for i, x in enumerate(self.coords):
             if x:
-                for j, y in enumerate(b):
+                for j, y in enumerate(other.coords):
                     if y:
-                        prod[i + j] += x * y
-        return _from_reduced(m, _reduce_mod(prod, ctx))
+                        prod[(i * ea + j * eb) % m] += x * y
+        return Cyclotomic(m, prod)
 
     __rmul__ = __mul__
 
@@ -346,17 +275,15 @@ class Cyclotomic:
             return self
         if gcd(k, n) != 1:
             raise ValueError("galois exponent must be coprime to the conductor")
-        mapped = [_ZERO] * n
+        mapped = [0] * n
         for i, c in enumerate(self.coords):
             if c:
-                mapped[(i * k) % n] += c
-        return _from_reduced(n, _reduce_mod(mapped, _context(n)))
+                mapped[i * k % n] += c
+        return Cyclotomic(n, mapped)
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation: zeta_n -> zeta_n^(n-1)."""
-        if self.conductor == 1:
-            return self
-        return self.galois(self.conductor - 1)
+        return self.galois(-1)
 
     def __pow__(self, e: int) -> "Cyclotomic":
         out = _RAT_ONE
@@ -384,9 +311,6 @@ class Cyclotomic:
 
     def is_real(self) -> bool:
         return self.conjugate() == self
-
-    def is_integer(self) -> bool:
-        return self.conductor == 1 and self.coords[0].denominator == 1
 
     # -- misc --------------------------------------------------------------
 
@@ -430,54 +354,11 @@ def _coerce(x):
     return NotImplemented
 
 
-def _from_reduced(n: int, coords: tuple) -> Cyclotomic:
-    n, coords = _minimize(n, coords)
-    return Cyclotomic(n, coords, _reduced=True)
-
-
-def _minimize(n: int, coords: tuple):
-    """Descend to the minimal conductor, one prime at a time."""
-    while n > 1:
-        if all(c == 0 for c in coords[1:]):
-            return 1, (coords[0],)
-        ctx = _context(n)
-        descended = False
-        for p in prime_factors(n):
-            d, gen, cols, rows, inv = ctx.descent(p)
-            if gen is not None:
-                # exact membership test for Q(zeta_d): fixed by the kernel
-                fixed = [_ZERO] * n
-                for i, c in enumerate(coords):
-                    if c:
-                        fixed[(i * gen) % n] += c
-                if _reduce_mod(fixed, ctx) != coords:
-                    continue
-            # rewrite in the zeta_d power basis
-            y = [sum(inv[i][j] * coords[rows[j]] for j in range(len(rows))) for i in range(len(rows))]
-            if gen is None:
-                # kernel trivial (n = 2d, d odd): always a subfield, but
-                # verify the solve to be safe
-                ok = True
-                for i in range(len(coords)):
-                    if sum(cols[j][i] * y[j] for j in range(len(y))) != coords[i]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-            n, coords = d, tuple(y)
-            descended = True
-            break
-        if not descended:
-            return n, coords
-    return n, coords
-
-
 def root_of_unity(n: int, k: int = 1) -> Cyclotomic:
     """zeta_n^k, stored at its minimal conductor."""
     if n <= 0:
         raise ValueError("order of the root must be positive")
-    k %= n
-    return Cyclotomic(n, tuple(_ONE if i == k else _ZERO for i in range(n)))
+    return Cyclotomic(n, [0] * (k % n) + [1])
 
 
 # -- text format ---------------------------------------------------------------
@@ -508,12 +389,19 @@ def render_cyclotomic(v: Cyclotomic) -> str:
     return "".join(out)
 
 
+# The largest conductor parse_cyclotomic accepts, for one E(n) and for the
+# lcm of the E(n)s in one expression. Parsing builds a vector of that length
+# and reduces it modulo Phi_n, so text must not choose an unbounded n. The
+# values of a character lie in Q(zeta_e), e the group's exponent; every table
+# this package builds or bundles stays far below the bound.
+MAX_CONDUCTOR = 10000
+
+
 def parse_cyclotomic(text: str) -> Cyclotomic:
     """Parse the rendering grammar: rationals, E(n)^k terms joined by +/-."""
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty cyclotomic expression")
-    total = Cyclotomic.rational(0)
     i = 0
     sign = 1
     if s[0] in "+-":
@@ -535,11 +423,21 @@ def parse_cyclotomic(text: str) -> Cyclotomic:
             elif s[i] == ")":
                 depth -= 1
             i += 1
+    parsed = []
+    m = 1
     for sg, term in terms:
         if not term:
             raise ValueError(f"malformed term in {text!r}")
-        total = total + _parse_term(term) * sg
-    return total
+        coeff, n, k = _parse_term(term)
+        m = lcm(m, n)
+        if m > MAX_CONDUCTOR:
+            raise ValueError(f"conductor {m} of {text!r} exceeds {MAX_CONDUCTOR}")
+        parsed.append((sg * coeff, n, k))
+    # all terms as one element of Q[C_m], canonicalized once
+    vec = [0] * m
+    for coeff, n, k in parsed:
+        vec[k % n * (m // n)] += coeff
+    return Cyclotomic(m, vec)
 
 
 _RATIONAL = re.compile(r"[0-9./]+")
@@ -556,9 +454,10 @@ def _rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def _parse_term(term: str) -> Cyclotomic:
+def _parse_term(term: str) -> tuple:
+    """(coeff, n, k) for the term coeff*E(n)^k; a rational q is (q, 1, 0)."""
     if "E(" not in term:
-        return Cyclotomic.rational(_rational(term))
+        return _rational(term), 1, 0
     coeff = _ONE
     if "*" in term:
         coeff_s, term = term.split("*", 1)
@@ -567,13 +466,15 @@ def _parse_term(term: str) -> Cyclotomic:
         raise ValueError(f"malformed cyclotomic term {term!r}")
     close = term.index(")")
     n = int(term[2:close])
+    if not 1 <= n <= MAX_CONDUCTOR:
+        raise ValueError(f"E({n}): n must be in 1..{MAX_CONDUCTOR}")
     rest = term[close + 1 :]
     k = 1
     if rest:
         if not rest.startswith("^"):
             raise ValueError(f"malformed cyclotomic term {term!r}")
         k = int(rest[1:])
-    return root_of_unity(n, k) * coeff
+    return coeff, n, k
 
 
 _RAT_ZERO = Cyclotomic(1, (_ZERO,), _reduced=True)

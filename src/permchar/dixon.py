@@ -470,7 +470,7 @@ def character_table(
                 coeffs[texp] = mt
             if sum(coeffs) != deg:
                 raise AssertionError("eigenvalue multiplicities do not sum to the degree")
-            values.append(Cyclotomic(m, tuple(Fraction(c) for c in coeffs)))
+            values.append(Cyclotomic(m, coeffs))
         rows.append(values)
 
     one = Cyclotomic.rational(1)

@@ -83,7 +83,7 @@ def parse_table(text: str, validate: bool = True) -> CharacterTable:
         if len(pm) != k or any(not 0 <= x < k for x in pm):
             raise TableSyntaxError(f"power map {p} is not a map on 0..{k-1}")
     if validate:
-        # before any value is parsed: arithmetic in Q(zeta_n) costs phi(n)^2
+        # before any value is parsed: the conductor bound on the rows trusts the orders
         check_class_data(order, sizes, orders, power_maps)
     table = CharacterTable(name, order, sizes, orders, power_maps, _parse_rows(rows, orders))
     if validate:
@@ -98,8 +98,8 @@ _ROOT_OF_UNITY = re.compile(r"E\(([^)]*)\)")
 def _parse_rows(rows, orders) -> list:
     """Parse the `chi` entries. Every value of a character lies in
     Q(zeta_e) for the exponent e = lcm(orders), so a row with an E(n), n
-    not dividing 2e, is rejected before it is parsed: arithmetic in
-    Q(zeta_n) builds a table with phi(n)^2 entries."""
+    not dividing 2e, is rejected before it is parsed. `parse_cyclotomic`
+    also bounds every conductor by `cyclo.MAX_CONDUCTOR`."""
     bound = 2 * lcm(*(o for o in orders if o > 0))
     out = []
     for lineno, tokens in rows:

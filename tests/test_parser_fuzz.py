@@ -44,23 +44,13 @@ NASTY = [
     "E(0)", "E(-3)", "E(5)^-1", "1/0", "E(4)^1e9", "nan", "inf", "1_000", "E(", "E()",
     "E(5)^", "*E(5)", "2**E(5)", "+", "-", "()", "#", "",
 ]
-# parse_cyclotomic on its own computes in Q(zeta_n) for whatever n it reads,
-# at a cost of phi(n)^2 (see CHANGES.md); only the table parser bounds n.
-UNBOUNDED_CONDUCTORS = {"E(100000)", "E(+100000)", "E(1_00000)", "E(10000000000)"}
 PLAIN = ["E(4)", "E(3)^2", "-E(5)-E(5)^4", "2*E(7)+E(7)^3", "3/2", "-1/2", "0.5"]
-
-
-def value_tokens(nasty):
-    return st.one_of(
-        st.sampled_from(nasty),
-        st.sampled_from(PLAIN),
-        NUMBERS,
-        st.text(alphabet="E()^*/+-_0123456789e. ", max_size=12),
-    )
-
-
-TABLE_TOKENS = value_tokens(NASTY)
-CYCLOTOMIC_TOKENS = value_tokens([t for t in NASTY if t not in UNBOUNDED_CONDUCTORS])
+TOKENS = st.one_of(
+    st.sampled_from(NASTY),
+    st.sampled_from(PLAIN),
+    NUMBERS,
+    st.text(alphabet="E()^*/+-_0123456789e. ", max_size=12),
+)
 DIRECTIVES = st.sampled_from(["name", "order", "classes", "sizes", "orders", "power", "chi"])
 HEADER_NUMBERS = {"order", "classes", "sizes", "orders", "power"}
 
@@ -88,21 +78,21 @@ def table_texts(draw):
             elif how == "duplicate":
                 lines.insert(i, lines[i])
             else:
-                extra = draw(st.lists(TABLE_TOKENS, max_size=6))
+                extra = draw(st.lists(TOKENS, max_size=6))
                 lines.insert(i, " ".join([draw(DIRECTIVES), *extra]))
             # indices below refer to the original layout; stop editing
             break
         i = draw(st.sampled_from(chi if edit == "value" else header))
         fields = lines[i].split()
         j = draw(st.integers(1, len(fields) - 1))
-        fields[j] = draw(TABLE_TOKENS if edit == "value" else NUMBERS)
+        fields[j] = draw(TOKENS if edit == "value" else NUMBERS)
         lines[i] = " ".join(fields)
     return "\n".join(lines) + "\n"
 
 
 @st.composite
 def cyclotomic_texts(draw):
-    terms = draw(st.lists(CYCLOTOMIC_TOKENS, min_size=1, max_size=4))
+    terms = draw(st.lists(TOKENS, min_size=1, max_size=4))
     signs = [draw(st.sampled_from(["+", "-", ""])) for _ in terms]
     return "".join(s + t for s, t in zip(signs, terms))
 
@@ -123,7 +113,7 @@ def group_files(draw):
         lines.append(f"degree {draw(NUMBERS)}")
     lines += draw(st.lists(st.one_of(CYCLES, st.just("()")), max_size=3))
     if draw(st.booleans()):
-        lines.insert(draw(st.integers(0, len(lines))), draw(TABLE_TOKENS))
+        lines.insert(draw(st.integers(0, len(lines))), draw(TOKENS))
     return "\n".join(lines) + "\n"
 
 

@@ -196,7 +196,8 @@ def _parse_in_capped_child(text):
 
 
 def test_huge_conductor_is_rejected_before_any_arithmetic():
-    """Without the bound, E(100000) builds a phi(n) x phi(n) product table."""
+    """E(100000) does not divide 2*lcm(orders) = 12, so the table's own
+    bound rejects it, spelled any way int() reads, before it is parsed."""
     from permchar.corpus import data_dir
 
     text = (data_dir() / "tables" / "s3.ctbl").read_text()
