@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import corpus, verify
@@ -38,7 +37,6 @@ def _add_common(p: argparse.ArgumentParser, subgroup: bool = False) -> None:
                    help="class-enumeration threshold")
     p.add_argument("--data-dir", help="override the bundled data directory")
     p.add_argument("--json", action="store_true", dest="as_json")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for independent reports")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,8 +131,7 @@ def _dispatch(args) -> int:
     verb = args.verb
 
     if verb == "reproduce":
-        reports = _run_reproduce(args)
-        return _emit_reports(reports, args.as_json)
+        return _emit_reports(verify.reproduce_paper_tables(seed=args.seed), args.as_json)
 
     if verb == "sweep":
         result = verify.theorem_a_sweep(seed=args.seed, min_pairs=args.min_pairs)
@@ -242,21 +239,6 @@ def _run_verify(ctx, args) -> verify.VerificationReport:
     if statement == "theorem-46":
         return verify.check_theorem_4_6(ctx, H, subgroup_name=name, seed=args.seed)
     raise SystemExit2(f"unknown statement {statement!r}")
-
-
-def _reproduce_one(item_and_seed):
-    item, seed = item_and_seed
-    report = verify.reproduce_paper_tables(seed=seed, items=[item])[0]
-    return report
-
-
-def _run_reproduce(args) -> list:
-    items = verify.PAPER_TABLE_ITEMS
-    if args.jobs and args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_reproduce_one, [(it, args.seed) for it in items]))
-        return reports
-    return verify.reproduce_paper_tables(seed=args.seed)
 
 
 def _table_json(table) -> dict:

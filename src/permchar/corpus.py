@@ -151,11 +151,19 @@ class CorpusGroup:
         self.group = group
         self._selectors = dict(selectors or {})
         self._seed = seed
+        self._subgroups: dict = {}
 
     def subgroup_names(self):
         return sorted(self._selectors) + ["sylow2", "trivial", "whole"]
 
     def subgroup(self, selector: str) -> PermGroup:
+        """The named subgroup, built on the first call and kept."""
+        H = self._subgroups.get(selector)
+        if H is None:
+            H = self._subgroups[selector] = self._build_subgroup(selector)
+        return H
+
+    def _build_subgroup(self, selector: str) -> PermGroup:
         if selector in self._selectors:
             out = self._selectors[selector]
             return out() if callable(out) else out

@@ -109,12 +109,7 @@ class PermGroup:
                 raise ValueError(f"generator degree {g.degree} != group degree {degree}")
         self.degree = degree
         self.generators = [g for g in gens if not g.is_identity()]
-        self._levels: list[_Level] = []
-        self._strict_hint_len = 0
-        if base_hint:
-            for pt in base_hint:
-                self._levels.append(_Level(pt, degree))
-            self._strict_hint_len = len(self._levels)
+        self._levels: list[_Level] = [_Level(pt, degree) for pt in base_hint or ()]
         self._schreier_sims([g.images for g in self.generators])
         self._order = 1
         for lv in self._levels:
@@ -195,15 +190,6 @@ class PermGroup:
     def base(self) -> list:
         return [lv.point for lv in self._levels if len(lv.orbit) > 1]
 
-    def strong_generators(self) -> list:
-        out = []
-        for lv in self._levels:
-            out.extend(Permutation(g) for g in lv.gens)
-        return out
-
-    def basic_orbits(self) -> list:
-        return [sorted(lv.orbit) for lv in self._levels if len(lv.orbit) > 1]
-
     def contains_images(self, g: tuple) -> bool:
         if len(g) != self.degree:
             return False
@@ -212,9 +198,6 @@ class PermGroup:
 
     def __contains__(self, p: Permutation) -> bool:
         return self.contains_images(p.images)
-
-    def is_trivial(self) -> bool:
-        return self._order == 1
 
     def random_element(self, rng: random.Random) -> Permutation:
         g = identity_images(self.degree)
@@ -300,11 +283,11 @@ def normal_closure(G: PermGroup, seeds) -> PermGroup:
 # -- generic orbit / stabilizer machinery -----------------------------------
 
 
-def orbit_stabilizer(G: PermGroup, seed, act, want_stabilizer=True, orbit_limit=None):
+def orbit_stabilizer(G: PermGroup, seed, act, orbit_limit=None):
     """Orbit of `seed` under `act(obj, gen_images)` plus its stabilizer.
 
-    Objects must be hashable. Returns (orbit list, stabilizer PermGroup or
-    None). Transversal words are kept as parent pointers; Schreier
+    Objects must be hashable. Returns (orbit list, stabilizer PermGroup).
+    Transversal words are kept as parent pointers; Schreier
     generators are sifted incrementally so the stabilizer generating set
     stays small. Deterministic for a fixed generator order.
     """
@@ -324,8 +307,6 @@ def orbit_stabilizer(G: PermGroup, seed, act, want_stabilizer=True, orbit_limit=
                 orbit.append(img)
                 parents.append((i, gi))
                 queue.append(len(orbit) - 1)
-    if not want_stabilizer:
-        return orbit, None
 
     def word_for(i: int) -> tuple:
         u = identity_images(G.degree)
@@ -392,8 +373,10 @@ class CosetAction:
     """Right-multiplication action of G on the right cosets of H.
 
     Coset 0 is H itself. `reps` holds one representative image tuple per
-    coset; `gen_images` the induced permutation (as an image tuple over
-    coset indices) of each G-generator.
+    coset, the first element of it that the breadth-first enumeration
+    reached; `gen_images` the induced permutation (as an image tuple over
+    coset indices) of each G-generator. A coset is found by its canonical
+    element (`_coset_key`), so each lookup is one dict probe.
     """
 
     def __init__(self, G: PermGroup, H: PermGroup):
@@ -403,9 +386,8 @@ class CosetAction:
             raise ValueError("H is not a subgroup of G")
         self.G = G
         self.H = H
-        self._h_orbits = _point_orbits(H)
         self.reps: list[tuple] = [identity_images(G.degree)]
-        self._buckets: dict = {self._invariant(self.reps[0]): [0]}
+        index = {_coset_key(H, self.reps[0]): 0}
         gens = [g.images for g in G.generators]
         images: list[list[int]] = [[] for _ in gens]
         i = 0
@@ -413,42 +395,15 @@ class CosetAction:
             x = self.reps[i]
             for gi, g in enumerate(gens):
                 y = mul_images(x, g)
-                j = self._find_or_add(y)
+                key = _coset_key(H, y)
+                j = index.get(key)
+                if j is None:
+                    j = index[key] = len(self.reps)
+                    self.reps.append(y)
                 images[gi].append(j)
             i += 1
         self.degree = len(self.reps)
         self.gen_images = [tuple(img) for img in images]
-        self._image_group: PermGroup | None = None
-
-    def _invariant(self, x: tuple) -> tuple:
-        # Hx is determined up to membership tests by the multiset of
-        # H-orbit images; min per orbit is a cheap stable proxy
-        return tuple(min(x[p] for p in orb) for orb in self._h_orbits)
-
-    def _find_or_add(self, y: tuple) -> int:
-        key = self._invariant(y)
-        bucket = self._buckets.setdefault(key, [])
-        for j in bucket:
-            # Hy == Hr  iff  y * r^-1 in H
-            if self.H.contains_images(mul_images(y, inv_images(self.reps[j]))):
-                return j
-        self.reps.append(y)
-        bucket.append(len(self.reps) - 1)
-        return len(self.reps) - 1
-
-    def coset_of(self, x: tuple) -> int:
-        key = self._invariant(x)
-        for j in self._buckets.get(key, ()):
-            if self.H.contains_images(mul_images(x, inv_images(self.reps[j]))):
-                return j
-        raise ValueError("element does not lie in the acted-on group")
-
-    def image_of(self, p: Permutation) -> Permutation:
-        """Induced permutation of the coset space."""
-        g = p.images
-        return Permutation(
-            tuple(self.coset_of(mul_images(self.reps[i], g)) for i in range(self.degree))
-        )
 
     def fixed_cosets(self, p: Permutation) -> int:
         """Number of cosets fixed by p: #{i : reps[i] * p * reps[i]^-1 in H}."""
@@ -458,13 +413,6 @@ class CosetAction:
             if self.H.contains_images(mul_images(mul_images(x, g), inv_images(x))):
                 count += 1
         return count
-
-    def image_group(self) -> PermGroup:
-        if self._image_group is None:
-            self._image_group = PermGroup(
-                [Permutation(img) for img in self.gen_images], self.degree
-            )
-        return self._image_group
 
     def kernel(self) -> PermGroup:
         """Kernel of the action, as a subgroup of G (equals core_G(H))."""
@@ -478,6 +426,18 @@ class CosetAction:
         for lv in chain._levels[m:]:
             gens.extend(Permutation(g[:n]) for g in lv.gens)
         return PermGroup(gens, n)
+
+
+def _coset_key(H: PermGroup, y: tuple) -> tuple:
+    """The element of the right coset Hy whose images of H's base points are
+    least, read top-down: elements of H are fixed by their base images and y
+    is injective, so every element of Hy gives the same tuple and distinct
+    cosets give distinct tuples."""
+    for lv in H._levels:
+        if len(lv.orbit) > 1:
+            pt = min(lv.orbit, key=y.__getitem__)
+            y = mul_images(lv.transversal(pt, H.degree), y)
+    return y
 
 
 def _point_orbits(H: PermGroup) -> list:

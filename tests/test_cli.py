@@ -70,6 +70,14 @@ def test_usage_error_exit_2(capsys):
     assert "subgroup" in err
 
 
+@pytest.mark.parametrize("verb", ["reproduce", "sweep", "table"])
+def test_jobs_flag_is_a_usage_error(capsys, verb):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--family", "s3", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_unknown_family_is_an_error(capsys):
     code, _, err = run(capsys, "decompose", "--family", "nope", "--subgroup", "x")
     assert code == 2

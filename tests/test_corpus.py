@@ -100,6 +100,21 @@ def test_mathieu_selectors():
     assert corpus.build("m11").subgroup("s5").order() == 120
 
 
+def test_named_subgroup_is_built_once(monkeypatch):
+    calls = []
+    real = corpus.setwise_stabilizer
+
+    def counting(G, points):
+        calls.append(frozenset(points))
+        return real(G, points)
+
+    monkeypatch.setattr(corpus, "setwise_stabilizer", counting)
+    m22 = corpus.build("m22")
+    first = m22.subgroup("pair")
+    assert m22.subgroup("pair") is first
+    assert calls == [frozenset({0, 1})]
+
+
 def test_group_file_round_trip(tmp_path):
     cg = corpus.build("s4")
     path = tmp_path / "s4.grp"

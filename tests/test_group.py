@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from permchar import corpus
+from permchar import corpus, verify
 from permchar.group import (
     PermGroup,
+    _coset_key,
+    _point_orbits,
     centralizer,
     core,
     coset_action,
@@ -13,11 +15,12 @@ from permchar.group import (
     normal_closure,
     normalizer,
     o_2prime,
+    orbit_stabilizer,
     setwise_stabilizer,
     sylow_2,
     trivial_group,
 )
-from permchar.perm import Permutation, identity_images, mul_images, parse_permutation
+from permchar.perm import Permutation, identity_images, inv_images, mul_images, parse_permutation
 
 
 def brute_force_order(gens, degree):
@@ -85,15 +88,108 @@ def test_coset_action_spec_examples():
     d8 = sylow_2(s4.group)
     act = coset_action(s4.group, d8)
     assert act.degree == 3
-    img = act.image_group()
+    img = PermGroup(act.gen_images, act.degree)
     assert img.order() == 6  # kernel V4
     assert act.kernel().order() == 4
     # H = G: degree-1 action
     act2 = coset_action(s4.group, s4.group)
     assert act2.degree == 1
-    # transitivity of the image and stabilizer containing H
-    assert all(act.image_of(h).is_identity() or True for h in d8.generators)
-    assert all(act.image_of(h)[0] == 0 for h in d8.generators)
+    # every generator of H fixes coset 0 (H itself), and nothing else does
+    S = _coset_zero_stabilizer(act)
+    assert all(h in S for h in d8.generators)
+    assert S.order() == d8.order()
+
+
+def _coset_zero_stabilizer(act):
+    """Stabilizer in G of coset 0, computed from `gen_images` alone."""
+    induced = {g.images: img for g, img in zip(act.G.generators, act.gen_images)}
+    orbit, stab = orbit_stabilizer(act.G, 0, lambda j, g: induced[g][j])
+    assert len(orbit) == act.degree
+    return stab
+
+
+def _bucket_enumeration(G, H):
+    """The coset enumeration that canonical keys replaced, kept as the
+    oracle: bucket cosets by the least image of each H-orbit, then find Hy
+    in its bucket by testing y * r^-1 in H against each representative r."""
+    orbits = _point_orbits(H)
+
+    def invariant(x):
+        return tuple(min(x[p] for p in orb) for orb in orbits)
+
+    reps = [identity_images(G.degree)]
+    buckets = {invariant(reps[0]): [0]}
+    gens = [g.images for g in G.generators]
+    images = [[] for _ in gens]
+    i = 0
+    while i < len(reps):
+        for gi, g in enumerate(gens):
+            y = mul_images(reps[i], g)
+            bucket = buckets.setdefault(invariant(y), [])
+            for j in bucket:
+                if H.contains_images(mul_images(y, inv_images(reps[j]))):
+                    break
+            else:
+                j = len(reps)
+                reps.append(y)
+                bucket.append(j)
+            images[gi].append(j)
+        i += 1
+    return reps, [tuple(img) for img in images]
+
+
+def _assert_matches_bucket_oracle(G, H):
+    act = coset_action(G, H)
+    reps, gen_images = _bucket_enumeration(G, H)
+    assert act.reps == reps
+    assert act.gen_images == gen_images
+
+
+@pytest.mark.parametrize("family", verify.SWEEP_FAMILIES)
+def test_coset_action_matches_bucket_oracle_on_sweep_pairs(family):
+    G = corpus.build(family).group
+    for seed in (0, 1):
+        for _, H in verify.sample_subgroups(G, seed=seed, budget=14):
+            _assert_matches_bucket_oracle(G, H)
+
+
+@pytest.mark.parametrize("family,selector", [
+    pytest.param(f, s, marks=[pytest.mark.slow] if f == "m23" else [])
+    for f, s, _, _ in verify.PAPER_TABLE_ITEMS
+])
+def test_coset_action_matches_bucket_oracle_on_paper_pairs(family, selector):
+    cg = corpus.build(family)
+    _assert_matches_bucket_oracle(cg.group, cg.subgroup(selector))
+
+
+def _padded(K, degree):
+    fixed = tuple(range(K.degree, degree))
+    return PermGroup([g.images + fixed for g in K.generators], degree)
+
+
+@pytest.mark.parametrize("family", ["s5", "psl2_7", "agl1_9"])
+def test_coset_action_matches_bucket_oracle_with_schreier_vectors(family):
+    # above degree 512 the chain keeps Schreier vectors, not transversals
+    G = corpus.build(family).group
+    for _, H in verify.sample_subgroups(G, seed=0, budget=14):
+        Gp, Hp = _padded(G, 600), _padded(H, 600)
+        assert all(not lv.full for lv in Hp._levels)
+        _assert_matches_bucket_oracle(Gp, Hp)
+
+
+@pytest.mark.parametrize("family,degree", [
+    ("s4", 4), ("a5", 5), ("d12", 6), ("psl3_2", 7), ("s4", 600),
+])
+def test_coset_key_separates_exactly_the_right_cosets(family, degree):
+    G = _padded(corpus.build(family).group, degree)
+    elems = list(G.element_images_iter())
+    for _, H in verify.sample_subgroups(G, seed=0, budget=6):
+        hset = set(H.element_images_iter())
+        keys = [_coset_key(H, x) for x in elems]
+        for x, kx in zip(elems, keys):
+            assert mul_images(kx, inv_images(x)) in hset  # the key lies in Hx
+            for y, ky in zip(elems, keys):
+                assert (kx == ky) == (mul_images(x, inv_images(y)) in hset)
 
 
 def test_coset_action_requires_subgroup():
@@ -137,7 +233,7 @@ def test_kernel_equals_core_across_corpus_pairs():
             assert is_normal_in(K, G)
             assert is_subgroup(K, H)
             assert act.degree == G.order() // H.order()
-            assert act.image_group().order() == G.order() // K.order()
+            assert PermGroup(act.gen_images, act.degree).order() == G.order() // K.order()
 
 
 def test_centralizer_and_normalizer_against_brute_force():
