@@ -27,7 +27,6 @@ from .classes import (
     ConjugacyClassSet,
     EnumerationThresholdError,
     conjugacy_classes,
-    power_map,
 )
 from .cyclo import Cyclotomic, parse_cyclotomic, render_cyclotomic, root_of_unity
 from .charfun import (
@@ -40,7 +39,7 @@ from .charfun import (
     inner_product,
     perm_character,
 )
-from .dixon import character_table, class_matrices
+from .dixon import character_table
 from .tableio import (
     ClassMatching,
     MatchingError,
@@ -58,11 +57,11 @@ __all__ = [
     "PermGroup", "CosetAction", "centralizer", "core", "coset_action",
     "is_normal_in", "is_subgroup", "normal_closure", "normalizer",
     "o_2prime", "setwise_stabilizer", "sylow_2", "trivial_group",
-    "ConjugacyClassSet", "EnumerationThresholdError", "conjugacy_classes", "power_map",
+    "ConjugacyClassSet", "EnumerationThresholdError", "conjugacy_classes",
     "Cyclotomic", "parse_cyclotomic", "render_cyclotomic", "root_of_unity",
     "CharacterTable", "CharacterTableError", "ClassFunction", "atlas_string",
     "decompose", "fs_indicator", "inner_product", "perm_character",
-    "character_table", "class_matrices",
+    "character_table",
     "ClassMatching", "MatchingError", "bundled_table", "find_representatives",
     "load_table", "parse_table", "save_table", "serialize_table", "tables_match",
 ]

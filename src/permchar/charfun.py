@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .cyclo import Cyclotomic, factorize, reduce_mod_phi
+from .cyclo import Cyclotomic, reduce_mod_phi
 from .group import PermGroup, coset_action
 
 
@@ -103,6 +103,7 @@ class CharacterTable:
         self._letters = None
         self._real_rows = None
         self._real_classes = None
+        self._o2prime_classes = None
 
     # -- basic derived data -------------------------------------------------
 
@@ -149,21 +150,20 @@ class CharacterTable:
             ]
         return self._real_classes
 
-    def power_class(self, i: int, k: int) -> int:
-        """Class of g^k for g in class i, composed from stored prime maps."""
-        m = self.orders[i]
-        k %= m
-        if k == 0:
-            return 0
-        cur = i
-        for p in factorize(k):
-            pm = self.power_maps.get(p)
-            if pm is None:
-                raise CharacterTableError(
-                    f"power map for prime {p} not stored; cannot form k-th powers"
-                )
-            cur = pm[cur]
-        return cur
+    def o2prime_classes(self) -> list:
+        """Classes of O^{2'}(G), the least normal subgroup of odd index;
+        computed once. Every normal subgroup is the intersection of the
+        kernels of the irreducibles of its quotient, and those of a
+        subgroup of odd index have odd index, so O^{2'}(G) is the
+        intersection of the kernels {k : chi(k) = chi(1)} of odd index."""
+        if self._o2prime_classes is None:
+            inside = set(range(self.n_classes))
+            for r in self.rows:
+                kernel = {k for k, v in enumerate(r.values) if v == r.values[0]}
+                if (self.order // sum(self.sizes[k] for k in kernel)) % 2 == 1:
+                    inside &= kernel
+            self._o2prime_classes = sorted(inside)
+        return self._o2prime_classes
 
     # -- validation ----------------------------------------------------------
 
@@ -400,14 +400,14 @@ def fs_indicator(row: ClassFunction, table: CharacterTable) -> int:
     return int(nu)
 
 
-def fs_indicator_brute(row: ClassFunction, group: PermGroup, class_of) -> Fraction:
+def fs_indicator_brute(row: ClassFunction, group: PermGroup, classify) -> Fraction:
     """Independent oracle: literally (1/|G|) sum over group elements of
-    row(class of g^2). `class_of` maps an image tuple to a class index."""
+    row(class of g^2). `classify` maps an image tuple to a class index."""
     from .perm import mul_images
 
     counts: dict = {}
     for g in group.element_images_iter():
-        k = class_of(mul_images(g, g))
+        k = classify(mul_images(g, g))
         counts[k] = counts.get(k, 0) + 1
     den, forms = row.kernel_form()
     total = _combination(((c, forms[k]) for k, c in counts.items()), den)

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from math import lcm
 
-from .cyclo import factorize, prime_factors
+from .cyclo import prime_factors
 from .group import PermGroup
 from .perm import Permutation, inv_images, order_of_images, power_images
 
 DEFAULT_ENUMERATION_THRESHOLD = 2_000_000
-_RETAIN_ELEMENT_MAP_MAX = 10_000
 
 
 class EnumerationThresholdError(RuntimeError):
@@ -45,8 +44,9 @@ class ConjugacyClassSet:
 
     Attributes: reps (lex-least Permutation per class), sizes, orders,
     inverse_map (class of rep^-1), power_maps (prime -> tuple of class
-    indices of p-th powers, for every prime dividing the exponent).
-    Class 0 is the identity class.
+    indices of p-th powers, for every prime dividing the exponent), and
+    classify (image tuple -> class index, one lookup in the element map
+    the enumeration builds and keeps). Class 0 is the identity class.
     """
 
     def __init__(self, group: PermGroup, threshold: int = DEFAULT_ENUMERATION_THRESHOLD):
@@ -80,60 +80,31 @@ class ConjugacyClassSet:
         self.orders = [order_key[old] for old in perm]
         self.exponent = lcm(*self.orders)
 
-        remap = {y: newindex[i] for y, i in element_class.items()}
-        self.inverse_map = tuple(remap[inv_images(r.images)] for r in self.reps)
+        # renumber in place: only one element map exists at a time
+        for y, i in element_class.items():
+            element_class[y] = newindex[i]
+        self._element_class = element_class
+        self.classify = element_class.__getitem__
+
+        self.inverse_map = tuple(self.classify(inv_images(r.images)) for r in self.reps)
         self.power_maps: dict[int, tuple] = {}
         # prime 2 is always stored: indicator sums square class reps even in
         # odd-order groups
         for p in sorted({2, *prime_factors(self.exponent)}):
             self.power_maps[p] = tuple(
-                remap[power_images(r.images, p)] for r in self.reps
+                self.classify(power_images(r.images, p)) for r in self.reps
             )
-        self._element_class = remap if group.order() <= _RETAIN_ELEMENT_MAP_MAX else None
-        self._rep_index = {r.images: i for i, r in enumerate(self.reps)}
 
     def __len__(self) -> int:
         return len(self.reps)
 
-    def class_of(self, p: Permutation) -> int:
-        """Index of the class containing p."""
-        images = p.images if isinstance(p, Permutation) else tuple(p)
-        if self._element_class is not None:
-            return self._element_class[images]
-        hit = self._rep_index.get(images)
-        if hit is not None:
-            return hit
-        # the lex-least member of the conjugation orbit is the stored rep
-        return self._rep_index[min(conjugation_orbit(self.group, images))]
-
     def power_class(self, i: int, k: int) -> int:
         """Class of rep_i^k for any integer k."""
-        m = self.orders[i]
-        k %= m
-        if k == 0:
-            return 0
-        if k == 1:
-            return i
-        if k == m - 1:
-            return self.inverse_map[i]
-        cur = i
-        for p in factorize(k):
-            pm = self.power_maps.get(p)
-            if pm is not None:
-                cur = pm[cur]
-            else:
-                return self.class_of(Permutation(power_images(self.reps[i].images, k)))
-        return cur
+        return self.classify(power_images(self.reps[i].images, k))
 
     def element_class_map(self) -> dict:
-        """images tuple -> class index, rebuilt on demand for larger groups."""
-        if self._element_class is not None:
-            return self._element_class
-        out: dict = {}
-        for i, rep in enumerate(self.reps):
-            for y in conjugation_orbit(self.group, rep.images):
-                out[y] = i
-        return out
+        """images tuple -> class index: the map `classify` reads."""
+        return self._element_class
 
     def real_class_indices(self) -> list:
         """Classes closed under inversion."""
@@ -144,12 +115,3 @@ def conjugacy_classes(
     group: PermGroup, threshold: int = DEFAULT_ENUMERATION_THRESHOLD
 ) -> ConjugacyClassSet:
     return ConjugacyClassSet(group, threshold=threshold)
-
-
-def power_map(C: ConjugacyClassSet, k: int) -> tuple:
-    """The class-level k-th power map; k = -1 gives the inverse map."""
-    if k == 1:
-        return tuple(range(len(C)))
-    if k == -1:
-        return C.inverse_map
-    return tuple(C.power_class(i, k) for i in range(len(C)))

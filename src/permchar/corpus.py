@@ -175,7 +175,12 @@ class CorpusGroup:
             return self.group
         m = re.fullmatch(r"point(\d+)", selector)
         if m:
-            return self.group.pointwise_stabilizer([int(m.group(1))])
+            point = int(m.group(1))
+            if point >= self.group.degree:
+                raise ValueError(
+                    f"{selector}: {self.name} acts on points 0..{self.group.degree - 1}"
+                )
+            return self.group.pointwise_stabilizer([point])
         raise ValueError(
             f"unknown subgroup selector {selector!r} for {self.name};"
             f" available: {', '.join(self.subgroup_names())}"
@@ -272,7 +277,9 @@ def alternating(n: int) -> CorpusGroup:
 
 
 def frobenius(p: int, m: int) -> CorpusGroup:
-    """C_p : C_m inside AGL(1,p), with m dividing p-1."""
+    """C_p : C_m inside AGL(1,p), with p prime and m dividing p-1."""
+    if _factor_prime_power(p)[1] != 1:
+        raise ValueError(f"f{p}_{m}: {p} is not a prime")
     field = GF(p)
     if (p - 1) % m:
         raise ValueError("complement order must divide p-1")
@@ -573,25 +580,15 @@ def _load_bundled(name: str) -> PermGroup:
     return load_group_file(data_dir() / "groups" / f"{name}.grp")
 
 
-def _hexad_of(G22: PermGroup) -> frozenset:
-    """The Steiner hexad through points 0,1,2: their pointwise stabilizer
-    has orbit sizes 3+16 on the remaining points; the 3-orbit completes
-    the hexad."""
-    stab = G22.pointwise_stabilizer([0, 1, 2])
-    orb = [set(o) for o in _point_orbits(stab)]
-    three = [o for o in orb if len(o) == 3 and not (o & {0, 1, 2})]
+def _steiner_block(G: PermGroup, points: set) -> frozenset:
+    """The Steiner block through `points` (3 of them in M22, 4 in M23):
+    their pointwise stabilizer has a unique 3-point orbit off them, which
+    completes the block."""
+    stab = G.pointwise_stabilizer(sorted(points))
+    three = [o for o in map(set, _point_orbits(stab)) if len(o) == 3 and not o & points]
     if len(three) != 1:
-        raise AssertionError("hexad construction: expected a unique 3-orbit")
-    return frozenset({0, 1, 2} | three[0])
-
-
-def _heptad_of(G23: PermGroup) -> frozenset:
-    stab = G23.pointwise_stabilizer([0, 1, 2, 3])
-    orb = [set(o) for o in _point_orbits(stab)]
-    three = [o for o in orb if len(o) == 3 and not (o & {0, 1, 2, 3})]
-    if len(three) != 1:
-        raise AssertionError("heptad construction: expected a unique 3-orbit")
-    return frozenset({0, 1, 2, 3} | three[0])
+        raise AssertionError("Steiner block construction: expected a unique 3-orbit")
+    return frozenset(points | three[0])
 
 
 def mathieu11() -> CorpusGroup:
@@ -615,8 +612,10 @@ def mathieu11() -> CorpusGroup:
 def mathieu22() -> CorpusGroup:
     G = _load_bundled("m22")
     sel = {
-        "hexad": lambda: _checked_order(setwise_stabilizer(G, _hexad_of(G)), 5760, "2^4:A6"),
-        "pair": lambda: _checked_order(setwise_stabilizer(G, {0, 1}), 1920, "2^4:S5"),
+        "hexad": lambda: _assert_order(
+            setwise_stabilizer(G, _steiner_block(G, {0, 1, 2})), 5760, "2^4:A6"
+        ),
+        "pair": lambda: _assert_order(setwise_stabilizer(G, {0, 1}), 1920, "2^4:S5"),
     }
     return CorpusGroup("m22", G, sel)
 
@@ -624,20 +623,16 @@ def mathieu22() -> CorpusGroup:
 def mathieu23() -> CorpusGroup:
     G = _load_bundled("m23")
     sel = {
-        "m22": lambda: _checked_order(G.pointwise_stabilizer([22]), 443520, "M22"),
-        "pair": lambda: _checked_order(setwise_stabilizer(G, {0, 1}), 40320, "PSL(3,4).2_2"),
-        "heptad": lambda: _checked_order(setwise_stabilizer(G, _heptad_of(G)), 40320, "2^4:A7"),
-        "triad": lambda: _checked_order(
+        "m22": lambda: _assert_order(G.pointwise_stabilizer([22]), 443520, "M22"),
+        "pair": lambda: _assert_order(setwise_stabilizer(G, {0, 1}), 40320, "PSL(3,4).2_2"),
+        "heptad": lambda: _assert_order(
+            setwise_stabilizer(G, _steiner_block(G, {0, 1, 2, 3})), 40320, "2^4:A7"
+        ),
+        "triad": lambda: _assert_order(
             setwise_stabilizer(G, {0, 1, 2}), 5760, "2^4:(3xA5).2"
         ),
     }
     return CorpusGroup("m23", G, sel)
-
-
-def _checked_order(H: PermGroup, expected: int, what: str) -> PermGroup:
-    if H.order() != expected:
-        raise AssertionError(f"{what}: got order {H.order()}, expected {expected}")
-    return H
 
 
 # -- family registry ---------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .charfun import CharacterTable
-from .classes import ConjugacyClassSet, conjugacy_classes, conjugation_orbit
+from .classes import conjugacy_classes, conjugation_orbit
 from .cyclo import Cyclotomic, prime_factors
 from .group import PermGroup
 from .perm import inv_images, mul_images
@@ -135,18 +135,6 @@ def _poly_gcd(a, b, p):
     return [c * inv % p for c in a]
 
 
-def _poly_pow_x(e: int, f, p):
-    """x^e mod f."""
-    result = [1]
-    base = [0, 1] if len(f) > 2 else _poly_rem([0, 1], f, p)
-    while e:
-        if e & 1:
-            result = _poly_mul_mod(result, base, f, p)
-        base = _poly_mul_mod(base, base, f, p)
-        e >>= 1
-    return result
-
-
 def poly_roots_mod(f, p: int) -> list:
     """Distinct roots in F_p of the polynomial f (low-to-high coeffs)."""
     f = list(f)
@@ -155,7 +143,7 @@ def poly_roots_mod(f, p: int) -> list:
     if len(f) <= 1:
         return []
     # keep only the part splitting into distinct linear factors
-    xp = _poly_pow_x(p, f, p)
+    xp = _pow_poly_mod(_poly_rem([0, 1], f, p), p, f, p)
     xp_minus_x = list(xp)
     while len(xp_minus_x) < 2:
         xp_minus_x.append(0)
@@ -180,7 +168,7 @@ def _split_linear(g, p, shift, roots):
         return
     if g[0] == 0:
         roots.append(0)
-        _split_linear(_poly_rem_x(g), p, shift, roots)
+        _split_linear(g[1:], p, shift, roots)
         return
     a = shift
     while True:
@@ -194,10 +182,6 @@ def _split_linear(g, p, shift, roots):
             _split_linear(_poly_exact_div(g, d, p), p, a + 1, roots)
             return
         a += 1
-
-
-def _poly_rem_x(g):
-    return g[1:]
 
 
 def _pow_poly_mod(base, e, f, p):
@@ -246,15 +230,11 @@ class ClassMatrix:
         )
 
 
-def class_matrix(C, i: int, classify=None) -> ClassMatrix:
-    """Exact structure constants for acting class i.
-
-    `classify` maps an image tuple to its class index; defaults to the
-    enumerated element-class map.
-    """
+def class_matrix(C, i: int) -> ClassMatrix:
+    """Exact structure constants for acting class i, classifying each
+    product with `C.classify`."""
     k = len(C.reps)
-    if classify is None:
-        classify = C.element_class_map().__getitem__
+    classify = C.classify
     entries = [[0] * k for _ in range(k)]
     reps = [r.images for r in C.reps]
     for x in conjugation_orbit(C.group, reps[i]):
@@ -263,14 +243,6 @@ def class_matrix(C, i: int, classify=None) -> ClassMatrix:
             j = classify(mul_images(xi, reps[col]))
             entries[j][col] += 1
     return ClassMatrix(i, entries)
-
-
-def class_matrices(G: PermGroup, C: ConjugacyClassSet | None = None) -> list:
-    """All class matrices, in class order."""
-    if C is None:
-        C = conjugacy_classes(G)
-    classify = C.element_class_map().__getitem__
-    return [class_matrix(C, i, classify) for i in range(len(C))]
 
 
 # -- eigenspace splitting -----------------------------------------------------------
@@ -401,9 +373,10 @@ def character_table(
 
     Deterministic: classes in their canonical order, rows sorted by degree
     and then by value tuples. `C` may be any class-data object exposing
-    reps/sizes/orders/exponent/inverse_map/power_maps, class_of and a
-    classify callable; `matrix_order` overrides the order in which class
-    matrices are consumed (defaults to class index order).
+    group/reps/sizes/orders/exponent/inverse_map/power_maps, power_class
+    and a classify callable (image tuple -> class index); `matrix_order`
+    overrides the order in which class matrices are consumed (defaults to
+    class index order).
     """
     if C is None:
         C = conjugacy_classes(G) if threshold is None else conjugacy_classes(G, threshold)
@@ -418,7 +391,6 @@ def character_table(
     w = primitive_root(p)
     z_e = pow(w, (p - 1) // exponent, p)
 
-    classify = getattr(C, "classify", None) or C.element_class_map().__getitem__
     inverse_map = C.inverse_map
 
     # split common eigenspaces of the class matrices over F_p, class by
@@ -427,7 +399,7 @@ def character_table(
     for i in matrix_order or range(1, k):
         if all(len(b) == 1 for b in spaces):
             break
-        A = class_matrix(C, i, classify).entries
+        A = class_matrix(C, i).entries
         spaces = _resplit(spaces, A, p, k)
     if not all(len(b) == 1 for b in spaces):
         raise AssertionError("eigenspace splitting failed to reach dimension one")
@@ -442,6 +414,7 @@ def character_table(
         omegas.append([x * inv % p for x in v])
 
     sizes = C.sizes
+    powers = [[C.power_class(t, s_exp) for s_exp in range(C.orders[t])] for t in range(k)]
     inv_sizes = [pow(s, p - 2, p) for s in sizes]
     rows = []
     for om in omegas:
@@ -458,7 +431,7 @@ def character_table(
             zm_inv = pow(zm, p - 2, p)
             inv_m = pow(m, p - 2, p)
             coeffs = [0] * m
-            chis = [chi_mod[C.power_class(t, s_exp)] for s_exp in range(m)]
+            chis = [chi_mod[c] for c in powers[t]]
             for texp in range(m):
                 acc = 0
                 for s_exp in range(m):

@@ -186,10 +186,6 @@ class PermGroup:
     def order(self) -> int:
         return self._order
 
-    @property
-    def base(self) -> list:
-        return [lv.point for lv in self._levels if len(lv.orbit) > 1]
-
     def contains_images(self, g: tuple) -> bool:
         if len(g) != self.degree:
             return False

@@ -25,9 +25,7 @@ from .dixon import character_table
 from .group import (
     PermGroup,
     _point_orbits,
-    is_subgroup,
     normalizer,
-    o_2prime,
     sylow_2,
 )
 from .perm import conj_images
@@ -100,7 +98,6 @@ class GroupContext:
         self.corpus_group = corpus_group
         self.classes = classes
         self.matching = matching
-        self._o2prime = None
         self._sylow2 = None
         self._sylow2_normalizer = None
         self._perm_characters: dict = {}
@@ -169,21 +166,17 @@ class GroupContext:
         the union of the classes where pi takes its degree."""
         return sum(s for s, v in zip(self.table.sizes, pi.values) if v == pi.values[0])
 
-    def product_covers(self, K: PermGroup, pi: ClassFunction) -> bool:
-        """Whether K H = G, for K normal in G and pi = 1_H^G. Burnside's
-        count of K-orbits on G/H gives sum over the classes k inside K of
-        |k| pi(k) = |K| [G : KH], so KH = G iff that sum is |K|."""
-        total = sum(
-            s * v.as_rational()
-            for s, v, r in zip(self.table.sizes, pi.values, self.reps)
-            if K.contains_images(r.images)
-        )
-        return total == K.order()
-
-    def o2prime(self, seed: int = 0) -> PermGroup:
-        if self._o2prime is None:
-            self._o2prime = o_2prime(self.group, seed=seed)
-        return self._o2prime
+    def o2prime_hypotheses(self, pi: ClassFunction) -> tuple:
+        """(K H = G, K <= H) for K = O^{2'}(G) and pi = 1_H^G, read off the
+        classes of K. Burnside's count of K-orbits on G/H gives sum over the
+        classes k inside K of |k| pi(k) = |K| [G : KH], so KH = G iff that
+        sum is |K|. A normal subgroup lies in H iff it lies in the core,
+        the classes where pi takes its degree."""
+        K = self.table.o2prime_classes()
+        sizes, values = self.table.sizes, pi.values
+        covers = sum(sizes[k] * values[k].as_rational() for k in K) == sum(sizes[k] for k in K)
+        inside = all(values[k] == values[0] for k in K)
+        return covers, inside
 
     def sylow2(self, seed: int = 0) -> PermGroup:
         if self._sylow2 is None:
@@ -267,12 +260,11 @@ def check_theorem_B(
 ) -> VerificationReport:
     """Under O^{2'}(G)H = G with H proper and not above O^{2'}(G), the
     permutation character has a nontrivial real constituent of odd
-    multiplicity."""
+    multiplicity. `seed` is unused: O^{2'}(G) comes from the table."""
     G = ctx.group
     pi, mults = ctx.decompose_perm_character(H)
-    K = ctx.o2prime(seed=seed)
-    h1 = ctx.product_covers(K, pi)
-    h2 = not is_subgroup(K, H)
+    h1, inside = ctx.o2prime_hypotheses(pi)
+    h2 = not inside
     proper = H.order() < G.order()
     table = ctx.table
     triv = ctx.trivial_row_index()
@@ -456,7 +448,8 @@ def check_theorem_4_6(
 ) -> VerificationReport:
     """The five sufficient conditions for a nontrivial real odd-multiplicity
     constituent; every condition that holds must be matched by the
-    conclusion. Maximality is only asserted when the caller knows it."""
+    conclusion. Maximality is only asserted when the caller knows it.
+    `seed` is unused: O^{2'}(G) comes from the table."""
     G = ctx.group
     table = ctx.table
     pi, mults = ctx.decompose_perm_character(H)
@@ -482,12 +475,8 @@ def check_theorem_4_6(
         hyps["iv_maximal_with_even_core_quotient"] = (
             maximal and (G.order() // ctx.core_order(pi)) % 2 == 0
         )
-    K2 = ctx.o2prime(seed=seed)
-    hyps["v_o2prime_complement"] = (
-        H.order() < G.order()
-        and ctx.product_covers(K2, pi)
-        and not is_subgroup(K2, H)
-    )
+    covers, inside = ctx.o2prime_hypotheses(pi)
+    hyps["v_o2prime_complement"] = H.order() < G.order() and covers and not inside
     triggered = [k for k, v in hyps.items() if v]
     report = VerificationReport(
         statement="theorem-odd-multiplicity-hypotheses",
@@ -532,7 +521,7 @@ def induction_real_constituents(ctx: GroupContext, H: PermGroup):
     map (no induction operator needed)."""
     h_classes = conjugacy_classes(H)
     h_table = character_table(H, h_classes)
-    fusion = [ctx.classes.class_of(r) for r in h_classes.reps]
+    fusion = [ctx.classes.classify(r.images) for r in h_classes.reps]
     h_indicators = h_table.fs_indicators()
     out = []
     for j, theta in enumerate(h_table.rows):

@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
 from permchar import corpus
 from permchar.classes import (
     EnumerationThresholdError,
     conjugacy_classes,
+    conjugation_orbit,
 )
+from permchar.cyclo import factorize
 from permchar.group import trivial_group
 from permchar.perm import parse_permutation
 
@@ -67,29 +71,71 @@ def test_determinism_across_generating_sets():
     assert c1.sizes == c2.sizes and c1.orders == c2.orders
 
 
-def test_class_of_arbitrary_element():
+def test_classify_arbitrary_element():
     G = corpus.build("a5").group
     C = conjugacy_classes(G)
     for g in [parse_permutation("(1,2,3)", 5), parse_permutation("(1,2,3,4,5)", 5)]:
-        k = C.class_of(g)
+        k = C.classify(g.images)
         assert C.orders[k] == g.order()
 
 
+def composed_power_class(C, i, k):
+    """Oracle: the class of rep_i^k composed from the stored prime power
+    maps, with the inverse shortcut; None when k needs a prime whose map
+    is not stored."""
+    m = C.orders[i]
+    k %= m
+    if k == 0:
+        return 0
+    if k == 1:
+        return i
+    if k == m - 1:
+        return C.inverse_map[i]
+    cur = i
+    for p in factorize(k):
+        pm = C.power_maps.get(p)
+        if pm is None:
+            return None
+        cur = pm[cur]
+    return cur
+
+
 def test_power_class_composite_exponents():
-    C = conjugacy_classes(corpus.build("c12").group)
-    g = C.reps[-1]
-    for k in [2, 3, 4, 5, 6, 7, 11, 12, 13]:
-        expect = C.class_of(g**k)
-        assert C.power_class(len(C) - 1, k) == expect
+    """power_class on composite and negative exponents agrees with the
+    stored prime maps composed."""
+    for family in ["c12", "s6", "agl1_27", "f13_3", "psl2_11", "c30"]:
+        C = conjugacy_classes(corpus.build(family).group)
+        composite = 0
+        for i, m in enumerate(C.orders):
+            for k in range(-2 * m - 1, 2 * m + 2):
+                want = composed_power_class(C, i, k)
+                if want is not None:
+                    assert C.power_class(i, k) == want, (family, i, k)
+                    composite += len(factorize(k % m)) > 1
+        assert composite > 0, family
 
 
-def test_power_map_operation():
-    from permchar.classes import power_map
-
-    C = conjugacy_classes(corpus.build("s3").group)
-    assert power_map(C, 1) == (0, 1, 2)
-    assert power_map(C, -1) == C.inverse_map
-    assert power_map(C, 2) == C.power_maps[2]
+def test_element_map_is_kept_above_ten_thousand_elements():
+    """On s8 (40,320 elements) the map the enumeration builds is the one
+    `classify` reads: it is kept, it partitions the group into the class
+    sizes, and every stored map is `classify` of the inverted or powered
+    reps."""
+    G = corpus.build("s8").group
+    C = conjugacy_classes(G)
+    emap = C.element_class_map()
+    assert C.element_class_map() is emap and len(emap) == G.order()
+    counts = [0] * len(C)
+    for x in G.element_images_iter():
+        counts[C.classify(x)] += 1
+    assert counts == C.sizes
+    assert C.inverse_map == tuple(C.classify((r ** -1).images) for r in C.reps)
+    for p, pm in C.power_maps.items():
+        assert pm == tuple(C.classify((r ** p).images) for r in C.reps)
+    # the lex-least member of an element's conjugation orbit is its class rep
+    rng = random.Random(0)
+    for _ in range(40):
+        x = G.random_element(rng).images
+        assert min(conjugation_orbit(G, x)) == C.reps[C.classify(x)].images
 
 
 def test_real_class_indices_agree_with_inversion():

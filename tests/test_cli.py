@@ -94,6 +94,8 @@ def _bad_s3_table(tmp_path, name, old, new):
 
 @pytest.mark.parametrize("argv", [
     ["decompose", "--family", "s4", "--subgroup", "nope"],
+    ["decompose", "--family", "s4", "--subgroup", "point4"],
+    ["decompose", "--family", "f4_3", "--subgroup", "whole"],
     ["fsind", "--family", "s3", "--table-file", "{syntax}"],
     ["fsind", "--family", "s3", "--table-file", "{invalid}"],
     ["fsind", "--family", "s4", "--table-file", "{s3}"],

@@ -32,6 +32,9 @@ def test_invalid_parameters_rejected():
         corpus.build("frobnitz")
     with pytest.raises(ValueError):
         corpus.build("f7_4")  # 4 does not divide 6
+    for family in ["f4_3", "f9_4"]:  # C_p : C_m needs p prime, not a prime power
+        with pytest.raises(ValueError, match="not a prime"):
+            corpus.build(family)
 
 
 def test_unknown_selector_message():
@@ -145,5 +148,7 @@ def test_generic_selectors():
     assert cg.subgroup("trivial").order() == 1
     assert cg.subgroup("whole").order() == 60
     assert cg.subgroup("point0").order() == 12
+    with pytest.raises(ValueError, match="points 0..4"):
+        cg.subgroup("point5")
     assert cg.subgroup("sylow2").order() == 4
     assert "sylow2" in cg.subgroup_names()

@@ -1,4 +1,6 @@
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -6,14 +8,14 @@ from permchar import corpus
 from permchar.classes import conjugacy_classes
 from permchar.dixon import (
     character_table,
-    class_matrices,
+    class_matrix,
     dixon_prime,
     is_prime,
     poly_roots_mod,
     primitive_root,
     sqrt_mod,
 )
-from permchar.tableio import bundled_table, tables_match
+from permchar.tableio import bundled_table, serialize_table, tables_match
 
 
 def test_modular_helpers():
@@ -29,7 +31,7 @@ def test_modular_helpers():
 
 def test_class_matrix_s3_spec_examples():
     C = conjugacy_classes(corpus.build("s3").group)
-    mats = class_matrices(corpus.build("s3").group, C)
+    mats = [class_matrix(C, i) for i in range(len(C))]
     # identity class matrix is the identity
     assert mats[0].entries == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     # transposition class: column sums all equal the class size 3
@@ -105,6 +107,26 @@ def test_validation_runs_on_output():
     T = character_table(corpus.build("f7_3").group)
     T.validate()
     assert T.fs_indicators() == [1, 0, 0, 0, 0]
+
+
+def _load_table_tool():
+    path = Path(__file__).resolve().parent.parent / "tools" / "build_mathieu_tables.py"
+    spec = importlib.util.spec_from_file_location("build_mathieu_tables", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_sampled_class_data_gives_the_enumerated_m11_table(capsys):
+    """The table tool's sampled class data feeds `character_table` through
+    the same `classify` interface as enumerated classes: on M11 the two
+    tables serialize identically and match the bundled file."""
+    tool = _load_table_tool()
+    G = corpus.build("m11").group
+    T = character_table(G, tool.SampledClassData(G, seed=0), name="m11")
+    assert serialize_table(T) == serialize_table(character_table(G, name="m11"))
+    assert tables_match(T, bundled_table("m11"))
+    capsys.readouterr()  # the tool's progress lines
 
 
 @pytest.mark.slow

@@ -64,7 +64,7 @@ def test_matching_agrees_with_exact_classes_on_s4():
     matching = find_representatives(G, T, seed=0)
     assert not matching.ambiguity_groups
     for col, rep in enumerate(matching.reps):
-        assert C.class_of(rep) == col
+        assert C.classify(rep.images) == col
 
 
 def test_matching_trivial_group():
@@ -112,7 +112,7 @@ def test_matching_m22_against_full_enumeration():
     assert amb_orders == [(7, 7), (11, 11)]
     # every rep's exact class has matching size/order data
     for col, rep in enumerate(m.reps):
-        k = C.class_of(rep)
+        k = C.classify(rep.images)
         assert C.sizes[k] == T.sizes[col]
         assert C.orders[k] == T.orders[col]
     # the assignment is exact away from ambiguity groups
@@ -122,7 +122,7 @@ def test_matching_m22_against_full_enumeration():
     for col, rep in enumerate(m.reps):
         if col in ambiguous:
             continue
-        k = C.class_of(rep)
+        k = C.classify(rep.images)
         same = [
             c
             for c in range(T.n_classes)

@@ -265,7 +265,7 @@ def test_lemma_4_2_restriction_property():
         assert (G.order() // N.order()) % 2 == 1
         NC = conjugacy_classes(N)
         NT = character_table(N)
-        fusion = [ctx.classes.class_of(r) for r in NC.reps]
+        fusion = [ctx.classes.classify(r.images) for r in NC.reps]
         for chi in ctx.table.rows:
             rest = restriction_values(chi, fusion)
             mults = [
@@ -294,24 +294,38 @@ ORACLE_FAMILIES = ["s4", "s5", "a4", "a5", "d12", "q16", "sl23", "f7_3", "agl1_8
 
 
 def _check_pi_derivations(ctx, H):
-    from permchar.group import core
+    from permchar.group import core, is_subgroup, o_2prime
 
     G = ctx.group
     pi, _ = ctx.decompose_perm_character(H)
     assert ctx.core_order(pi) == core(G, H).order()
-    K = ctx.o2prime()
+    K = o_2prime(G)
     covers = PermGroup(K.generators + H.generators, G.degree).order() == G.order()
-    assert ctx.product_covers(K, pi) == covers
+    assert ctx.o2prime_hypotheses(pi) == (covers, is_subgroup(K, H))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("family", ORACLE_FAMILIES)
 def test_pi_derivations_match_group_oracles(family, seed):
-    """|core_G(H)| and O^{2'}(G)H = G read off pi agree with the kernel
-    chain and with the order of the generated product."""
+    """|core_G(H)|, O^{2'}(G)H = G and O^{2'}(G) <= H read off pi agree
+    with the kernel chain, the order of the generated product and
+    membership of O^{2'}(G)'s generators in H."""
     ctx = verify.context(family)
     for _, H in verify.sample_subgroups(ctx.group, seed=seed):
         _check_pi_derivations(ctx, H)
+
+
+@pytest.mark.parametrize("family", verify.SWEEP_FAMILIES + ["m11", "m22", "m23"])
+def test_o2prime_classes_match_the_group_oracle(family):
+    """The classes of O^{2'}(G) read off the table are those whose rep lies
+    in o_2prime(G), and their sizes sum to its order."""
+    from permchar.group import o_2prime
+
+    ctx = verify.context(family)
+    K = o_2prime(ctx.group)
+    got = ctx.table.o2prime_classes()
+    assert got == [k for k, r in enumerate(ctx.reps) if K.contains_images(r.images)]
+    assert sum(ctx.table.sizes[k] for k in got) == K.order()
 
 
 @pytest.mark.slow

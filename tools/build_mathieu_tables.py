@@ -167,14 +167,7 @@ class SampledClassData:
         # outside every stored set lie in the remaining class
         return candidates[-1][0]
 
-    def class_of(self, p):
-        return self.classify(p.images if isinstance(p, Permutation) else tuple(p))
-
     def power_class(self, i, k):
-        m = self.orders[i]
-        k %= m
-        if k == 0:
-            return 0
         return self.classify(power_images(self.reps[i].images, k))
 
 
