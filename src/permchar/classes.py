@@ -9,6 +9,7 @@ or in what order elements are visited.
 from __future__ import annotations
 
 from math import lcm
+from operator import itemgetter
 
 from .cyclo import prime_factors
 from .group import PermGroup
@@ -24,15 +25,16 @@ class EnumerationThresholdError(RuntimeError):
 def conjugation_orbit(group: PermGroup, images: tuple) -> set:
     """The conjugacy class of an element of `group`, as image tuples: the
     closure of {images} under conjugation by the generators."""
+    # a generator moves a point, so its degree is at least 2 and
+    # itemgetter returns tuples; z = g^-1 * y * g
     gens = [g.images for g in group.generators]
-    inv_gens = [inv_images(g) for g in gens]
-    rng_n = range(group.degree)
+    takes = [itemgetter(*inv_images(g)) for g in gens]
     orbit = {images}
     queue = [images]
     while queue:
         y = queue.pop()
-        for g, gi in zip(gens, inv_gens):
-            z = tuple(g[y[gi[i]]] for i in rng_n)
+        for g, take in zip(gens, takes):
+            z = itemgetter(*take(y))(g)
             if z not in orbit:
                 orbit.add(z)
                 queue.append(z)

@@ -11,12 +11,12 @@ column orthogonality for a square table) before it is returned.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter, mul
 
 from .charfun import CharacterTable
 from .classes import conjugacy_classes, conjugation_orbit
 from .cyclo import Cyclotomic, prime_factors
 from .group import PermGroup
-from .perm import inv_images, mul_images
 
 # -- modular number theory helpers ---------------------------------------------
 
@@ -215,7 +215,8 @@ class ClassMatrix:
 
     entries[j][k] = number of x in class i with x^-1 * z_k in class j,
     i.e. the number of ways a class-i by class-j product lands on the
-    fixed representative z_k of class k. Columns sum to |class i|.
+    fixed representative z_k of class k. Columns sum to |class i|. Rows
+    that were not requested are None.
     """
 
     def __init__(self, index: int, entries: list):
@@ -230,18 +231,39 @@ class ClassMatrix:
         )
 
 
-def class_matrix(C, i: int) -> ClassMatrix:
-    """Exact structure constants for acting class i, classifying each
-    product with `C.classify`."""
+def class_matrix(C, i: int, rows=None) -> ClassMatrix:
+    """Exact structure constants for acting class i, only the requested
+    rows (all k when `rows` is None), by Schneider's identity
+
+        entries[r][c] = |C_r| * #{x in C_i : x * z_r in C_c} / |C_c|,
+
+    so one pass over class i gives whole rows, classifying each product
+    with `C.classify`."""
     k = len(C.reps)
+    rows = range(k) if rows is None else sorted(rows)
+    entries = [None] * k
+    if rows and rows[0] == 0:
+        # z_0 is the identity and every x lies in C_i
+        entries[0] = [int(c == i) for c in range(k)]
+        rows = rows[1:]
     classify = C.classify
-    entries = [[0] * k for _ in range(k)]
+    sizes = C.sizes
     reps = [r.images for r in C.reps]
-    for x in conjugation_orbit(C.group, reps[i]):
-        xi = inv_images(x)
-        for col in range(k):
-            j = classify(mul_images(xi, reps[col]))
-            entries[j][col] += 1
+    zs = [reps[r] for r in rows]
+    counts = [[0] * k for _ in rows]
+    if rows:
+        # k > 1, so the degree is > 1 and itemgetter returns tuples
+        for x in conjugation_orbit(C.group, reps[i]):
+            x_times = itemgetter(*x)
+            for count, z in zip(counts, zs):
+                count[classify(x_times(z))] += 1
+    for r, count in zip(rows, counts):
+        row = entries[r] = []
+        for c in range(k):
+            a, rem = divmod(sizes[r] * count[c], sizes[c])
+            if rem:
+                raise AssertionError(f"class matrix {i}: entry ({r}, {c}) is not an integer")
+            row.append(a)
     return ClassMatrix(i, entries)
 
 
@@ -249,41 +271,49 @@ def class_matrix(C, i: int) -> ClassMatrix:
 
 
 class _Solver:
-    """Repeated expresses vectors in a fixed subspace basis (mod p)."""
+    """Expresses vectors of a fixed subspace in its basis (mod p).
+
+    A vector of the subspace is determined by its entries at the d pivot
+    coordinates of the echelon form, so `coords_of` reads only those.
+    `check`, one coordinate off the pivots chosen by the caller (None when
+    d = k), is where `_resplit` tests that an image lies in the subspace.
+    """
 
     def __init__(self, basis, p):
         self.p = p
-        self.basis = [list(b) for b in basis]
-        self.k = len(basis[0])
-        self.rows = []  # (pivot, reduced row, coord row)
-        for i, b in enumerate(self.basis):
+        k = len(basis[0])
+        rows = []  # (pivot, reduced row, coord row)
+        for i, b in enumerate(basis):
             row = list(b)
-            coords = [0] * len(self.basis)
+            coords = [0] * len(basis)
             coords[i] = 1
-            for piv, rrow, crow in self.rows:
+            for piv, rrow, crow in rows:
                 f = row[piv]
                 if f:
                     row = [(x - f * y) % p for x, y in zip(row, rrow)]
                     coords = [(x - f * y) % p for x, y in zip(coords, crow)]
-            piv = next((c for c in range(self.k) if row[c]), None)
+            piv = next((c for c in range(k) if row[c]), None)
             if piv is None:
                 raise ArithmeticError("basis is dependent")
             inv = pow(row[piv], p - 2, p)
             row = [x * inv % p for x in row]
             coords = [x * inv % p for x in coords]
-            self.rows.append((piv, row, coords))
+            rows.append((piv, row, coords))
+        self.pivots = [piv for piv, _, _ in rows]
+        self.steps = [([row[q] for q in self.pivots], crow) for _, row, crow in rows]
+        self.check = None
 
-    def coords_of(self, vec):
+    def coords_of(self, vals):
+        """Basis coordinates of the subspace vector whose entries at the
+        pivots are `vals`."""
         p = self.p
-        v = [x % p for x in vec]
-        out = [0] * len(self.basis)
-        for piv, rrow, crow in self.rows:
-            f = v[piv]
+        v = list(vals)
+        out = [0] * len(v)
+        for t, (prow, crow) in enumerate(self.steps):
+            f = v[t] % p
             if f:
-                v = [(x - f * y) % p for x, y in zip(v, rrow)]
+                v = [(x - f * y) % p for x, y in zip(v, prow)]
                 out = [(x + f * y) % p for x, y in zip(out, crow)]
-        if any(v):
-            raise ArithmeticError("vector escapes the subspace (not invariant?)")
         return out
 
 
@@ -367,16 +397,15 @@ def character_table(
     C=None,
     threshold: int | None = None,
     name: str = "",
-    matrix_order: list | None = None,
 ) -> CharacterTable:
     """Ordinary character table of an enumerable group.
 
     Deterministic: classes in their canonical order, rows sorted by degree
     and then by value tuples. `C` may be any class-data object exposing
     group/reps/sizes/orders/exponent/inverse_map/power_maps, power_class
-    and a classify callable (image tuple -> class index); `matrix_order`
-    overrides the order in which class matrices are consumed (defaults to
-    class index order).
+    and a classify callable (image tuple -> class index). Class matrices
+    are consumed in order of class size, then index; the common
+    eigenvectors, and so the table, do not depend on that order.
     """
     if C is None:
         C = conjugacy_classes(G) if threshold is None else conjugacy_classes(G, threshold)
@@ -394,13 +423,24 @@ def character_table(
     inverse_map = C.inverse_map
 
     # split common eigenspaces of the class matrices over F_p, class by
-    # class, stopping once every space is one-dimensional
+    # class in order of size, stopping once every space is one-dimensional;
+    # each matrix is computed only at the rows the unsplit spaces read:
+    # their pivots and one check row each
     spaces = [[[1 if i == j else 0 for j in range(k)] for i in range(k)]]
-    for i in matrix_order or range(1, k):
+    for i in sorted(range(1, k), key=lambda c: (C.sizes[c], c)):
         if all(len(b) == 1 for b in spaces):
             break
-        A = class_matrix(C, i).entries
-        spaces = _resplit(spaces, A, p, k)
+        solvers = [_Solver(b, p) if len(b) > 1 else None for b in spaces]
+        live = [s for s in solvers if s is not None]
+        rows = {r for s in live for r in s.pivots}
+        for s in live:
+            # a row another space reads anyway makes a check row for free
+            off = rows.difference(s.pivots) or set(range(k)).difference(s.pivots)
+            s.check = min(off, default=None)
+            if s.check is not None:
+                rows.add(s.check)
+        A = class_matrix(C, i, rows).entries
+        spaces = _resplit(spaces, solvers, A, p)
     if not all(len(b) == 1 for b in spaces):
         raise AssertionError("eigenspace splitting failed to reach dimension one")
 
@@ -416,6 +456,13 @@ def character_table(
     sizes = C.sizes
     powers = [[C.power_class(t, s_exp) for s_exp in range(C.orders[t])] for t in range(k)]
     inv_sizes = [pow(s, p - 2, p) for s in sizes]
+    # per element order m: the Fourier matrix (z^-(s*t)) mod p for z a
+    # primitive m-th root of unity mod p, and 1/m mod p
+    fourier = {}
+    for m in set(C.orders):
+        zm_inv = pow(pow(z_e, exponent // m, p), p - 2, p)
+        zpow = [pow(zm_inv, e, p) for e in range(m)]
+        fourier[m] = ([[zpow[s * t % m] for s in range(m)] for t in range(m)], pow(m, p - 2, p))
     rows = []
     for om in omegas:
         s = sum(om[t] * om[inverse_map[t]] % p * inv_sizes[t] for t in range(k)) % p
@@ -427,16 +474,11 @@ def character_table(
         values = [Cyclotomic.rational(deg)]
         for t in range(1, k):
             m = C.orders[t]
-            zm = pow(z_e, exponent // m, p)
-            zm_inv = pow(zm, p - 2, p)
-            inv_m = pow(m, p - 2, p)
+            dft, inv_m = fourier[m]
             coeffs = [0] * m
             chis = [chi_mod[c] for c in powers[t]]
             for texp in range(m):
-                acc = 0
-                for s_exp in range(m):
-                    acc = (acc + chis[s_exp] * pow(zm_inv, s_exp * texp, p)) % p
-                mt = acc * inv_m % p
+                mt = sum(map(mul, chis, dft[texp])) % p * inv_m % p
                 # true multiplicities are at most the degree < p/2
                 if 2 * mt >= p:
                     raise AssertionError("eigenvalue multiplicity exceeded the prime bound")
@@ -466,21 +508,27 @@ def character_table(
     return table
 
 
-def _resplit(spaces, A, p, k):
-    """Split each current subspace by the eigenvalues of A restricted to it."""
+def _resplit(spaces, solvers, A, p):
+    """Split each current subspace by the eigenvalues of A restricted to it.
+    Each unsplit space reads A only at its solver's pivot and check rows."""
     out = []
-    for basis in spaces:
-        if len(basis) == 1:
+    for basis, solver in zip(spaces, solvers):
+        if solver is None:
             out.append(basis)
             continue
-        solver = _Solver(basis, p)
         d = len(basis)
+        q = solver.check
         R = [[0] * d for _ in range(d)]
         for m_i, v in enumerate(basis):
-            img = [sum(A[r][c] * v[c] for c in range(k)) % p for r in range(k)]
-            for t, c in enumerate(solver.coords_of(img)):
+            coords = solver.coords_of([sum(map(mul, A[r], v)) % p for r in solver.pivots])
+            if q is not None and (
+                sum(map(mul, A[q], v)) - sum(c * b[q] for c, b in zip(coords, basis))
+            ) % p:
+                raise ArithmeticError("vector escapes the subspace (not invariant?)")
+            for t, c in enumerate(coords):
                 R[t][m_i] = c
         roots = poly_roots_mod(_charpoly_mod(R, p), p)
+        k = len(basis[0])
         for lam in roots:
             shifted = [
                 [(R[a][b] - (lam if a == b else 0)) % p for b in range(d)] for a in range(d)

@@ -8,6 +8,7 @@ constructed and safe for concurrent reads.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 
 from .perm import (
     Permutation,
@@ -31,7 +32,9 @@ class _Level:
     (`orbit_gens`, snapshot at recompute time).
     """
 
-    __slots__ = ("point", "gens", "orbit", "orbit_gens", "orbit_inv_gens", "full")
+    __slots__ = (
+        "point", "gens", "orbit", "inv_transversals", "orbit_gens", "orbit_inv_gens", "full"
+    )
 
     def __init__(self, point: int, degree: int):
         self.point = point
@@ -42,10 +45,13 @@ class _Level:
         # full mode: orbit point -> transversal image tuple u with u[point] = pt
         # vector mode: orbit point -> None (root) or (parent point, gen index)
         self.orbit: dict = {point: identity_images(degree) if self.full else None}
+        # full mode: inverses of transversal elements, stored at first use
+        self.inv_transversals: dict = {}
 
     def recompute_orbit(self, stab_gens: list, degree: int) -> None:
         self.orbit_gens = list(stab_gens)
         self.orbit_inv_gens = [inv_images(g) for g in stab_gens]
+        self.inv_transversals = {}
         if self.full:
             self.orbit = {self.point: identity_images(degree)}
             queue = [self.point]
@@ -88,7 +94,10 @@ class _Level:
     def transversal_inv(self, pt: int, degree: int) -> tuple:
         """Inverse of the transversal element, without building it first."""
         if self.full:
-            return inv_images(self.orbit[pt])
+            u = self.inv_transversals.get(pt)
+            if u is None:
+                u = self.inv_transversals[pt] = inv_images(self.orbit[pt])
+            return u
         u = identity_images(degree)
         while True:
             entry = self.orbit[pt]
@@ -108,6 +117,7 @@ class PermGroup:
             if g.degree != degree:
                 raise ValueError(f"generator degree {g.degree} != group degree {degree}")
         self.degree = degree
+        self._identity = identity_images(degree)
         self.generators = [g for g in gens if not g.is_identity()]
         self._levels: list[_Level] = [_Level(pt, degree) for pt in base_hint or ()]
         self._schreier_sims([g.images for g in self.generators])
@@ -131,7 +141,7 @@ class PermGroup:
         return g, len(levels)
 
     def _is_identity(self, g: tuple) -> bool:
-        return all(i == j for i, j in enumerate(g))
+        return g == self._identity
 
     def _new_level_point(self, g: tuple) -> int:
         return next(i for i in range(self.degree) if g[i] != i)
@@ -401,14 +411,19 @@ class CosetAction:
         self.degree = len(self.reps)
         self.gen_images = [tuple(img) for img in images]
 
+    @cached_property
+    def _rep_inverses(self) -> list:
+        return [inv_images(x) for x in self.reps]
+
     def fixed_cosets(self, p: Permutation) -> int:
         """Number of cosets fixed by p: #{i : reps[i] * p * reps[i]^-1 in H}."""
         g = p.images
-        count = 0
-        for x in self.reps:
-            if self.H.contains_images(mul_images(mul_images(x, g), inv_images(x))):
-                count += 1
-        return count
+        contains = self.H.contains_images
+        return sum(
+            1
+            for x, xi in zip(self.reps, self._rep_inverses)
+            if contains(mul_images(mul_images(x, g), xi))
+        )
 
     def kernel(self) -> PermGroup:
         """Kernel of the action, as a subgroup of G (equals core_G(H))."""

@@ -9,10 +9,14 @@ from __future__ import annotations
 
 import re
 from math import lcm
+from operator import itemgetter
 
 
 def mul_images(p: tuple, q: tuple) -> tuple:
     """Compose image tuples, p first then q."""
+    if len(p) > 1:
+        return itemgetter(*p)(q)
+    # itemgetter with one index returns a scalar, not a tuple
     return tuple(q[i] for i in p)
 
 

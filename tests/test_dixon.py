@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from permchar import corpus
-from permchar.classes import conjugacy_classes
+from permchar import corpus, dixon
+from permchar.classes import conjugacy_classes, conjugation_orbit
 from permchar.dixon import (
     character_table,
     class_matrix,
@@ -15,7 +15,9 @@ from permchar.dixon import (
     primitive_root,
     sqrt_mod,
 )
+from permchar.perm import inv_images, mul_images
 from permchar.tableio import bundled_table, serialize_table, tables_match
+from permchar.verify import SWEEP_FAMILIES
 
 
 def test_modular_helpers():
@@ -44,6 +46,95 @@ def test_class_matrix_s3_spec_examples():
         for j in range(k):
             total = sum(mats[i].entries[j][t] * C.sizes[t] for t in range(k))
             assert total == C.sizes[i] * C.sizes[j]
+
+
+def _class_matrix_by_columns(C, i):
+    """The whole-matrix formula that the rows replaced, kept as the oracle:
+    entries[j][c] = #{x in C_i : x^-1 * z_c in C_j}."""
+    k = len(C.reps)
+    reps = [r.images for r in C.reps]
+    entries = [[0] * k for _ in range(k)]
+    for x in conjugation_orbit(C.group, reps[i]):
+        xi = inv_images(x)
+        for c in range(k):
+            entries[C.classify(mul_images(xi, reps[c]))][c] += 1
+    return entries
+
+
+@pytest.mark.parametrize("family", SWEEP_FAMILIES + ["m11", "psl2_23", "c1", "s1"])
+def test_class_matrix_rows_match_the_column_formula(family):
+    C = conjugacy_classes(corpus.build(family).group)
+    k = len(C)
+    for i in range(k):
+        want = _class_matrix_by_columns(C, i)
+        assert class_matrix(C, i).entries == want, (family, i)
+        rows = {0, k - 1, (i * 7) % k}
+        got = class_matrix(C, i, rows).entries
+        assert [r for r in range(k) if got[r] is not None] == sorted(rows)
+        assert all(got[r] == want[r] for r in rows), (family, i)
+
+
+def _misfiling(C, call):
+    """C with a classify that returns a wrong class on its `call`-th call."""
+    classify = C.classify
+    calls = [0]
+
+    def wrong(images):
+        calls[0] += 1
+        j = classify(images)
+        return (j + 1) % len(C.reps) if calls[0] == call else j
+
+    C.classify = wrong
+    return calls
+
+
+@pytest.mark.parametrize("family,call", [
+    ("s4", 1), ("s4", 9), ("a5", 1), ("a5", 40), ("sl23", 5), ("psl3_2", 60), ("m11", 500),
+])
+def test_a_misfiled_product_makes_the_table_fail(family, call):
+    """Every `call` falls among the class-matrix products, so one entry of
+    one requested row is off: the table must not come out."""
+    G = corpus.build(family).group
+    C = conjugacy_classes(G)
+    calls = _misfiling(C, call)
+    with pytest.raises((AssertionError, ArithmeticError, ValueError)):
+        character_table(G, C)
+    assert calls[0] >= call
+
+
+def test_resplit_rejects_an_image_that_escapes_the_subspace():
+    p = 7
+    basis = [[1, 0, 0], [0, 1, 0]]
+    solver = dixon._Solver(basis, p)
+    assert solver.pivots == [0, 1]
+    solver.check = 2
+    diagonal = [[1, 0, 0], [0, 2, 0], [0, 0, 3]]
+    assert dixon._resplit([basis], [solver], diagonal, p) == [[[1, 0, 0]], [[0, 1, 0]]]
+    # A * e_0 leaves the span of e_0, e_1 only in the check coordinate
+    escaping = [[1, 0, 0], [0, 2, 0], [1, 0, 3]]
+    with pytest.raises(ArithmeticError):
+        dixon._resplit([basis], [solver], escaping, p)
+
+
+@pytest.mark.parametrize("family", ["s4", "sl23", "psl2_11", "m11"])
+def test_every_unsplit_space_reads_a_check_row(family, monkeypatch):
+    """After the first class matrix (all rows), each space left to split
+    reads its pivot rows and one row off its pivots."""
+    resplit = dixon._resplit
+    seen = []
+
+    def checked(spaces, solvers, A, p):
+        for basis, s in zip(spaces, solvers):
+            if s is not None and len(basis) < len(A):
+                assert s.check is not None and s.check not in s.pivots
+                assert A[s.check] is not None
+                assert all(A[r] is not None for r in s.pivots)
+                seen.append(s.check)
+        return resplit(spaces, solvers, A, p)
+
+    monkeypatch.setattr(dixon, "_resplit", checked)
+    character_table(corpus.build(family).group, name=family)
+    assert seen
 
 
 def test_s3_table_matches_hand_computation():

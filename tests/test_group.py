@@ -54,6 +54,21 @@ def test_spec_examples_build_group():
     assert trivial_group(5).order() == 1
 
 
+@pytest.mark.parametrize("family,degree", [
+    ("s6", 6), ("psl2_11", 12), ("agl1_27", 27), ("m11", 11), ("c3q16", 48), ("s5", 600),
+])
+def test_transversal_inverses_invert_the_transversals(family, degree):
+    """Full-mode levels store each inverse at its first use and drop the
+    store when the orbit is recomputed; vector-mode levels build it."""
+    G = _padded(corpus.build(family).group, degree)
+    one = identity_images(degree)
+    for lv in G._levels:
+        for pt in lv.orbit:
+            u = lv.transversal(pt, degree)
+            assert u[lv.point] == pt
+            assert mul_images(u, lv.transversal_inv(pt, degree)) == one
+
+
 def test_membership_is_exact():
     G = corpus.build("a5").group
     inside = sum(1 for _ in G.element_images_iter())

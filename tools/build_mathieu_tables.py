@@ -214,9 +214,8 @@ def build_m23(tables_dir):
     print(f"  {len(C.reps)} classes in {time.time()-t0:.0f}s")
     print(f"  orders {C.orders}")
     print(f"  sizes  {C.sizes}")
-    order_by_size = sorted(range(1, len(C.reps)), key=lambda i: (C.sizes[i], i))
     t0 = time.time()
-    T = character_table(cg.group, C, name="m23", matrix_order=order_by_size)
+    T = character_table(cg.group, C, name="m23")
     print(f"  table computed and validated in {time.time()-t0:.0f}s; degrees {T.degrees}")
     save_table(
         tables_dir / "m23.ctbl",
