@@ -154,6 +154,10 @@ def _dispatch(args) -> int:
                   f"{summary['failures']} failures")
         return 0 if summary["failures"] == 0 else 1
 
+    if verb == "verify" and args.statement == "c3q16":
+        # the check builds its own order-48 candidates; it needs no context
+        return _emit_reports([verify.check_c3q16_phenomenon(seed=args.seed)], args.as_json)
+
     ctx = _context_from_args(args)
 
     if verb == "table":
@@ -222,8 +226,6 @@ def _run_verify(ctx, args) -> verify.VerificationReport:
         return verify.check_theorem_D(ctx, seed=args.seed)
     if statement == "burnside":
         return verify.check_burnside(ctx)
-    if statement == "c3q16":
-        return verify.check_c3q16_phenomenon(seed=args.seed)
     if statement == "simple-avoidance":
         return verify.check_simple_sylow_avoidance(ctx, seed=args.seed)
     H = _subgroup_from_args(ctx, args)

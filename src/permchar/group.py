@@ -237,15 +237,19 @@ class PermGroup:
 
     def pointwise_stabilizer(self, points) -> "PermGroup":
         """Subgroup fixing every listed point."""
-        points = list(points)
-        chain = PermGroup(self.generators, self.degree, base_hint=points)
-        gens = []
-        for lv in chain._levels[len(points):]:
-            gens.extend(Permutation(g) for g in lv.gens)
-        return PermGroup(gens, self.degree)
+        return PermGroup(_gens_fixing(self.generators, self.degree, points), self.degree)
 
     def __repr__(self) -> str:
         return f"<PermGroup degree={self.degree} order={self._order} ngens={len(self.generators)}>"
+
+
+def _gens_fixing(gens, degree: int, points) -> list:
+    """Generators, as image tuples, of the subgroup of <gens> that fixes
+    every listed point: the strong generators below a chain whose base
+    starts with `points`."""
+    points = list(points)
+    chain = PermGroup(gens, degree, base_hint=points)
+    return [g for lv in chain._levels[len(points):] for g in lv.gens]
 
 
 def trivial_group(degree: int) -> PermGroup:
@@ -289,51 +293,51 @@ def normal_closure(G: PermGroup, seeds) -> PermGroup:
 # -- generic orbit / stabilizer machinery -----------------------------------
 
 
-def orbit_stabilizer(G: PermGroup, seed, act, orbit_limit=None):
+def _orbit(seed, gens: list, act, degree: int):
+    """Breadth-first orbit of `seed` under `act(obj, gen_images)`.
+
+    Returns (orbit, transversal, images). orbit[0] is the seed, and points
+    are listed in the order first reached, generators taken in order.
+    transversal[i] is the product of generators along the path that first
+    reached orbit[i], so acting on the seed by it gives orbit[i].
+    images[gi][i] is the index of act(orbit[i], gens[gi]): the action
+    table, with `act` called once per (point, generator) pair.
+    """
+    index = {seed: 0}
+    orbit = [seed]
+    transversal = [identity_images(degree)]
+    images: list[list[int]] = [[] for _ in gens]
+    i = 0
+    while i < len(orbit):
+        x = orbit[i]
+        for g, row in zip(gens, images):
+            y = act(x, g)
+            j = index.get(y)
+            if j is None:
+                j = index[y] = len(orbit)
+                orbit.append(y)
+                transversal.append(mul_images(transversal[i], g))
+            row.append(j)
+        i += 1
+    return orbit, transversal, images
+
+
+def orbit_stabilizer(G: PermGroup, seed, act):
     """Orbit of `seed` under `act(obj, gen_images)` plus its stabilizer.
 
     Objects must be hashable. Returns (orbit list, stabilizer PermGroup).
-    Transversal words are kept as parent pointers; Schreier
-    generators are sifted incrementally so the stabilizer generating set
-    stays small. Deterministic for a fixed generator order.
+    The Schreier generators u_i * g * u_j^-1 are read off the action table
+    and sifted incrementally, so the stabilizer generating set stays
+    small. Deterministic for a fixed generator order.
     """
     gens = [g.images for g in G.generators]
-    orbit_index = {seed: 0}
-    orbit = [seed]
-    parents: list = [None]
-    queue = [0]
-    while queue:
-        i = queue.pop(0)
-        for gi, g in enumerate(gens):
-            img = act(orbit[i], g)
-            if img not in orbit_index:
-                if orbit_limit is not None and len(orbit) >= orbit_limit:
-                    raise RuntimeError("orbit exceeds limit")
-                orbit_index[img] = len(orbit)
-                orbit.append(img)
-                parents.append((i, gi))
-                queue.append(len(orbit) - 1)
-
-    def word_for(i: int) -> tuple:
-        u = identity_images(G.degree)
-        path = []
-        while parents[i] is not None:
-            j, gi = parents[i]
-            path.append(gi)
-            i = j
-        for gi in reversed(path):
-            u = mul_images(u, gens[gi])
-        return u
-
-    words = [word_for(i) for i in range(len(orbit))]
+    orbit, transversal, images = _orbit(seed, gens, act, G.degree)
+    inverses = [inv_images(u) for u in transversal]
     stab_gens: list[Permutation] = []
     stab = trivial_group(G.degree)
-    for i in range(len(orbit)):
-        u = words[i]
-        for gi, g in enumerate(gens):
-            img = act(orbit[i], g)
-            j = orbit_index[img]
-            s = mul_images(mul_images(u, g), inv_images(words[j]))
+    for i, u in enumerate(transversal):
+        for g, row in zip(gens, images):
+            s = mul_images(mul_images(u, g), inverses[row[i]])
             if not stab.contains_images(s):
                 stab_gens.append(Permutation(s))
                 stab = PermGroup(stab_gens, G.degree)
@@ -342,11 +346,7 @@ def orbit_stabilizer(G: PermGroup, seed, act, orbit_limit=None):
 
 def centralizer(G: PermGroup, x: Permutation) -> PermGroup:
     """C_G(x) via the conjugation orbit of x (the class of x)."""
-
-    def act(obj, g):
-        return conj_images(obj, g)
-
-    _, stab = orbit_stabilizer(G, x.images, act)
+    _, stab = orbit_stabilizer(G, x.images, conj_images)
     return stab
 
 
@@ -392,22 +392,14 @@ class CosetAction:
             raise ValueError("H is not a subgroup of G")
         self.G = G
         self.H = H
-        self.reps: list[tuple] = [identity_images(G.degree)]
-        index = {_coset_key(H, self.reps[0]): 0}
-        gens = [g.images for g in G.generators]
-        images: list[list[int]] = [[] for _ in gens]
-        i = 0
-        while i < len(self.reps):
-            x = self.reps[i]
-            for gi, g in enumerate(gens):
-                y = mul_images(x, g)
-                key = _coset_key(H, y)
-                j = index.get(key)
-                if j is None:
-                    j = index[key] = len(self.reps)
-                    self.reps.append(y)
-                images[gi].append(j)
-            i += 1
+        # the orbit of the coset keys; key_i lies in H*reps[i], so key_i*g
+        # and reps[i]*g lie in one coset and share its key
+        _, self.reps, images = _orbit(
+            _coset_key(H, identity_images(G.degree)),
+            [g.images for g in G.generators],
+            lambda key, g: _coset_key(H, mul_images(key, g)),
+            G.degree,
+        )
         self.degree = len(self.reps)
         self.gen_images = [tuple(img) for img in images]
 
@@ -429,14 +421,10 @@ class CosetAction:
         """Kernel of the action, as a subgroup of G (equals core_G(H))."""
         n, m = self.G.degree, self.degree
         combined = [
-            Permutation(g.images + tuple(n + j for j in img))
+            g.images + tuple(n + j for j in img)
             for g, img in zip(self.G.generators, self.gen_images)
         ]
-        chain = PermGroup(combined, n + m, base_hint=list(range(n, n + m)))
-        gens = []
-        for lv in chain._levels[m:]:
-            gens.extend(Permutation(g[:n]) for g in lv.gens)
-        return PermGroup(gens, n)
+        return PermGroup([g[:n] for g in _gens_fixing(combined, n + m, range(n, n + m))], n)
 
 
 def _coset_key(H: PermGroup, y: tuple) -> tuple:

@@ -53,9 +53,10 @@ def power_images(p: tuple, n: int) -> tuple:
     return out
 
 
-def order_of_images(p: tuple) -> int:
-    n = 1
+def cycle_type(p: tuple) -> tuple:
+    """Sorted cycle lengths of an image tuple, fixed points included."""
     seen = [False] * len(p)
+    out = []
     for start in range(len(p)):
         if seen[start]:
             continue
@@ -65,8 +66,12 @@ def order_of_images(p: tuple) -> int:
             seen[j] = True
             j = p[j]
             length += 1
-        n = lcm(n, length)
-    return n
+        out.append(length)
+    return tuple(sorted(out))
+
+
+def order_of_images(p: tuple) -> int:
+    return lcm(*cycle_type(p))
 
 
 class Permutation:
@@ -152,7 +157,7 @@ class Permutation:
 
     def cycle_type(self) -> tuple:
         """Sorted cycle lengths including fixed points."""
-        return tuple(sorted(len(c) for c in self.cycles(include_fixed=True)))
+        return cycle_type(self.images)
 
     def fixed_points(self) -> int:
         return sum(1 for i, j in enumerate(self.images) if i == j)

@@ -7,7 +7,7 @@ cyclotomic rendering grammar. Tables are fully validated on load.
 
 For groups too large to enumerate classes, `find_representatives` matches
 table columns to sampled group elements by invariant fingerprints (element
-order and fixed-point counts of powers in the group's own action),
+order and cycle type in the group's own action),
 propagating the table's power maps. Columns that only algebraic
 conjugacy distinguishes are reported as ambiguity groups; rational class
 functions cannot see the difference.
@@ -26,7 +26,7 @@ from .classes import conjugation_orbit
 from .cyclo import divisors, parse_cyclotomic, render_cyclotomic
 from .dixon import is_prime
 from .group import PermGroup
-from .perm import Permutation, order_of_images, power_images
+from .perm import Permutation, cycle_type, order_of_images, power_images
 
 
 class TableSyntaxError(ValueError):
@@ -238,18 +238,11 @@ class ClassMatching:
         return out
 
 
-def _fingerprint(images: tuple, order: int) -> tuple:
-    fixed = []
-    for d in divisors(order):
-        pw = power_images(images, d)
-        fixed.append(sum(1 for i, j in enumerate(pw) if i == j))
-    return (order, tuple(fixed))
-
-
 class _Sampler:
     """Bucket store for sampled elements.
 
-    Buckets are keyed (fingerprint, class size or None): the class size is
+    Buckets are keyed (fingerprint, class size or None), where the
+    fingerprint is (element order, cycle type): the class size is
     probed by exact orbit enumeration, but only for element orders whose
     table columns come in several sizes (same-order non-conjugate classes
     can share a fingerprint, e.g. the two order-4 classes of M22 on 22
@@ -270,7 +263,7 @@ class _Sampler:
         self.add(identity, 1)
 
     def key_of(self, images: tuple, order: int) -> tuple:
-        fp = _fingerprint(images, order)
+        fp = (order, cycle_type(images))
         if order not in self.split_sizes:
             return (fp, None)
         for orbit, size in self._probed[order]:
@@ -297,8 +290,8 @@ def find_representatives(
     """Sample seeded-uniform elements of G until every table column has a
     consistent representative.
 
-    Fingerprints are (element order, fixed points of every power) in G's
-    own permutation action, refined by an exact class-size probe where the
+    Fingerprints are (element order, cycle type) in G's own permutation
+    action, refined by an exact class-size probe where the
     table demands it. Power harvesting (all powers of each sample) reaches
     small classes quickly. The assignment search is deterministic;
     ambiguity groups come out as the column sets that only algebraic

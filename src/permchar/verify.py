@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from math import lcm
 
 from . import corpus
 from .charfun import (
@@ -685,8 +686,12 @@ def sample_subgroups(G: PermGroup, seed: int = 0, budget: int = 12) -> list:
         tries += 1
         g = G.random_element(rng)
         if tries % 2:
-            H = PermGroup([g], G.degree)
-            push(f"cyclic{H.order()}", H)
+            # <g> has order lcm(ct) and the cycles of g as its orbits, so a
+            # cyclic sample is skipped before its group is built
+            ct = g.cycle_type()
+            if (lcm(*ct), ct) not in seen_orders:
+                H = PermGroup([g], G.degree)
+                push(f"cyclic{H.order()}", H)
         else:
             h = G.random_element(rng)
             H = PermGroup([g, h], G.degree)

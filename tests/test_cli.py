@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -178,3 +179,27 @@ def test_theorem_d_over_the_threshold_exits_2(capsys):
 def test_verify_c3q16(capsys):
     code, out, _ = run(capsys, "verify", "c3q16", "--family", "c3q16")
     assert code == 0
+
+
+def test_verify_c3q16_needs_no_family(capsys):
+    # the check builds its own groups, so no --family is required
+    code, out, _ = run(capsys, "verify", "c3q16", "--json")
+    assert code == 0
+    assert run(capsys, "verify", "c3q16", "--family", "c3q16", "--json") == (0, out, "")
+
+
+# sha256 of stdout. A change that alters one of these outputs on purpose
+# updates its pin and says so in CHANGES.md.
+PINNED_OUTPUTS = [
+    (("sweep", "--min-pairs", "500", "--json"),
+     "d7bbb9201815009f93794da3cc59f842cab7362124c335574d521a5fa8de1bc2"),
+    (("reproduce", "--json"),
+     "f86bfb4d9f1e813bc8396b74e2d1243223fe72b408b63fba571421f8dc6e7236"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_OUTPUTS, ids=["sweep", "reproduce"])
+def test_outputs_match_their_pinned_digests(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -20,7 +20,14 @@ from permchar.group import (
     sylow_2,
     trivial_group,
 )
-from permchar.perm import Permutation, identity_images, inv_images, mul_images, parse_permutation
+from permchar.perm import (
+    Permutation,
+    conj_images,
+    identity_images,
+    inv_images,
+    mul_images,
+    parse_permutation,
+)
 
 
 def brute_force_order(gens, degree):
@@ -264,6 +271,102 @@ def test_centralizer_and_normalizer_against_brute_force():
         if {(~g * Permutation(h) * g).images for h in hset} == hset:
             count += 1
     assert N.order() == count
+
+
+def _parent_pointer_orbit_stabilizer(G, seed, act):
+    """The orbit_stabilizer that the shared breadth-first orbit replaced,
+    kept as the oracle: parent pointers, each transversal word rebuilt from
+    them, and a second `act` pass for the Schreier generators."""
+    gens = [g.images for g in G.generators]
+    orbit_index = {seed: 0}
+    orbit = [seed]
+    parents = [None]
+    queue = [0]
+    while queue:
+        i = queue.pop(0)
+        for gi, g in enumerate(gens):
+            img = act(orbit[i], g)
+            if img not in orbit_index:
+                orbit_index[img] = len(orbit)
+                orbit.append(img)
+                parents.append((i, gi))
+                queue.append(len(orbit) - 1)
+
+    def word_for(i):
+        u = identity_images(G.degree)
+        path = []
+        while parents[i] is not None:
+            i, gi = parents[i]
+            path.append(gi)
+        for gi in reversed(path):
+            u = mul_images(u, gens[gi])
+        return u
+
+    words = [word_for(i) for i in range(len(orbit))]
+    stab_gens = []
+    stab = trivial_group(G.degree)
+    for i in range(len(orbit)):
+        for g in gens:
+            j = orbit_index[act(orbit[i], g)]
+            s = mul_images(mul_images(words[i], g), inv_images(words[j]))
+            if not stab.contains_images(s):
+                stab_gens.append(Permutation(s))
+                stab = PermGroup(stab_gens, G.degree)
+    return orbit, stab
+
+
+def _conjugate_set(obj, g):
+    return frozenset(conj_images(e, g) for e in obj)
+
+
+def _image_set(obj, g):
+    return frozenset(g[p] for p in obj)
+
+
+def _assert_matches_parent_pointer_oracle(G, seed, act, stab):
+    """orbit_stabilizer gives the oracle's orbit and stabilizer generators,
+    calling `act` once per (point, generator); `stab` is the stabilizer a
+    public wrapper returned for the same action."""
+    calls = 0
+
+    def counted(obj, g):
+        nonlocal calls
+        calls += 1
+        return act(obj, g)
+
+    orbit, new = orbit_stabilizer(G, seed, counted)
+    old_orbit, old = _parent_pointer_orbit_stabilizer(G, seed, act)
+    assert orbit == old_orbit
+    old_gens = [g.images for g in old.generators]
+    assert [g.images for g in new.generators] == old_gens
+    assert [g.images for g in stab.generators] == old_gens
+    assert calls == len(orbit) * len(G.generators)
+
+
+@pytest.mark.parametrize("family", verify.SWEEP_FAMILIES)
+def test_centralizer_and_normalizer_match_parent_pointer_oracle(family):
+    G = corpus.build(family).group
+    rng = random.Random(0)
+    for _ in range(4):
+        x = G.random_element(rng)
+        _assert_matches_parent_pointer_oracle(G, x.images, conj_images, centralizer(G, x))
+    P = sylow_2(G)
+    seed = frozenset(P.element_images_iter())
+    _assert_matches_parent_pointer_oracle(G, seed, _conjugate_set, normalizer(G, P))
+
+
+def test_m11_normalizer_matches_parent_pointer_oracle():
+    G = corpus.build("m11").group
+    P = sylow_2(G)
+    seed = frozenset(P.element_images_iter())
+    _assert_matches_parent_pointer_oracle(G, seed, _conjugate_set, normalizer(G, P))
+
+
+@pytest.mark.parametrize("points", [{0, 1}, {0, 1, 2}])
+def test_m23_setwise_stabilizer_matches_parent_pointer_oracle(points):
+    G = corpus.build("m23").group
+    seed = frozenset(points)
+    _assert_matches_parent_pointer_oracle(G, seed, _image_set, setwise_stabilizer(G, points))
 
 
 def test_normal_closure():

@@ -1,9 +1,11 @@
 import pytest
 
-from permchar import corpus
+from permchar import corpus, tableio
 from permchar.charfun import CharacterTableError, ClassFunction, decompose
 from permchar.classes import conjugacy_classes
+from permchar.cyclo import divisors
 from permchar.dixon import character_table
+from permchar.perm import cycle_type, order_of_images, power_images
 from permchar.tableio import (
     MatchingError,
     TableSyntaxError,
@@ -97,6 +99,38 @@ def test_matching_m11_bundled():
     pi1 = ClassFunction([r.fixed_points() for r in m.reps])
     pi2 = ClassFunction([r.fixed_points() for r in alt])
     assert decompose(pi1, T) == decompose(pi2, T)
+
+
+def _fixed_points_of_powers(images):
+    """The fingerprint that the cycle type replaced, kept as the oracle:
+    fixed points of g^d for every divisor d of the order of g."""
+    return tuple(
+        sum(1 for i, j in enumerate(power_images(images, d)) if i == j)
+        for d in divisors(order_of_images(images))
+    )
+
+
+def test_cycle_type_and_fixed_points_of_powers_split_m11_alike():
+    # fix(g^d) is the sum of l*c_l over cycle lengths l dividing d, so by
+    # Moebius inversion each determines the other
+    old_to_new, new_to_old = {}, {}
+    for g in corpus.build("m11").group.element_images_iter():
+        old, new = _fixed_points_of_powers(g), cycle_type(g)
+        assert old_to_new.setdefault(old, new) == new
+        assert new_to_old.setdefault(new, old) == old
+
+
+@pytest.mark.parametrize("name", ["m11", "m22", "m23"])
+def test_matching_is_unchanged_under_the_fixed_point_fingerprint(name, monkeypatch):
+    G = corpus.build(name).group
+    T = bundled_table(name)
+    new = [find_representatives(G, T, seed=seed) for seed in range(4)]
+    monkeypatch.setattr(tableio, "cycle_type", _fixed_points_of_powers)
+    for seed, m in enumerate(new):
+        old = find_representatives(G, T, seed=seed)
+        assert [r.images for r in m.reps] == [r.images for r in old.reps]
+        assert m.ambiguity_groups == old.ambiguity_groups
+        assert m.samples_used == old.samples_used
 
 
 @pytest.mark.slow

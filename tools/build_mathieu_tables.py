@@ -28,6 +28,7 @@ from permchar.cyclo import prime_factors
 from permchar.dixon import character_table
 from permchar.perm import (
     Permutation,
+    cycle_type,
     inv_images,
     order_of_images,
     power_images,
@@ -99,7 +100,7 @@ class SampledClassData:
 
         def try_element(x):
             nonlocal total
-            ct = cycle_type_of(x)
+            ct = cycle_type(x)
             bucket = found.setdefault(ct, [])
             xb = bytes(x)
             for rep, size, packed in bucket:
@@ -141,7 +142,7 @@ class SampledClassData:
         self.exponent = lcm(*self.orders)
         self._by_type = {}
         for idx, (_, _, rep, packed) in enumerate(flat):
-            self._by_type.setdefault(cycle_type_of(rep), []).append((idx, packed))
+            self._by_type.setdefault(cycle_type(rep), []).append((idx, packed))
         for lst in self._by_type.values():
             lst.sort(key=lambda t: t[1] is None)  # the set-less class goes last
             if sum(1 for _, packed in lst if packed is None) != 1 and len(lst) > 1:
@@ -156,7 +157,7 @@ class SampledClassData:
         )
 
     def classify(self, images):
-        candidates = self._by_type[cycle_type_of(images)]
+        candidates = self._by_type[cycle_type(images)]
         if len(candidates) == 1:
             return candidates[0][0]
         xb = bytes(images)
@@ -169,22 +170,6 @@ class SampledClassData:
 
     def power_class(self, i, k):
         return self.classify(power_images(self.reps[i].images, k))
-
-
-def cycle_type_of(images):
-    seen = [False] * len(images)
-    out = []
-    for s in range(len(images)):
-        if seen[s]:
-            continue
-        length = 0
-        j = s
-        while not seen[j]:
-            seen[j] = True
-            j = images[j]
-            length += 1
-        out.append(length)
-    return tuple(sorted(out))
 
 
 def build_m22(tables_dir):
