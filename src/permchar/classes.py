@@ -8,12 +8,8 @@ or in what order elements are visited.
 
 from __future__ import annotations
 
-from math import lcm
-from operator import itemgetter
-
-from .cyclo import prime_factors
 from .group import PermGroup
-from .perm import Permutation, inv_images, order_of_images, power_images
+from .perm import Permutation, conjugator, order_of_images
 
 DEFAULT_ENUMERATION_THRESHOLD = 2_000_000
 
@@ -25,16 +21,13 @@ class EnumerationThresholdError(RuntimeError):
 def conjugation_orbit(group: PermGroup, images: tuple) -> set:
     """The conjugacy class of an element of `group`, as image tuples: the
     closure of {images} under conjugation by the generators."""
-    # a generator moves a point, so its degree is at least 2 and
-    # itemgetter returns tuples; z = g^-1 * y * g
-    gens = [g.images for g in group.generators]
-    takes = [itemgetter(*inv_images(g)) for g in gens]
+    conjugates = [conjugator(g.images) for g in group.generators]
     orbit = {images}
     queue = [images]
     while queue:
         y = queue.pop()
-        for g, take in zip(gens, takes):
-            z = itemgetter(*take(y))(g)
+        for conj in conjugates:
+            z = conj(y)
             if z not in orbit:
                 orbit.add(z)
                 queue.append(z)
@@ -44,11 +37,10 @@ def conjugation_orbit(group: PermGroup, images: tuple) -> set:
 class ConjugacyClassSet:
     """Classes of an enumerable group.
 
-    Attributes: reps (lex-least Permutation per class), sizes, orders,
-    inverse_map (class of rep^-1), power_maps (prime -> tuple of class
-    indices of p-th powers, for every prime dividing the exponent), and
-    classify (image tuple -> class index, one lookup in the element map
-    the enumeration builds and keeps). Class 0 is the identity class.
+    The class data `dixon.character_table` reads: group, reps (lex-least
+    Permutation per class), sizes, orders, and classify (image tuple ->
+    class index, one lookup in the element map the enumeration builds and
+    keeps). Class 0 is the identity class.
     """
 
     def __init__(self, group: PermGroup, threshold: int = DEFAULT_ENUMERATION_THRESHOLD):
@@ -80,7 +72,6 @@ class ConjugacyClassSet:
         self.reps = [Permutation(raw[old][0]) for old in perm]
         self.sizes = [raw[old][1] for old in perm]
         self.orders = [order_key[old] for old in perm]
-        self.exponent = lcm(*self.orders)
 
         # renumber in place: only one element map exists at a time
         for y, i in element_class.items():
@@ -88,29 +79,12 @@ class ConjugacyClassSet:
         self._element_class = element_class
         self.classify = element_class.__getitem__
 
-        self.inverse_map = tuple(self.classify(inv_images(r.images)) for r in self.reps)
-        self.power_maps: dict[int, tuple] = {}
-        # prime 2 is always stored: indicator sums square class reps even in
-        # odd-order groups
-        for p in sorted({2, *prime_factors(self.exponent)}):
-            self.power_maps[p] = tuple(
-                self.classify(power_images(r.images, p)) for r in self.reps
-            )
-
     def __len__(self) -> int:
         return len(self.reps)
-
-    def power_class(self, i: int, k: int) -> int:
-        """Class of rep_i^k for any integer k."""
-        return self.classify(power_images(self.reps[i].images, k))
 
     def element_class_map(self) -> dict:
         """images tuple -> class index: the map `classify` reads."""
         return self._element_class
-
-    def real_class_indices(self) -> list:
-        """Classes closed under inversion."""
-        return [i for i in range(len(self.reps)) if self.inverse_map[i] == i]
 
 
 def conjugacy_classes(

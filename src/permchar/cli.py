@@ -5,9 +5,9 @@ Exit status is the machine contract: 0 when every requested check passes,
 1 when a check fails, 2 on a usage or input error (unknown family or
 selector, an unreadable or malformed group or table file, a table that
 fails validation or matches no classes of the group, a group too large to
-enumerate), and 3 on an internal error (an AssertionError or any other
-unexpected exception). All runs are reproducible for fixed flags (seed
-defaults to 0).
+enumerate, an option the verb does not read), and 3 on an internal error
+(an AssertionError or any other unexpected exception). All runs are
+reproducible for fixed flags (seed defaults to 0).
 """
 
 from __future__ import annotations
@@ -26,17 +26,23 @@ from .group import PermGroup
 from .tableio import MatchingError, load_table, serialize_table
 
 
+def _add_run_options(p: argparse.ArgumentParser) -> None:
+    """The options every verb takes."""
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--data-dir", help="override the bundled data directory")
+    p.add_argument("--json", action="store_true", dest="as_json")
+
+
 def _add_common(p: argparse.ArgumentParser, subgroup: bool = False) -> None:
+    """The options of the verbs that read one group (and its table)."""
     p.add_argument("--family", help="corpus family name, e.g. s4, d10, agl1_27, m22")
     p.add_argument("--group-file", help="group definition file (degree + cycle lines)")
     if subgroup:
         p.add_argument("--subgroup", help="subgroup selector (family-specific, or sylow2/trivial/whole/pointN)")
     p.add_argument("--table-file", help="use this character-table file instead of computing/bundled")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threshold", type=int, default=DEFAULT_ENUMERATION_THRESHOLD,
-                   help="class-enumeration threshold")
-    p.add_argument("--data-dir", help="override the bundled data directory")
-    p.add_argument("--json", action="store_true", dest="as_json")
+    p.add_argument("--threshold", type=int,
+                   help=f"class-enumeration threshold (default {DEFAULT_ENUMERATION_THRESHOLD})")
+    _add_run_options(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,10 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, subgroup=True)
 
     p = sub.add_parser("reproduce", help="recompute every tabulated decomposition byte-exactly")
-    _add_common(p)
+    _add_run_options(p)
 
     p = sub.add_parser("sweep", help="run the corpus property sweeps")
-    _add_common(p)
+    _add_run_options(p)
     p.add_argument("--min-pairs", type=int, default=500)
 
     return ap
@@ -85,13 +91,23 @@ def _context_from_args(args) -> verify.GroupContext:
     else:
         raise SystemExit2("one of --family or --group-file is required")
     table = load_table(args.table_file) if args.table_file else None
+    threshold = DEFAULT_ENUMERATION_THRESHOLD if args.threshold is None else args.threshold
     return verify.GroupContext.for_group(
-        name, group, seed=args.seed, threshold=args.threshold, corpus_group=cg, table=table
+        name, group, seed=args.seed, threshold=threshold, corpus_group=cg, table=table
     )
 
 
 class SystemExit2(Exception):
     pass
+
+
+# The `verify` statements about the whole group, which take no --subgroup;
+# c3q16, which also takes no group, is handled in `_dispatch`.
+_WHOLE_GROUP_CHECKS = {
+    "theorem-d": lambda ctx, seed: verify.check_theorem_D(ctx, seed=seed),
+    "burnside": lambda ctx, seed: verify.check_burnside(ctx),
+    "simple-avoidance": lambda ctx, seed: verify.check_simple_sylow_avoidance(ctx, seed=seed),
+}
 
 
 def _subgroup_from_args(ctx, args) -> PermGroup:
@@ -154,9 +170,16 @@ def _dispatch(args) -> int:
                   f"{summary['failures']} failures")
         return 0 if summary["failures"] == 0 else 1
 
-    if verb == "verify" and args.statement == "c3q16":
-        # the check builds its own order-48 candidates; it needs no context
-        return _emit_reports([verify.check_c3q16_phenomenon(seed=args.seed)], args.as_json)
+    if verb == "verify":
+        if args.statement == "c3q16":
+            # the check builds its own order-48 candidates; it needs no context
+            if (args.group_file or args.table_file or args.subgroup is not None
+                    or args.threshold is not None or args.family not in (None, "c3q16")):
+                raise SystemExit2("verify c3q16 checks its own groups: it takes no --group-file,"
+                                  " --table-file, --subgroup or --threshold, and no --family but c3q16")
+            return _emit_reports([verify.check_c3q16_phenomenon(seed=args.seed)], args.as_json)
+        if args.subgroup is not None and args.statement in _WHOLE_GROUP_CHECKS:
+            raise SystemExit2(f"verify {args.statement} is about the whole group: no --subgroup")
 
     ctx = _context_from_args(args)
 
@@ -222,12 +245,8 @@ def _dispatch(args) -> int:
 
 def _run_verify(ctx, args) -> verify.VerificationReport:
     statement = args.statement
-    if statement == "theorem-d":
-        return verify.check_theorem_D(ctx, seed=args.seed)
-    if statement == "burnside":
-        return verify.check_burnside(ctx)
-    if statement == "simple-avoidance":
-        return verify.check_simple_sylow_avoidance(ctx, seed=args.seed)
+    if statement in _WHOLE_GROUP_CHECKS:
+        return _WHOLE_GROUP_CHECKS[statement](ctx, args.seed)
     H = _subgroup_from_args(ctx, args)
     name = args.subgroup
     if statement == "theorem-a":

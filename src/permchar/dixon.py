@@ -11,12 +11,14 @@ column orthogonality for a square table) before it is returned.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter, mul
 
 from .charfun import CharacterTable
 from .classes import conjugacy_classes, conjugation_orbit
 from .cyclo import Cyclotomic, prime_factors
 from .group import PermGroup
+from .perm import mul_images
 
 # -- modular number theory helpers ---------------------------------------------
 
@@ -210,35 +212,15 @@ def _poly_exact_div(a, b, p):
 # -- class matrices ---------------------------------------------------------------
 
 
-class ClassMatrix:
-    """Structure constants for one acting class.
-
-    entries[j][k] = number of x in class i with x^-1 * z_k in class j,
-    i.e. the number of ways a class-i by class-j product lands on the
-    fixed representative z_k of class k. Columns sum to |class i|. Rows
-    that were not requested are None.
-    """
-
-    def __init__(self, index: int, entries: list):
-        self.index = index
-        self.entries = entries
-
-    def check_column_sums(self, sizes) -> bool:
-        k = len(self.entries)
-        return all(
-            sum(self.entries[j][col] for j in range(k)) == sizes[self.index]
-            for col in range(k)
-        )
-
-
-def class_matrix(C, i: int, rows=None) -> ClassMatrix:
-    """Exact structure constants for acting class i, only the requested
-    rows (all k when `rows` is None), by Schneider's identity
+def class_matrix(C, i: int, rows=None) -> list:
+    """Rows of the structure constants for acting class i: entries[j][k] is
+    #{x in class i : x^-1 * z_k in class j}, z_k the rep of class k. Rows
+    not in `rows` are None (all are computed when it is None); the rest
+    come whole from one pass over class i by Schneider's identity
 
         entries[r][c] = |C_r| * #{x in C_i : x * z_r in C_c} / |C_c|,
 
-    so one pass over class i gives whole rows, classifying each product
-    with `C.classify`."""
+    classifying each product with `C.classify`."""
     k = len(C.reps)
     rows = range(k) if rows is None else sorted(rows)
     entries = [None] * k
@@ -264,7 +246,7 @@ def class_matrix(C, i: int, rows=None) -> ClassMatrix:
             if rem:
                 raise AssertionError(f"class matrix {i}: entry ({r}, {c}) is not an integer")
             row.append(a)
-    return ClassMatrix(i, entries)
+    return entries
 
 
 # -- eigenspace splitting -----------------------------------------------------------
@@ -392,35 +374,29 @@ def _kernel_mod(mat, p):
 # -- the Dixon-Schneider driver --------------------------------------------------------
 
 
-def character_table(
-    G: PermGroup,
-    C=None,
-    threshold: int | None = None,
-    name: str = "",
-) -> CharacterTable:
+def character_table(G: PermGroup, C=None, name: str = "") -> CharacterTable:
     """Ordinary character table of an enumerable group.
 
     Deterministic: classes in their canonical order, rows sorted by degree
-    and then by value tuples. `C` may be any class-data object exposing
-    group/reps/sizes/orders/exponent/inverse_map/power_maps, power_class
-    and a classify callable (image tuple -> class index). Class matrices
-    are consumed in order of class size, then index; the common
-    eigenvectors, and so the table, do not depend on that order.
+    and then by value tuples. `C`, the class data (enumerated when None),
+    is `group`, `reps`, `sizes`, `orders` and `classify` (image tuple ->
+    class index; class 0 is the identity): the exponent, inverse map and
+    power maps are derived here. Class matrices are consumed in order of
+    class size, then index; the table does not depend on that order.
     """
     if C is None:
-        C = conjugacy_classes(G) if threshold is None else conjugacy_classes(G, threshold)
+        C = conjugacy_classes(G)
     k = len(C.reps)
     order = G.order()
     if k == 1:
         table = CharacterTable(name or "trivial", 1, [1], [1], {2: (0,)}, [[Fraction(1)]])
         table.validate()
         return table
-    exponent = C.exponent
+    orders = C.orders
+    exponent = lcm(*orders)
     p = dixon_prime(exponent, order)
     w = primitive_root(p)
     z_e = pow(w, (p - 1) // exponent, p)
-
-    inverse_map = C.inverse_map
 
     # split common eigenspaces of the class matrices over F_p, class by
     # class in order of size, stopping once every space is one-dimensional;
@@ -439,7 +415,7 @@ def character_table(
             s.check = min(off, default=None)
             if s.check is not None:
                 rows.add(s.check)
-        A = class_matrix(C, i, rows).entries
+        A = class_matrix(C, i, rows)
         spaces = _resplit(spaces, solvers, A, p)
     if not all(len(b) == 1 for b in spaces):
         raise AssertionError("eigenspace splitting failed to reach dimension one")
@@ -453,13 +429,29 @@ def character_table(
         inv = pow(v[0], p - 2, p)
         omegas.append([x * inv % p for x in v])
 
+    # powers[t][s] is the class of rep_t^s for 0 <= s < orders[t]: the lift
+    # reads these, and they hold the inverse map (s = orders[t] - 1) and the
+    # prime power maps (s = p mod orders[t])
+    powers = []
+    for r, m in zip(C.reps, orders):
+        x, row = r.images, [0]
+        for _ in range(1, m):
+            row.append(C.classify(x))
+            x = mul_images(x, r.images)
+        powers.append(row)
+    inverse_map = [row[-1] for row in powers]
+    # prime 2 is always stored: indicator sums square class reps even in
+    # odd-order groups
+    power_maps = {
+        q: tuple(row[q % m] for row, m in zip(powers, orders))
+        for q in sorted({2, *prime_factors(exponent)})
+    }
     sizes = C.sizes
-    powers = [[C.power_class(t, s_exp) for s_exp in range(C.orders[t])] for t in range(k)]
     inv_sizes = [pow(s, p - 2, p) for s in sizes]
     # per element order m: the Fourier matrix (z^-(s*t)) mod p for z a
     # primitive m-th root of unity mod p, and 1/m mod p
     fourier = {}
-    for m in set(C.orders):
+    for m in set(orders):
         zm_inv = pow(pow(z_e, exponent // m, p), p - 2, p)
         zpow = [pow(zm_inv, e, p) for e in range(m)]
         fourier[m] = ([[zpow[s * t % m] for s in range(m)] for t in range(m)], pow(m, p - 2, p))
@@ -473,7 +465,7 @@ def character_table(
         chi_mod = [om[t] * deg % p * inv_sizes[t] % p for t in range(k)]
         values = [Cyclotomic.rational(deg)]
         for t in range(1, k):
-            m = C.orders[t]
+            m = orders[t]
             dft, inv_m = fourier[m]
             coeffs = [0] * m
             chis = [chi_mod[c] for c in powers[t]]
@@ -496,14 +488,7 @@ def character_table(
             [v.sort_key() for v in vals],
         )
     )
-    table = CharacterTable(
-        name or f"order{order}",
-        order,
-        sizes,
-        C.orders,
-        C.power_maps,
-        rows,
-    )
+    table = CharacterTable(name or f"order{order}", order, sizes, orders, power_maps, rows)
     table.validate()
     return table
 

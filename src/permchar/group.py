@@ -12,7 +12,7 @@ from functools import cached_property
 
 from .perm import (
     Permutation,
-    conj_images,
+    conjugator,
     identity_images,
     inv_images,
     mul_images,
@@ -265,8 +265,9 @@ def is_subgroup(H: PermGroup, G: PermGroup) -> bool:
 
 def is_normal_in(H: PermGroup, G: PermGroup) -> bool:
     for g in G.generators:
+        conj = conjugator(g.images)
         for h in H.generators:
-            if not H.contains_images(conj_images(h.images, g.images)):
+            if not H.contains_images(conj(h.images)):
                 return False
     return True
 
@@ -275,13 +276,14 @@ def normal_closure(G: PermGroup, seeds) -> PermGroup:
     """Smallest normal subgroup of G containing the seed permutations."""
     gens = [s if isinstance(s, Permutation) else Permutation(s) for s in seeds]
     closure = PermGroup(gens, G.degree)
+    conjugates = [conjugator(g.images) for g in G.generators]
     changed = True
     while changed:
         changed = False
         new = []
-        for g in G.generators:
+        for conj in conjugates:
             for h in closure.generators:
-                c = conj_images(h.images, g.images)
+                c = conj(h.images)
                 if not closure.contains_images(c):
                     new.append(Permutation(c))
         if new:
@@ -344,20 +346,23 @@ def orbit_stabilizer(G: PermGroup, seed, act):
     return orbit, stab
 
 
+def _conjugators(G: PermGroup) -> dict:
+    """Generator images -> its `conjugator`, built once per generator."""
+    return {g.images: conjugator(g.images) for g in G.generators}
+
+
 def centralizer(G: PermGroup, x: Permutation) -> PermGroup:
     """C_G(x) via the conjugation orbit of x (the class of x)."""
-    _, stab = orbit_stabilizer(G, x.images, conj_images)
+    conj = _conjugators(G)
+    _, stab = orbit_stabilizer(G, x.images, lambda y, g: conj[g](y))
     return stab
 
 
 def normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
     """N_G(H) via the conjugation orbit of H's element set."""
+    conj = _conjugators(G)
     elems = frozenset(H.element_images_iter())
-
-    def act(obj, g):
-        return frozenset(conj_images(e, g) for e in obj)
-
-    _, stab = orbit_stabilizer(G, elems, act)
+    _, stab = orbit_stabilizer(G, elems, lambda obj, g: frozenset(map(conj[g], obj)))
     return stab
 
 

@@ -35,6 +35,14 @@ def conj_images(p: tuple, q: tuple) -> tuple:
     return tuple(out)
 
 
+def conjugator(g: tuple):
+    """y -> g^-1 * y * g on image tuples, for a g of degree at least 2
+    (a group generator moves a point). The getter for g^-1 is built once,
+    and y * g is g read at the points of g^-1 * y."""
+    take = itemgetter(*inv_images(g))
+    return lambda y: itemgetter(*take(y))(g)
+
+
 def identity_images(degree: int) -> tuple:
     return tuple(range(degree))
 

@@ -3,14 +3,16 @@
 The file grammar is line-oriented ASCII: `name`, `order`, `classes k`,
 then `sizes`, `orders`, one `power p ...` line per stored prime (class
 indices are 0-based), then k `chi ...` rows whose entries use the
-cyclotomic rendering grammar. Tables are fully validated on load.
+cyclotomic rendering grammar. Every table is validated on load, with no
+way to skip it: the class data before any value is parsed, then every
+table invariant (`CharacterTable.validate`).
 
 For groups too large to enumerate classes, `find_representatives` matches
 table columns to sampled group elements by invariant fingerprints (element
-order and cycle type in the group's own action),
-propagating the table's power maps. Columns that only algebraic
-conjugacy distinguishes are reported as ambiguity groups; rational class
-functions cannot see the difference.
+order and cycle type in the group's own action), drawing `SAMPLE_ROUND`
+elements between matching attempts and propagating the table's power
+maps. Columns that only algebraic conjugacy distinguishes are reported as
+ambiguity groups; rational class functions cannot see the difference.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ class TableSyntaxError(ValueError):
     """Malformed table file; message carries the line number."""
 
 
-def parse_table(text: str, validate: bool = True) -> CharacterTable:
+def parse_table(text: str) -> CharacterTable:
     name = None
     order = None
     k = None
@@ -82,12 +84,10 @@ def parse_table(text: str, validate: bool = True) -> CharacterTable:
     for p, pm in power_maps.items():
         if len(pm) != k or any(not 0 <= x < k for x in pm):
             raise TableSyntaxError(f"power map {p} is not a map on 0..{k-1}")
-    if validate:
-        # before any value is parsed: the conductor bound on the rows trusts the orders
-        check_class_data(order, sizes, orders, power_maps)
+    # before any value is parsed: the conductor bound on the rows trusts the orders
+    check_class_data(order, sizes, orders, power_maps)
     table = CharacterTable(name, order, sizes, orders, power_maps, _parse_rows(rows, orders))
-    if validate:
-        table.validate()
+    table.validate()
     return table
 
 
@@ -128,8 +128,8 @@ def serialize_table(table: CharacterTable) -> str:
     return "\n".join(out) + "\n"
 
 
-def load_table(path, validate: bool = True) -> CharacterTable:
-    return parse_table(Path(path).read_text(), validate=validate)
+def load_table(path) -> CharacterTable:
+    return parse_table(Path(path).read_text())
 
 
 def save_table(path, table: CharacterTable, header: str = "") -> None:
@@ -205,6 +205,10 @@ def tables_match(A: CharacterTable, B: CharacterTable) -> bool:
 
 
 # -- matching table columns to group classes --------------------------------------
+
+
+# elements sampled between two attempts at a consistent matching
+SAMPLE_ROUND = 200
 
 
 class MatchingError(RuntimeError):
@@ -285,7 +289,6 @@ def find_representatives(
     table: CharacterTable,
     seed: int = 0,
     budget: int | None = None,
-    chunk: int = 200,
 ) -> ClassMatching:
     """Sample seeded-uniform elements of G until every table column has a
     consistent representative.
@@ -309,7 +312,7 @@ def find_representatives(
     used = 0
     last_error = "no sampling performed"
     while True:
-        round_size = min(chunk, budget - used)
+        round_size = min(SAMPLE_ROUND, budget - used)
         for _ in range(round_size):
             g = G.random_element(rng).images
             o = order_of_images(g)

@@ -29,7 +29,7 @@ from .group import (
     normalizer,
     sylow_2,
 )
-from .perm import conj_images
+from .perm import conjugator
 from .tableio import bundled_table, find_representatives
 
 
@@ -304,13 +304,13 @@ def check_theorem_B(
 def sylow2_conjugates(G: PermGroup, P: PermGroup) -> list:
     """All G-conjugates of P, each as a frozenset of element image tuples."""
     base = frozenset(P.element_images_iter())
-    gens = [g.images for g in G.generators]
+    conjugates = [conjugator(g.images) for g in G.generators]
     orbit = {base}
     queue = [base]
     while queue:
         Q = queue.pop()
-        for g in gens:
-            R = frozenset(conj_images(e, g) for e in Q)
+        for conj in conjugates:
+            R = frozenset(map(conj, Q))
             if R not in orbit:
                 orbit.add(R)
                 queue.append(R)

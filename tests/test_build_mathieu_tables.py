@@ -29,9 +29,5 @@ def test_sampled_class_data_agrees_with_enumerated_classes(family):
     assert sorted(sigma) == list(range(len(C)))
     assert [C.sizes[k] for k in sigma] == S.sizes
     assert [C.orders[k] for k in sigma] == S.orders
-    assert sorted(S.power_maps) == sorted(C.power_maps)
-    for p, pmap in S.power_maps.items():
-        assert [sigma[j] for j in pmap] == [C.power_maps[p][k] for k in sigma]
-    assert [sigma[j] for j in S.inverse_map] == [C.inverse_map[k] for k in sigma]
     for g in G.element_images_iter():
         assert sigma[S.classify(g)] == C.classify(g)

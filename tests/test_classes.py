@@ -9,19 +9,25 @@ from permchar.classes import (
     conjugation_orbit,
 )
 from permchar.cyclo import factorize
+from permchar.dixon import character_table
 from permchar.group import trivial_group
-from permchar.perm import parse_permutation
+from permchar.perm import inv_images, parse_permutation, power_images
+
+
+def _inverse_classes(C) -> list:
+    """The class of rep^-1 for every class, by `classify`."""
+    return [C.classify(inv_images(r.images)) for r in C.reps]
 
 
 def test_s3_spec_example():
-    C = conjugacy_classes(corpus.build("s3").group)
+    G = corpus.build("s3").group
+    C = conjugacy_classes(G)
     assert len(C) == 3
     assert C.sizes == [1, 3, 2]
     assert C.orders == [1, 2, 3]
     # squaring: transpositions -> identity, 3-cycles -> 3-cycles
-    assert C.power_maps[2] == (0, 0, 2)
-    assert C.power_class(1, -1) == 1
-    assert C.power_class(0, -1) == 0
+    assert character_table(G, C).power_maps[2] == (0, 0, 2)
+    assert _inverse_classes(C) == [0, 1, 2]
 
 
 def test_trivial_group_single_class():
@@ -41,12 +47,12 @@ def test_class_partition_and_invariants(family):
     assert sum(C.sizes) == G.order()
     assert all(G.order() % s == 0 for s in C.sizes)
     assert C.sizes[0] == 1 and C.orders[0] == 1
-    # inverse map is an involution fixing the identity class
-    inv = C.inverse_map
+    # inversion is an involution on the classes fixing the identity class
+    inv = _inverse_classes(C)
     assert inv[0] == 0
     assert all(inv[inv[i]] == i for i in range(len(C)))
-    # power maps fix the identity class
-    assert all(pm[0] == 0 for pm in C.power_maps.values())
+    # the table's power maps fix the identity class
+    assert all(pm[0] == 0 for pm in character_table(G, C).power_maps.values())
     # every element lands in exactly one class
     emap = C.element_class_map()
     assert len(emap) == G.order()
@@ -79,21 +85,19 @@ def test_classify_arbitrary_element():
         assert C.orders[k] == g.order()
 
 
-def composed_power_class(C, i, k):
-    """Oracle: the class of rep_i^k composed from the stored prime power
-    maps, with the inverse shortcut; None when k needs a prime whose map
-    is not stored."""
-    m = C.orders[i]
+def composed_power_class(T, inverse, i, k):
+    """Oracle: the class of rep_i^k composed from the table's prime power
+    maps, with `inverse` (the class of each rep^-1) for k = -1; None when k
+    needs a prime whose map is not stored."""
+    m = T.orders[i]
     k %= m
     if k == 0:
         return 0
-    if k == 1:
-        return i
     if k == m - 1:
-        return C.inverse_map[i]
+        return inverse[i]
     cur = i
     for p in factorize(k):
-        pm = C.power_maps.get(p)
+        pm = T.power_maps.get(p)
         if pm is None:
             return None
         cur = pm[cur]
@@ -101,25 +105,27 @@ def composed_power_class(C, i, k):
 
 
 def test_power_class_composite_exponents():
-    """power_class on composite and negative exponents agrees with the
-    stored prime maps composed."""
+    """`classify` of rep^k on composite and negative exponents agrees with
+    the table's prime power maps composed."""
     for family in ["c12", "s6", "agl1_27", "f13_3", "psl2_11", "c30"]:
-        C = conjugacy_classes(corpus.build(family).group)
+        G = corpus.build(family).group
+        C = conjugacy_classes(G)
+        T = character_table(G, C)
+        inverse = _inverse_classes(C)
         composite = 0
         for i, m in enumerate(C.orders):
             for k in range(-2 * m - 1, 2 * m + 2):
-                want = composed_power_class(C, i, k)
+                want = composed_power_class(T, inverse, i, k)
                 if want is not None:
-                    assert C.power_class(i, k) == want, (family, i, k)
+                    assert C.classify(power_images(C.reps[i].images, k)) == want, (family, i, k)
                     composite += len(factorize(k % m)) > 1
         assert composite > 0, family
 
 
 def test_element_map_is_kept_above_ten_thousand_elements():
     """On s8 (40,320 elements) the map the enumeration builds is the one
-    `classify` reads: it is kept, it partitions the group into the class
-    sizes, and every stored map is `classify` of the inverted or powered
-    reps."""
+    `classify` reads: it is kept, and it partitions the group into the
+    class sizes."""
     G = corpus.build("s8").group
     C = conjugacy_classes(G)
     emap = C.element_class_map()
@@ -128,9 +134,6 @@ def test_element_map_is_kept_above_ten_thousand_elements():
     for x in G.element_images_iter():
         counts[C.classify(x)] += 1
     assert counts == C.sizes
-    assert C.inverse_map == tuple(C.classify((r ** -1).images) for r in C.reps)
-    for p, pm in C.power_maps.items():
-        assert pm == tuple(C.classify((r ** p).images) for r in C.reps)
     # the lex-least member of an element's conjugation orbit is its class rep
     rng = random.Random(0)
     for _ in range(40):
@@ -139,7 +142,8 @@ def test_element_map_is_kept_above_ten_thousand_elements():
 
 
 def test_real_class_indices_agree_with_inversion():
-    C = conjugacy_classes(corpus.build("d10").group)
-    assert C.real_class_indices() == [0, 1, 2, 3]
-    C2 = conjugacy_classes(corpus.build("c3").group)
-    assert C2.real_class_indices() == [0]
+    for family, real in [("d10", [0, 1, 2, 3]), ("c3", [0])]:
+        G = corpus.build(family).group
+        C = conjugacy_classes(G)
+        assert [k for k, j in enumerate(_inverse_classes(C)) if j == k] == real
+        assert character_table(G, C).real_class_indices() == real

@@ -79,6 +79,40 @@ def test_jobs_flag_is_a_usage_error(capsys, verb):
     assert "--jobs" in capsys.readouterr().err
 
 
+def _exit_code(argv) -> int:
+    """main's exit status, whether argparse rejects argv or main returns."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    # reproduce and sweep read no group, table or threshold
+    ["reproduce", "--family", "nosuch"],
+    ["reproduce", "--group-file", "/nonexistent.grp"],
+    ["reproduce", "--table-file", "/nonexistent.ctbl"],
+    ["reproduce", "--threshold", "1"],
+    ["sweep", "--family", "nosuch"],
+    ["sweep", "--group-file", "/nonexistent.grp"],
+    ["sweep", "--table-file", "/nonexistent.ctbl"],
+    ["sweep", "--threshold", "1", "--min-pairs", "1"],
+    # statements about the whole group take no subgroup
+    ["verify", "theorem-d", "--family", "c6", "--subgroup", "bogus"],
+    ["verify", "burnside", "--family", "c3", "--subgroup", "bogus"],
+    ["verify", "simple-avoidance", "--family", "c6", "--subgroup", "sylow2"],
+    ["verify", "c3q16", "--subgroup", "bogus"],
+    # c3q16 checks its own two groups
+    ["verify", "c3q16", "--group-file", "/nonexistent.grp"],
+    ["verify", "c3q16", "--table-file", "/nonexistent.ctbl"],
+    ["verify", "c3q16", "--family", "s4"],
+    ["verify", "c3q16", "--threshold", "1"],
+])
+def test_options_a_verb_does_not_read_are_usage_errors(capsys, argv):
+    assert _exit_code(argv) == 2
+    assert capsys.readouterr().err
+
+
 def test_unknown_family_is_an_error(capsys):
     code, _, err = run(capsys, "decompose", "--family", "nope", "--subgroup", "x")
     assert code == 2

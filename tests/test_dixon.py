@@ -1,5 +1,6 @@
 import importlib.util
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,8 @@ from permchar.dixon import (
     primitive_root,
     sqrt_mod,
 )
-from permchar.perm import inv_images, mul_images
+from permchar.cyclo import prime_factors
+from permchar.perm import inv_images, mul_images, power_images
 from permchar.tableio import bundled_table, serialize_table, tables_match
 from permchar.verify import SWEEP_FAMILIES
 
@@ -34,17 +36,18 @@ def test_modular_helpers():
 def test_class_matrix_s3_spec_examples():
     C = conjugacy_classes(corpus.build("s3").group)
     mats = [class_matrix(C, i) for i in range(len(C))]
-    # identity class matrix is the identity
-    assert mats[0].entries == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    # transposition class: column sums all equal the class size 3
-    assert mats[1].check_column_sums(C.sizes)
-    # a[transpositions][transpositions][identity] = 3
-    assert mats[1].entries[1][0] == 3
-    # structure-constant consistency: sum_k a[i][j][k] |K_k| = |K_i| |K_j|
     k = len(C)
+    # identity class matrix is the identity
+    assert mats[0] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    # every column sums to the size of the acting class
+    for i in range(k):
+        assert all(sum(mats[i][j][c] for j in range(k)) == C.sizes[i] for c in range(k))
+    # a[transpositions][transpositions][identity] = 3
+    assert mats[1][1][0] == 3
+    # structure-constant consistency: sum_k a[i][j][k] |K_k| = |K_i| |K_j|
     for i in range(k):
         for j in range(k):
-            total = sum(mats[i].entries[j][t] * C.sizes[t] for t in range(k))
+            total = sum(mats[i][j][t] * C.sizes[t] for t in range(k))
             assert total == C.sizes[i] * C.sizes[j]
 
 
@@ -67,11 +70,27 @@ def test_class_matrix_rows_match_the_column_formula(family):
     k = len(C)
     for i in range(k):
         want = _class_matrix_by_columns(C, i)
-        assert class_matrix(C, i).entries == want, (family, i)
+        assert class_matrix(C, i) == want, (family, i)
         rows = {0, k - 1, (i * 7) % k}
-        got = class_matrix(C, i, rows).entries
+        got = class_matrix(C, i, rows)
         assert [r for r in range(k) if got[r] is not None] == sorted(rows)
         assert all(got[r] == want[r] for r in rows), (family, i)
+
+
+@pytest.mark.parametrize("family", SWEEP_FAMILIES)
+def test_derived_power_maps_and_real_classes_match_classify(family):
+    """The power maps `character_table` derives are `classify` of the powered reps,
+    for 2 and every prime dividing the exponent, and the table's real
+    classes are the classes that `classify` puts rep^-1 in."""
+    G = corpus.build(family).group
+    C = conjugacy_classes(G)
+    T = character_table(G, C, name=family)
+    reps = [r.images for r in C.reps]
+    assert sorted(T.power_maps) == sorted({2, *prime_factors(lcm(*C.orders))})
+    for p, pm in T.power_maps.items():
+        assert pm == tuple(C.classify(power_images(x, p)) for x in reps), (family, p)
+    real = [k for k, x in enumerate(reps) if C.classify(inv_images(x)) == k]
+    assert T.real_class_indices() == real
 
 
 def _misfiling(C, call):

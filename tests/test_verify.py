@@ -102,7 +102,7 @@ def _check_theorem_D_against_brute_force(family):
     conjugates of P, and the real odd-order classes read off the table
     against full enumeration."""
     from permchar.classes import conjugacy_classes
-    from permchar.perm import conj_images
+    from permchar.perm import conj_images, inv_images
 
     ctx = verify.context(family)
     r = verify.check_theorem_D(ctx)
@@ -110,8 +110,8 @@ def _check_theorem_D_against_brute_force(family):
     C = conjugacy_classes(G)
     real_odd = sorted(
         (C.orders[k], C.sizes[k])
-        for k in C.real_class_indices()
-        if C.orders[k] % 2 == 1 and C.orders[k] > 1
+        for k, r in enumerate(C.reps)
+        if C.classify(inv_images(r.images)) == k and C.orders[k] % 2 == 1 and C.orders[k] > 1
     )
     assert sorted((w["real_odd_class_order"], w["class_size"]) for w in r.witnesses) == real_odd
     conjugates = verify.sylow2_conjugates(G, P)

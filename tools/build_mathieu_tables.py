@@ -15,7 +15,7 @@ Run from the repository root:  python3 tools/build_mathieu_tables.py
 
 import sys
 import time
-from math import gcd, lcm
+from math import gcd
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -24,15 +24,8 @@ import random
 
 from permchar import corpus
 from permchar.classes import conjugacy_classes
-from permchar.cyclo import prime_factors
 from permchar.dixon import character_table
-from permchar.perm import (
-    Permutation,
-    cycle_type,
-    inv_images,
-    order_of_images,
-    power_images,
-)
+from permchar.perm import Permutation, conjugator, cycle_type, order_of_images, power_images
 from permchar.tableio import save_table
 
 
@@ -62,22 +55,19 @@ class _PackedSet:
 def _orbit_count_and_records(group, start, keep):
     """BFS the conjugation orbit of `start`; return (size, packed records
     or None). Elements are kept as bytes only when `keep` is set."""
-    gens = [g.images for g in group.generators]
-    inv_gens = [inv_images(g) for g in gens]
-    n = group.degree
-    rng_n = range(n)
+    conjugates = [conjugator(g.images) for g in group.generators]
     seen = {bytes(start)}
     queue = [start]
     while queue:
         y = queue.pop()
-        for g, gi in zip(gens, inv_gens):
-            z = tuple(g[y[gi[i]]] for i in rng_n)
+        for conj in conjugates:
+            z = conj(y)
             zb = bytes(z)
             if zb not in seen:
                 seen.add(zb)
                 queue.append(z)
     if keep:
-        return len(seen), _PackedSet(seen, n)
+        return len(seen), _PackedSet(seen, group.degree)
     return len(seen), None
 
 
@@ -87,7 +77,9 @@ class SampledClassData:
     Classes are discovered from seeded random elements and their power
     closures; cycle type is the primary classifier and retained element
     sets split same-type (algebraically conjugate) classes. Construction
-    fails unless the discovered sizes sum to the group order.
+    fails unless the discovered sizes sum to the group order. Like
+    `ConjugacyClassSet`, it is the class data `dixon.character_table`
+    reads: group, reps, sizes, orders and classify.
     """
 
     def __init__(self, group, seed=0, max_samples=100_000):
@@ -139,7 +131,6 @@ class SampledClassData:
         self.reps = [Permutation(rep) for (_, _, rep, _) in flat]
         self.sizes = [size for (_, size, _, _) in flat]
         self.orders = [o for (o, _, _, _) in flat]
-        self.exponent = lcm(*self.orders)
         self._by_type = {}
         for idx, (_, _, rep, packed) in enumerate(flat):
             self._by_type.setdefault(cycle_type(rep), []).append((idx, packed))
@@ -147,14 +138,6 @@ class SampledClassData:
             lst.sort(key=lambda t: t[1] is None)  # the set-less class goes last
             if sum(1 for _, packed in lst if packed is None) != 1 and len(lst) > 1:
                 raise AssertionError("exactly one class per type may classify by elimination")
-        self.power_maps = {}
-        for p in sorted({2, *prime_factors(self.exponent)}):
-            self.power_maps[p] = tuple(
-                self.classify(power_images(r.images, p)) for r in self.reps
-            )
-        self.inverse_map = tuple(
-            self.classify(inv_images(r.images)) for r in self.reps
-        )
 
     def classify(self, images):
         candidates = self._by_type[cycle_type(images)]
@@ -167,9 +150,6 @@ class SampledClassData:
         # completeness was proven by the size sum, so same-type elements
         # outside every stored set lie in the remaining class
         return candidates[-1][0]
-
-    def power_class(self, i, k):
-        return self.classify(power_images(self.reps[i].images, k))
 
 
 def build_m22(tables_dir):
