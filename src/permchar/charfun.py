@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 
 from .cyclo import Cyclotomic, reduce_mod_phi
-from .group import PermGroup, coset_action
+from .group import PermGroup, check_subgroup, coset_action
 
 
 def _coerce_value(v) -> Cyclotomic:
@@ -321,10 +321,37 @@ def _as_class_function(a) -> ClassFunction:
 # -- core operations -------------------------------------------------------------
 
 
-def perm_character(G: PermGroup, H: PermGroup, reps) -> ClassFunction:
-    """The permutation character of G on the cosets of H: its value at each
-    class is the number of cosets fixed by that class representative."""
+def perm_character(G: PermGroup, H: PermGroup, reps, classes=None) -> ClassFunction:
+    """The permutation character pi = 1_H^G at the class representatives
+    `reps`: its value at a class is the number of cosets of H fixed by the
+    representative. Raises ValueError unless H is a subgroup of G.
+
+    This is the one place that picks how pi is computed. Given the class
+    data `reps` came from (`classify` and `sizes` in the same class order)
+    and |H| <= k [G:H] for k classes, pi comes from the class fusion of H
+    (`perm_character_by_fusion`): |H| `classify` lookups. Otherwise G acts
+    on the [G:H] cosets and each representative is sifted through H once
+    per coset, k [G:H] sifts in all.
+    """
+    if classes is not None and H.order() <= len(classes.sizes) * (G.order() // H.order()):
+        return perm_character_by_fusion(G, H, classes)
     return perm_character_values(coset_action(G, H), reps)
+
+
+def perm_character_by_fusion(G: PermGroup, H: PermGroup, classes) -> ClassFunction:
+    """pi = 1_H^G by the induced-character formula
+    pi(k) = |G| |H & C_k| / (|H| |C_k|), counting |H & C_k| with one
+    `classify` lookup per element of H. Raises ValueError unless H is a
+    subgroup of G, before any lookup."""
+    check_subgroup(G, H)
+    counts = [0] * len(classes.sizes)
+    classify = classes.classify
+    for h in H.element_images_iter():
+        counts[classify(h)] += 1
+    g_order, h_order = G.order(), H.order()
+    return ClassFunction([
+        Fraction(g_order * c, h_order * s) for c, s in zip(counts, classes.sizes)
+    ])
 
 
 def perm_character_values(action, reps) -> ClassFunction:

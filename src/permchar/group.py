@@ -54,9 +54,10 @@ class _Level:
         self.inv_transversals = {}
         if self.full:
             self.orbit = {self.point: identity_images(degree)}
+            # breadth-first: the loop walks the list by index, so points
+            # appended during it are visited in the order they were reached
             queue = [self.point]
-            while queue:
-                a = queue.pop(0)
+            for a in queue:
                 u = self.orbit[a]
                 for g in self.orbit_gens:
                     b = g[a]
@@ -66,8 +67,7 @@ class _Level:
         else:
             self.orbit = {self.point: None}
             queue = [self.point]
-            while queue:
-                a = queue.pop(0)
+            for a in queue:
                 for gi, g in enumerate(self.orbit_gens):
                     b = g[a]
                     if b not in self.orbit:
@@ -263,6 +263,14 @@ def is_subgroup(H: PermGroup, G: PermGroup) -> bool:
     return all(G.contains_images(g.images) for g in H.generators)
 
 
+def check_subgroup(G: PermGroup, H: PermGroup) -> None:
+    """Raise ValueError unless H is a subgroup of G on the same points."""
+    if H.degree != G.degree:
+        raise ValueError("degree mismatch between group and subgroup")
+    if not is_subgroup(H, G):
+        raise ValueError("H is not a subgroup of G")
+
+
 def is_normal_in(H: PermGroup, G: PermGroup) -> bool:
     for g in G.generators:
         conj = conjugator(g.images)
@@ -391,10 +399,7 @@ class CosetAction:
     """
 
     def __init__(self, G: PermGroup, H: PermGroup):
-        if H.degree != G.degree:
-            raise ValueError("degree mismatch between group and subgroup")
-        if not is_subgroup(H, G):
-            raise ValueError("H is not a subgroup of G")
+        check_subgroup(G, H)
         self.G = G
         self.H = H
         # the orbit of the coset keys; key_i lies in H*reps[i], so key_i*g
@@ -452,15 +457,12 @@ def _point_orbits(H: PermGroup) -> list:
             continue
         orb = [start]
         seen[start] = True
-        queue = [start]
-        while queue:
-            a = queue.pop(0)
+        for a in orb:  # breadth-first, walking the growing list by index
             for g in H.generators:
                 b = g[a]
                 if not seen[b]:
                     seen[b] = True
                     orb.append(b)
-                    queue.append(b)
         orbits.append(tuple(orb))
     return orbits
 
@@ -471,8 +473,7 @@ def coset_action(G: PermGroup, H: PermGroup) -> CosetAction:
 
 def core(G: PermGroup, H: PermGroup) -> PermGroup:
     """Largest normal subgroup of G contained in H."""
-    if not is_subgroup(H, G):
-        raise ValueError("H is not a subgroup of G")
+    check_subgroup(G, H)
     if H.order() == 1:
         return trivial_group(G.degree)
     if is_normal_in(H, G):

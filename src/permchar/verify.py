@@ -143,13 +143,16 @@ class GroupContext:
         return self.corpus_group.subgroup(selector)
 
     def perm_character(self, H: PermGroup) -> ClassFunction:
-        """pi = 1_H^G at the class representatives. The only place pi is
-        computed: it is kept per generating set of H, so every checker on
-        the same subgroup shares one coset action."""
+        """pi = 1_H^G at the class representatives, kept per generating set
+        of H, so every checker on the same subgroup shares one computation.
+        An enumerated context hands `perm_character` its class data, which
+        lets small subgroups take the class-fusion path; a matched context
+        has none and always builds the coset action."""
         key = tuple(g.images for g in H.generators)
         pi = self._perm_characters.get(key)
         if pi is None:
-            pi = self._perm_characters[key] = perm_character(self.group, H, self.reps)
+            pi = self._perm_characters[key] = perm_character(
+                self.group, H, self.reps, self.classes)
         return pi
 
     def decompose_perm_character(self, H: PermGroup):

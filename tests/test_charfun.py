@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from permchar import corpus
+from permchar import corpus, verify
 from permchar.charfun import (
     ClassFunction,
     atlas_string,
@@ -11,13 +11,15 @@ from permchar.charfun import (
     fs_indicator_brute,
     inner_product,
     perm_character,
+    perm_character_by_fusion,
+    perm_character_values,
     regular_character,
     trivial_character,
 )
 from permchar.classes import conjugacy_classes
 from permchar.dixon import character_table
-from permchar.group import sylow_2
-from permchar.perm import inv_images
+from permchar.group import PermGroup, coset_action, sylow_2, trivial_group
+from permchar.perm import inv_images, parse_permutation
 
 
 def _self_inverse_classes(C) -> list:
@@ -47,6 +49,51 @@ def test_perm_character_spec_examples():
     assert [int(v.as_rational()) for v in pi.values] == [2, 0, 2]
     # permutation characters are rational, hence conjugation-fixed
     assert pi.is_rational_valued() and pi.is_real_valued()
+
+
+# the families of the theorem-D equivalence test in tests/test_verify.py
+THEOREM_D_FAMILIES = ["c6", "s4", "a5", "psl3_2", "agl1_27", "q8", "sl23",
+                      "d10", "q16", "a4", "c3q16", "f7_3", "f13_3", "a4c4"]
+
+
+@pytest.mark.parametrize("family", verify.SWEEP_FAMILIES + sorted(
+    set(THEOREM_D_FAMILIES) - set(verify.SWEEP_FAMILIES)))
+def test_fusion_matches_coset_action(family):
+    """pi by class fusion equals pi by the coset action on the sweep's
+    subgroups (seeds 0 and 1, budget 14), on 1 and G, and on the Sylow-2
+    normalizer of the theorem-D groups, whichever path the rule picks for
+    the public `perm_character`."""
+    ctx = verify.context(family)
+    G, C = ctx.group, ctx.classes
+    subgroups = [H for seed in (0, 1)
+                 for _, H in verify.sample_subgroups(G, seed=seed, budget=14)]
+    subgroups += [trivial_group(G.degree), G]
+    if family in THEOREM_D_FAMILIES:
+        subgroups.append(ctx.sylow2_normalizer())
+    for H in subgroups:
+        oracle = perm_character_values(coset_action(G, H), C.reps)
+        assert perm_character_by_fusion(G, H, C) == oracle, H
+        assert perm_character(G, H, C.reps, C) == oracle, H
+
+
+def test_both_perm_character_paths_reject_non_subgroups():
+    """A subgroup of the wrong degree or outside G raises the coset
+    action's ValueError on the fusion path too, not a KeyError from
+    `classify`; both subgroups are small enough for the rule to pick
+    fusion when class data is given."""
+    G, C, _ = _ctx("a4")
+    cases = [
+        (trivial_group(5), "degree mismatch"),
+        (PermGroup([parse_permutation("(1,2)", 4)], 4), "not a subgroup"),
+    ]
+    for H, message in cases:
+        for compute in (
+            lambda: perm_character(G, H, C.reps, C),
+            lambda: perm_character(G, H, C.reps),
+            lambda: perm_character_by_fusion(G, H, C),
+        ):
+            with pytest.raises(ValueError, match=message):
+                compute()
 
 
 def test_inner_product_and_row_norms():

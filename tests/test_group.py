@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -6,6 +7,7 @@ from permchar import corpus, verify
 from permchar.group import (
     PermGroup,
     _coset_key,
+    _Level,
     _point_orbits,
     centralizer,
     core,
@@ -461,3 +463,20 @@ def _conj_class(G, x):
 
 def _conj_class_within(N, x):
     return _conj_class(N, x)
+
+
+def test_breadth_first_orbit_of_a_20000_point_cycle():
+    """The one orbit of x -> x + 7 (mod 20,000) is 0, 7, 14, ... in
+    breadth-first order, from `_point_orbits` and from a Schreier-vector
+    chain level. `_point_orbits` reads only the generators and the degree;
+    a whole chain of this degree would take minutes to verify."""
+    n = 20_000
+    step = tuple((x + 7) % n for x in range(n))
+    bfs = tuple(7 * i % n for i in range(n))
+    H = SimpleNamespace(degree=n, generators=[Permutation(step)])
+    assert _point_orbits(H) == [bfs]
+    level = _Level(0, n)
+    assert not level.full
+    level.recompute_orbit([step], n)
+    assert tuple(level.orbit) == bfs
+    assert all(level.orbit[b] == (a, 0) for a, b in zip(bfs, bfs[1:]))

@@ -337,29 +337,39 @@ def test_pi_derivations_match_group_oracles_mathieu(family, selector):
     _check_pi_derivations(ctx, ctx.subgroup(selector))
 
 
-def test_checkers_share_one_coset_action_per_subgroup(monkeypatch):
+def test_checkers_share_one_perm_character_per_subgroup(monkeypatch):
+    """Five checkers on one subgroup compute pi once, on whichever path
+    `perm_character` picks: psl3_2's point stabilizer (|H| = 24 <= 6 * 7)
+    by class fusion and no coset action; M11's S5, in a matched context
+    with no classifier, by exactly one coset action."""
     from permchar import charfun, group
 
     calls = []
-    original = group.coset_action
 
-    def counting(G, H):
-        calls.append(H)
-        return original(G, H)
+    def counting(name, original):
+        def wrapper(G, H, *rest):
+            calls.append(name)
+            return original(G, H, *rest)
+        return wrapper
 
+    coset = counting("coset", group.coset_action)
     for mod in (group, charfun):
-        monkeypatch.setattr(mod, "coset_action", counting)
-    ctx = verify.GroupContext.for_family("psl3_2")
-    H = ctx.subgroup("point")
-    verify.check_theorem_A(ctx, H, "point")
-    verify.check_lemma_bob(ctx, H, "point")
-    verify.check_theorem_4_6(ctx, H, "point", maximal=True)
-    verify.check_real_coverage(ctx, H, "point")
-    verify.check_theorem_B(ctx, H, "point")
-    assert len(calls) == 1
-    again = PermGroup(list(H.generators), H.degree)
-    assert ctx.decompose_perm_character(again) is ctx.decompose_perm_character(H)
-    assert len(calls) == 1
+        monkeypatch.setattr(mod, "coset_action", coset)
+    monkeypatch.setattr(charfun, "perm_character_by_fusion",
+                        counting("fusion", charfun.perm_character_by_fusion))
+    for family, selector, path in (("psl3_2", "point", "fusion"), ("m11", "s5", "coset")):
+        calls.clear()
+        ctx = verify.GroupContext.for_family(family)
+        H = ctx.subgroup(selector)
+        verify.check_theorem_A(ctx, H, selector)
+        verify.check_lemma_bob(ctx, H, selector)
+        verify.check_theorem_4_6(ctx, H, selector, maximal=True)
+        verify.check_real_coverage(ctx, H, selector)
+        verify.check_theorem_B(ctx, H, selector)
+        assert calls == [path], family
+        again = PermGroup(list(H.generators), H.degree)
+        assert ctx.decompose_perm_character(again) is ctx.decompose_perm_character(H)
+        assert calls == [path], family
 
 
 def test_context_cache_is_keyed_on_the_data_dir(tmp_path):
