@@ -133,6 +133,38 @@ def test_matching_is_unchanged_under_the_fixed_point_fingerprint(name, monkeypat
         assert m.samples_used == old.samples_used
 
 
+# find_representatives(G, bundled table, seed) for the paper's groups:
+# (name, seed, sha256 of repr([rep images]), ambiguity_groups, samples_used)
+PINNED_MATCHINGS = [
+    ("m11", 0, "7d29ee964f7639339a5d76d0a83256daba643de828818b67a4a524cae97d374e", [(6, 7), (8, 9)], 200),
+    ("m11", 1, "74a6f645e9b851608b59d362864083291b0be3b1e037a9a98aea640daf0866dd", [(6, 7), (8, 9)], 200),
+    ("m11", 2, "2bf34b238c2f6d7daa8f24bad3df59fe24dcef8471bc1d21de6d64f8cc2170f8", [(6, 7), (8, 9)], 200),
+    ("m11", 3, "05e3a7d824b50618b637417260e51eb3703fa4ed43b0d8dfe14705e036ab9a07", [(6, 7), (8, 9)], 200),
+    ("m22", 0, "5938dd4e3217e52da2c9b0f8a070e2a3abce56ca4d35fd40edd21a7afdf33a87", [(7, 8), (10, 11)], 200),
+    ("m22", 1, "aae8f83acb3b772697f4651b513da0821fda338eb0ee58d7445e57f64290891c", [(7, 8), (10, 11)], 200),
+    ("m22", 2, "29d33bfe19688ce6e32876bc31995999c90d75b2119c7ad2e8735d28bd2df510", [(7, 8), (10, 11)], 200),
+    ("m22", 3, "cdadf7e109ab536ecfc82e9d3c20ea7126c64546243cd8e13c3947a1db8a188c", [(7, 8), (10, 11)], 200),
+    ("m23", 0, "2f503fd145c0a7e2595a5d3ffe1cc8b51845d9bc19fda7295b4f945edfe6a9a1",
+     [(6, 7), (9, 10), (11, 12), (13, 14), (15, 16)], 200),
+    ("m23", 1, "064a260648eff77f25f268b4da52c48a0161dc6f0ec3b65a60a1ba8670147fd1",
+     [(6, 7), (9, 10), (11, 12), (13, 14), (15, 16)], 200),
+    ("m23", 2, "d69e6ecdce51b2dd9aeb3ed59627158a71aa3a3d62209f199c0d991126672234",
+     [(6, 7), (9, 10), (11, 12), (13, 14), (15, 16)], 200),
+    ("m23", 3, "443f8a14e70afb94c5f234c204e85a221df0191416d6bace4e818d1288167516",
+     [(6, 7), (9, 10), (11, 12), (13, 14), (15, 16)], 200),
+]
+
+
+@pytest.mark.parametrize("name, seed, digest, ambiguity, used", PINNED_MATCHINGS)
+def test_matching_of_the_paper_groups_is_pinned(name, seed, digest, ambiguity, used):
+    import hashlib
+
+    m = find_representatives(corpus.build(name).group, bundled_table(name), seed=seed)
+    assert hashlib.sha256(repr([r.images for r in m.reps]).encode()).hexdigest() == digest
+    assert m.ambiguity_groups == ambiguity
+    assert m.samples_used == used
+
+
 @pytest.mark.slow
 def test_matching_m22_against_full_enumeration():
     """Cross-check the sampling matcher against exact classes."""
