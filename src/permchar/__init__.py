@@ -26,6 +26,7 @@ from .group import (
 from .classes import (
     ConjugacyClassSet,
     EnumerationThresholdError,
+    SampledClassSet,
     conjugacy_classes,
 )
 from .cyclo import Cyclotomic, parse_cyclotomic, render_cyclotomic, root_of_unity
@@ -57,7 +58,7 @@ __all__ = [
     "PermGroup", "CosetAction", "centralizer", "core", "coset_action",
     "is_normal_in", "is_subgroup", "normal_closure", "normalizer",
     "o_2prime", "setwise_stabilizer", "sylow_2", "trivial_group",
-    "ConjugacyClassSet", "EnumerationThresholdError", "conjugacy_classes",
+    "ConjugacyClassSet", "EnumerationThresholdError", "SampledClassSet", "conjugacy_classes",
     "Cyclotomic", "parse_cyclotomic", "render_cyclotomic", "root_of_unity",
     "CharacterTable", "CharacterTableError", "ClassFunction", "atlas_string",
     "decompose", "fs_indicator", "inner_product", "perm_character",

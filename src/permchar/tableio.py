@@ -10,8 +10,9 @@ table invariant (`CharacterTable.validate`).
 For groups too large to enumerate classes, `find_representatives` matches
 table columns to sampled group elements by invariant fingerprints (element
 order and cycle type in the group's own action), drawing `SAMPLE_ROUND`
-elements between matching attempts and propagating the table's power
-maps. Columns that only algebraic conjugacy distinguishes are reported as
+elements into a `classes.SampledClassSet` between matching attempts and
+propagating reps through the table's power maps and Galois conjugation.
+Columns that only algebraic conjugacy distinguishes are reported as
 ambiguity groups; rational class functions cannot see the difference.
 """
 
@@ -24,11 +25,11 @@ from math import gcd, lcm
 from pathlib import Path
 
 from .charfun import CharacterTable, ClassFunction, check_class_data, decompose
-from .classes import conjugation_orbit
-from .cyclo import divisors, parse_cyclotomic, render_cyclotomic
+from .classes import SampledClassSet
+from .cyclo import parse_cyclotomic, render_cyclotomic
 from .dixon import is_prime
 from .group import PermGroup
-from .perm import Permutation, cycle_type, order_of_images, power_images
+from .perm import Permutation, order_of_images, power_images
 
 
 class TableSyntaxError(ValueError):
@@ -233,55 +234,12 @@ class ClassMatching:
 
     def alternate_reps(self) -> list:
         """A second full representative set with every ambiguity group's
-        orientation swapped (for harmlessness checks)."""
+        reps rotated one place (a swap for a pair), for harmlessness checks."""
         out = list(self.reps)
         for grp in self.ambiguity_groups:
-            if len(grp) == 2:
-                a, b = grp
-                out[a], out[b] = out[b], out[a]
+            for a, b in zip(grp, grp[1:] + grp[:1]):
+                out[b] = self.reps[a]
         return out
-
-
-class _Sampler:
-    """Bucket store for sampled elements.
-
-    Buckets are keyed (fingerprint, class size or None), where the
-    fingerprint is (element order, cycle type): the class size is
-    probed by exact orbit enumeration, but only for element orders whose
-    table columns come in several sizes (same-order non-conjugate classes
-    can share a fingerprint, e.g. the two order-4 classes of M22 on 22
-    points). Probed orbits are cached, so each such class is enumerated
-    once."""
-
-    def __init__(self, G: PermGroup, table: CharacterTable):
-        self.G = G
-        self.table = table
-        self.split_sizes: dict = {}
-        for o in set(table.orders):
-            sizes = {table.sizes[c] for c in range(table.n_classes) if table.orders[c] == o}
-            if len(sizes) > 1:
-                self.split_sizes[o] = sizes
-        self.buckets: dict = {}
-        self._probed: dict = {o: [] for o in self.split_sizes}
-        identity = tuple(range(G.degree))
-        self.add(identity, 1)
-
-    def key_of(self, images: tuple, order: int) -> tuple:
-        fp = (order, cycle_type(images))
-        if order not in self.split_sizes:
-            return (fp, None)
-        for orbit, size in self._probed[order]:
-            if images in orbit:
-                return (fp, size)
-        orbit = conjugation_orbit(self.G, images)
-        self._probed[order].append((orbit, len(orbit)))
-        return (fp, len(orbit))
-
-    def add(self, images: tuple, order: int) -> tuple:
-        key = self.key_of(images, order)
-        if key not in self.buckets:
-            self.buckets[key] = images
-        return key
 
 
 def find_representatives(
@@ -308,19 +266,15 @@ def find_representatives(
     if budget is None:
         budget = 10_000 * k
     rng = random.Random(seed)
-    sampler = _Sampler(G, table)
+    sampled = SampledClassSet(G, table)
     used = 0
     last_error = "no sampling performed"
     while True:
         round_size = min(SAMPLE_ROUND, budget - used)
-        for _ in range(round_size):
-            g = G.random_element(rng).images
-            o = order_of_images(g)
-            for d in divisors(o):
-                sampler.add(power_images(g, d), o // gcd(o, d))
+        sampled.sample(rng, round_size)
         used += round_size
         try:
-            return _assign(G, table, sampler, used)
+            return _assign(G, table, sampled, used)
         except MatchingError as exc:
             last_error = str(exc)
             if used >= budget:
@@ -330,10 +284,10 @@ def find_representatives(
                 ) from None
 
 
-def _assign(G: PermGroup, table: CharacterTable, sampler: _Sampler, used: int) -> ClassMatching:
+def _assign(G: PermGroup, table: CharacterTable, sampled: SampledClassSet, used: int) -> ClassMatching:
     k = table.n_classes
     primes = sorted(table.power_maps)
-    buckets = sampler.buckets
+    buckets = sampled.buckets
 
     # close the bucket set under p-th powers so search domains are complete
     queue = list(buckets)
@@ -346,7 +300,7 @@ def _assign(G: PermGroup, table: CharacterTable, sampler: _Sampler, used: int) -
         processed.add(key)
         for p in primes:
             h = power_images(buckets[key], p)
-            key2 = sampler.add(h, order_of_images(h))
+            key2 = sampled.add(h, order_of_images(h))
             power_bucket[(key, p)] = key2
             if key2 not in processed:
                 queue.append(key2)
@@ -415,7 +369,9 @@ def _assign(G: PermGroup, table: CharacterTable, sampler: _Sampler, used: int) -
 
 def _derive_reps(G, table, buckets, assignment) -> list:
     """One element per column; columns sharing a bucket take successive
-    power-map images so conjugate partners get distinct, consistent reps."""
+    power-map images so conjugate partners get distinct, consistent reps.
+    Where the power maps stall, a column takes a Galois conjugate of a
+    reached rep (`_galois_conjugate_rep`) and propagation goes on."""
     k = table.n_classes
     primes = sorted(table.power_maps)
     reps: list = [None] * k
@@ -424,9 +380,7 @@ def _derive_reps(G, table, buckets, assignment) -> list:
         shared.setdefault(assignment[c], []).append(c)
     for fp, cols in shared.items():
         reps[cols[0]] = buckets[fp]
-    # propagate through power maps until every column has an element
-    progress = True
-    while progress:
+    while True:
         progress = False
         for c in range(k):
             if reps[c] is None:
@@ -436,12 +390,36 @@ def _derive_reps(G, table, buckets, assignment) -> list:
                 if reps[tgt] is None:
                     reps[tgt] = power_images(reps[c], p)
                     progress = True
-    missing = [c for c in range(k) if reps[c] is None]
-    if missing:
-        raise MatchingError(
-            f"columns {missing} unreachable through power maps from sampled reps"
-        )
-    return [Permutation(r) for r in reps]
+        if progress:
+            continue
+        missing = [c for c in range(k) if reps[c] is None]
+        if not missing:
+            return [Permutation(r) for r in reps]
+        conjugate = _galois_conjugate_rep(table, reps, missing)
+        if conjugate is None:
+            raise MatchingError(
+                f"columns {missing} unreachable through power maps or Galois "
+                "conjugation from sampled reps"
+            )
+        c, x = conjugate
+        reps[c] = x
+
+
+def _galois_conjugate_rep(table, reps, missing):
+    """(c, x^e) for a missing column c and the rep x of a column c0 of the
+    same order o, gcd(e, o) = 1, where sigma_e maps c0's values onto c's:
+    chi(x^e) = sigma_e(chi(x)), and a column names its class. None if none."""
+    for c in missing:
+        o = table.orders[c]
+        for c0, x in enumerate(reps):
+            if x is None or table.orders[c0] != o:
+                continue
+            for e in range(2, o):
+                if gcd(e, o) == 1 and all(
+                    row.values[c] == row.values[c0].galois(e) for row in table.rows
+                ):
+                    return c, power_images(x, e)
+    return None
 
 
 def _ambiguity_groups(table, chosen, solutions) -> list:

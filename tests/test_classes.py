@@ -5,6 +5,7 @@ import pytest
 from permchar import corpus
 from permchar.classes import (
     EnumerationThresholdError,
+    SampledClassSet,
     conjugacy_classes,
     conjugation_orbit,
 )
@@ -147,3 +148,28 @@ def test_real_class_indices_agree_with_inversion():
         C = conjugacy_classes(G)
         assert [k for k, j in enumerate(_inverse_classes(C)) if j == k] == real
         assert character_table(G, C).real_class_indices() == real
+
+
+@pytest.mark.parametrize("family", [
+    "m11", "psl2_23", "a7",
+    # above degree 256 the packed records are two bytes a point
+    "c300",
+    pytest.param("m22", marks=pytest.mark.slow),
+])
+def test_sampled_classes_agree_with_enumerated_classes(family):
+    G = corpus.build(family).group
+    S = SampledClassSet(G, seed=0)
+    C = conjugacy_classes(G)
+    # sampled reps are first-sampled elements, not lex-least, so the two
+    # numberings agree up to the bijection sigma
+    sigma = [C.classify(r.images) for r in S.reps]
+    assert sorted(sigma) == list(range(len(C)))
+    assert [C.sizes[k] for k in sigma] == S.sizes
+    assert [C.orders[k] for k in sigma] == S.orders
+    for g in G.element_images_iter():
+        assert sigma[S.classify(g)] == C.classify(g)
+
+
+def test_sampled_classes_raise_when_the_budget_runs_out():
+    with pytest.raises(RuntimeError, match=r"class sizes sum to \d+ of \|G\| = 7920 after 1 samples"):
+        SampledClassSet(corpus.build("m11").group, seed=0, budget=1)

@@ -204,6 +204,35 @@ def test_theorem_d_with_a_table_file(tmp_path, capsys):
     assert code == 0 and "[pass] theorem-D: g" in out
 
 
+@pytest.mark.parametrize("family", ["d16", "c12", "agl1_13", "sl23"])
+def test_decompose_against_the_groups_own_table_file(tmp_path, capsys, family):
+    """A table written by `table` matches back onto its group, including
+    Galois-conjugate columns that no stored power map reaches (c12's four
+    classes of generators), and decomposes as the computed table does."""
+    code, out, _ = run(capsys, "table", "--family", family)
+    assert code == 0
+    path = tmp_path / f"{family}.ctbl"
+    path.write_text(out)
+    for subgroup in ["trivial", "sylow2"]:
+        argv = ["decompose", "--family", family, "--subgroup", subgroup]
+        code, direct, _ = run(capsys, *argv)
+        assert code == 0
+        code, matched, err = run(capsys, *argv, "--table-file", str(path))
+        assert (code, matched) == (0, direct), err
+
+
+def test_a_table_file_that_cannot_be_matched_exits_2(tmp_path, capsys):
+    # q8's three order-4 classes share a cycle type and a size, and are not
+    # Galois conjugates: no sample tells them apart
+    code, out, _ = run(capsys, "table", "--family", "q8")
+    assert code == 0
+    path = tmp_path / "q8.ctbl"
+    path.write_text(out)
+    code, _, err = run(capsys, "decompose", "--family", "q8", "--subgroup", "trivial",
+                       "--table-file", str(path))
+    assert code == 2 and err.startswith("error:")
+
+
 def test_theorem_d_over_the_threshold_exits_2(capsys):
     code, _, err = run(capsys, "verify", "theorem-d", "--family", "m23")
     assert code == 2

@@ -1,12 +1,10 @@
-import importlib.util
 from fractions import Fraction
 from math import lcm
-from pathlib import Path
 
 import pytest
 
 from permchar import corpus, dixon
-from permchar.classes import conjugacy_classes, conjugation_orbit
+from permchar.classes import SampledClassSet, conjugacy_classes, conjugation_orbit
 from permchar.dixon import (
     character_table,
     class_matrix,
@@ -219,24 +217,14 @@ def test_validation_runs_on_output():
     assert T.fs_indicators() == [1, 0, 0, 0, 0]
 
 
-def _load_table_tool():
-    path = Path(__file__).resolve().parent.parent / "tools" / "build_mathieu_tables.py"
-    spec = importlib.util.spec_from_file_location("build_mathieu_tables", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool
-
-
-def test_sampled_class_data_gives_the_enumerated_m11_table(capsys):
-    """The table tool's sampled class data feeds `character_table` through
-    the same `classify` interface as enumerated classes: on M11 the two
-    tables serialize identically and match the bundled file."""
-    tool = _load_table_tool()
+def test_sampled_class_data_gives_the_enumerated_m11_table():
+    """Sampled class data feeds `character_table` through the same
+    `classify` interface as enumerated classes: on M11 the two tables
+    serialize identically and match the bundled file."""
     G = corpus.build("m11").group
-    T = character_table(G, tool.SampledClassData(G, seed=0), name="m11")
+    T = character_table(G, SampledClassSet(G, seed=0), name="m11")
     assert serialize_table(T) == serialize_table(character_table(G, name="m11"))
     assert tables_match(T, bundled_table("m11"))
-    capsys.readouterr()  # the tool's progress lines
 
 
 @pytest.mark.slow

@@ -1,6 +1,6 @@
 import pytest
 
-from permchar import corpus, tableio
+from permchar import classes, corpus
 from permchar.charfun import CharacterTableError, ClassFunction, decompose
 from permchar.classes import conjugacy_classes
 from permchar.cyclo import divisors
@@ -101,6 +101,35 @@ def test_matching_m11_bundled():
     assert decompose(pi1, T) == decompose(pi2, T)
 
 
+@pytest.mark.parametrize("family", ["c12", "d16", "sl23", "agl1_13"])
+def test_matching_reaches_columns_no_power_map_reaches(family):
+    """Columns that only Galois conjugation reaches get reps in pairwise
+    distinct classes, each in its own column's ambiguity group."""
+    G = corpus.build(family).group
+    C = conjugacy_classes(G)
+    T = character_table(G, C, name=family)
+    m = find_representatives(G, T, seed=0)
+    found = [C.classify(r.images) for r in m.reps]
+    assert sorted(found) == list(range(len(C)))
+    group_of = {c: grp for grp in m.ambiguity_groups for c in grp}
+    assert all(k == c or k in group_of.get(c, ()) for c, k in enumerate(found))
+
+
+@pytest.mark.parametrize("family", ["f13_3", "psl2_13"])
+def test_alternate_reps_rotate_ambiguity_groups_of_any_length(family):
+    G = corpus.build(family).group
+    T = character_table(G, name=family)
+    m = find_representatives(G, T, seed=0)
+    assert any(len(grp) > 2 for grp in m.ambiguity_groups)
+    alt = m.alternate_reps()
+    for grp in m.ambiguity_groups:
+        assert sorted(alt[c].images for c in grp) == sorted(m.reps[c].images for c in grp)
+        assert all(alt[c].images != m.reps[c].images for c in grp)
+    pi1 = ClassFunction([r.fixed_points() for r in m.reps])
+    pi2 = ClassFunction([r.fixed_points() for r in alt])
+    assert decompose(pi1, T) == decompose(pi2, T)
+
+
 def _fixed_points_of_powers(images):
     """The fingerprint that the cycle type replaced, kept as the oracle:
     fixed points of g^d for every divisor d of the order of g."""
@@ -125,7 +154,7 @@ def test_matching_is_unchanged_under_the_fixed_point_fingerprint(name, monkeypat
     G = corpus.build(name).group
     T = bundled_table(name)
     new = [find_representatives(G, T, seed=seed) for seed in range(4)]
-    monkeypatch.setattr(tableio, "cycle_type", _fixed_points_of_powers)
+    monkeypatch.setattr(classes, "cycle_type", _fixed_points_of_powers)
     for seed, m in enumerate(new):
         old = find_representatives(G, T, seed=seed)
         assert [r.images for r in m.reps] == [r.images for r in old.reps]
