@@ -1,6 +1,8 @@
+import hashlib
+
 import pytest
 
-from permchar import classes, corpus
+from permchar import classes, corpus, verify
 from permchar.charfun import CharacterTableError, ClassFunction, decompose
 from permchar.classes import conjugacy_classes
 from permchar.cyclo import divisors
@@ -39,6 +41,87 @@ def test_serialize_parse_round_trip(name):
     assert all(a == b for a, b in zip(again.rows, T.rows))
     # and serialization is a fixed point after one normalization
     assert serialize_table(again) == serialize_table(T)
+
+
+# sha256 of serialize_table: the Dixon table of each sweep family, and each
+# bundled table after parse_table. A change that alters one of these on
+# purpose updates its pin and says so in CHANGES.md.
+PINNED_DIXON_TABLES = [
+    ("s3", "a946bfcf79a1fdff37d0221f8afd0282c29024081cf3e1f982c0f646145dc92e"),
+    ("s4", "88e782e95a29bbb6cc6a356a70e07645f13f924f329d0cf6ea1a6b079405085d"),
+    ("s5", "0ab6764887747b90a28570ee3b26096c57510d26a4072ed15a649f00a2a4eaa7"),
+    ("s6", "79c2149533c8f9d05393f78a9b71fbfc38ed5f50acbfe153578552afd47c2500"),
+    ("a4", "5d9ff2b0914eeae8ab14034e16a443fe9a5020a1812ffcf883318f793ad63777"),
+    ("a5", "33c4972ec79d434cade674e760600ef02c3f7b9a5a1522554df24fb62b178410"),
+    ("a6", "61443b07e6b62003cb600594e8136fb1aa628314d1a86fa72025d826c9bb9918"),
+    ("d8", "d2a2ac6c77a88291e7f1777d0aa16763fff204fa7ca49cca646ba9177f511dd7"),
+    ("d10", "19b58aa2c2edb4d91928311f83a9308fc624c4a284ff131965893ae22d8b53fb"),
+    ("d12", "de15d2a33cc80e0fe05db1e662b9eb19eb37e2627cd2ad8492388a59de4d1e85"),
+    ("d16", "d16882b8e500815c9b4ffe7ae2f4c4356629d82a2e9358742a47578c87fb58de"),
+    ("d20", "6fdefc90645dce07341a0b13a344e6fe121d2bcfccba33e62df3aad0fbb71593"),
+    ("d24", "7e9769ecb1bc4da2c9a8d9c10ce05825a280da31630076f1a003fcd66d6ba38e"),
+    ("q8", "e83273f1b8f7598a625353f9303afd20baea3c673b83ed8e4a6204b52d681fcd"),
+    ("q16", "0bb8fd2deb87ec42a6e0a5d122c5a252be5784e0905af32c57ede4959186c396"),
+    ("q32", "bf7e868c70d63df86e152bc360f5830c7b2dc5c1851a651b3532fd2cb697a4ca"),
+    ("c2", "bd782023a3e8629db68f7def4ce9c7a45b97eef28a186a08999d721212d0ce76"),
+    ("c3", "accd088c6fc0d5fd18f500d560ae35bb6e001d70270b5a2209588cc1bb50ee30"),
+    ("c6", "f06233bb710c68f512d1bc3d4787a53a2fe4e1a8a6424f30d9406432d7d14063"),
+    ("c12", "5369e1fc97b64cb5e268b843c9f11f86541a037e70e6bd5fc4e4a5c4a0a595c7"),
+    ("c15", "e2b5b3fe9baebea23ea5f7d7ad245b4d9afc6ac45d737c2b001105ba70bd486c"),
+    ("c21", "0b78d66ab89641bc67f30026085a5e8d0af95349c037505a507c111519f0b4da"),
+    ("c30", "397b91ac0df0014a7b2cb70cb927951765179a74c10609818671c5405313150e"),
+    ("sl23", "0d8bf2d9481213a73ce838df4e11256ff187bfb95a93ad3e38ec98850124a633"),
+    ("c3q16", "606bbea6e84c0f6f6b87e83f9d84de1abcbbe7ae95899978cd585a533cc3ddf4"),
+    ("f7_3", "a92471b832a90f5c5739088c0c922059f7141d727bfdf374d0b6fb3125d43005"),
+    ("f13_3", "15280069fc665a6f3aa5f62d3ea3dbae8bab35b4da8d491da26188628445c7e3"),
+    ("f11_5", "1a976bd87ee3f6792040b3ae457683100c49a187ab11b31daa92c88fc6b8e1a0"),
+    ("agl1_5", "41eee853595da3f9d301117cd6be530e3c8d9b56c51d35fcae6b5cfed0c7f71f"),
+    ("agl1_7", "9c36948f29bfa8aa021248b9cd0eeb115779bee70c3bc978ede20bed2d5c2fa5"),
+    ("agl1_8", "904c32af51bae944edc9e81170cfa2ef7f3955fb8bc026515dcf7057890935f8"),
+    ("agl1_9", "c5028c06bac1ad0ab4124c47149df11e82c8454ff486eac35fade2c0db212f7f"),
+    ("agl1_11", "ad9783e6b2006aa8e493d23d75624df4f72881cfa0e1124f5ea1988e6e4c33f0"),
+    ("agl1_13", "1247e28f49365b55d293a4c48c89276990338cd7c854b69549ae29f236cc27ec"),
+    ("agl1_25", "d3acbc1b61ab5fd62c2f4f81ee30a7abc43a822afd6c48d2bddacd10fe3901db"),
+    ("agl1_27", "e18ac277eb2352c3d6932ade8908e9d5f1a0dd2ba797ddb7fdc864e43c49a31b"),
+    ("agl1_32", "e9fcad2c6dca877706b7e270e685e894f758355e8414a7d560f47691a86bc195"),
+    ("psl2_7", "3cf5873b335fbb189692ec58a36d7db9c1816234ef138552503e2fe6477b8a15"),
+    ("psl2_11", "f67bdc6a25ca2463eb2892dd7688460319fc398c508e53b43a5705de5228ff86"),
+    ("psl2_13", "1a95085ad85bc8e1095cd02729f771ed0221eed073c571c18d177a59f4e47c4a"),
+    ("psl3_2", "cc2748e3f462ecd42e6a4b597dae883d466bde36741513eb7fd60de714ffdd3b"),
+]
+PINNED_BUNDLED_TABLES = [
+    ("s3", "a946bfcf79a1fdff37d0221f8afd0282c29024081cf3e1f982c0f646145dc92e"),
+    ("s4", "1b4454d63ab78e99cf689d12bf29403c1a10014b630a337944e334caad403584"),
+    ("a5", "33c4972ec79d434cade674e760600ef02c3f7b9a5a1522554df24fb62b178410"),
+    ("d10", "19b58aa2c2edb4d91928311f83a9308fc624c4a284ff131965893ae22d8b53fb"),
+    ("q8", "20f8b5cb59791c3997cf26e8d75bed8fe023f937e58c86ac3abaceeb487c8f71"),
+    ("sl23", "96300103098a1e233e22acf8a562b869ac4e09f29e3f12f516c9f65211d301ad"),
+    ("psl3_2", "bd19ae25caec703a843437c97dc7824544ce98a58aecf4963abd6bab269840f7"),
+    ("m11", "0883146708e594fb147f9142bce9d075e073375bbaa23cb85356649119f98358"),
+    ("m22", "b72e153b87dfcab082366c938ce3bc2a888ce67cc60fb5043bb38114b6e240e9"),
+    ("m23", "6da6781b7fa1cc7c73805dd44f37f74f9068f5b03282ab716ab6b136364a31d9"),
+]
+
+
+def _digest(T) -> str:
+    return hashlib.sha256(serialize_table(T).encode()).hexdigest()
+
+
+def test_table_pins_cover_the_sweep_families_and_bundled_tables():
+    assert [name for name, _ in PINNED_DIXON_TABLES] == verify.SWEEP_FAMILIES
+    assert [name for name, _ in PINNED_BUNDLED_TABLES] == BUNDLED
+
+
+@pytest.mark.parametrize("family, digest", PINNED_DIXON_TABLES)
+def test_dixon_table_serialization_is_pinned(family, digest):
+    assert _digest(character_table(corpus.build(family).group, name=family)) == digest
+
+
+@pytest.mark.parametrize("name, digest", PINNED_BUNDLED_TABLES)
+def test_bundled_table_serialization_is_pinned(name, digest):
+    from permchar.corpus import data_dir
+
+    assert _digest(parse_table((data_dir() / "tables" / f"{name}.ctbl").read_text())) == digest
 
 
 def test_perturbed_value_fails_validation():
@@ -186,8 +269,6 @@ PINNED_MATCHINGS = [
 
 @pytest.mark.parametrize("name, seed, digest, ambiguity, used", PINNED_MATCHINGS)
 def test_matching_of_the_paper_groups_is_pinned(name, seed, digest, ambiguity, used):
-    import hashlib
-
     m = find_representatives(corpus.build(name).group, bundled_table(name), seed=seed)
     assert hashlib.sha256(repr([r.images for r in m.reps]).encode()).hexdigest() == digest
     assert m.ambiguity_groups == ambiguity
