@@ -1,6 +1,6 @@
 """Exact character theory for finite permutation groups.
 
-Core pieces: BSGS permutation groups, exact cyclotomic arithmetic,
+Core pieces: BSGS permutation groups, exact cyclotomic values,
 Dixon-Schneider character tables, permutation-character decomposition,
 Frobenius-Schur indicators, a character-table file format with class
 matching for groups too large to enumerate, and mechanical checkers for
@@ -29,7 +29,7 @@ from .classes import (
     SampledClassSet,
     conjugacy_classes,
 )
-from .cyclo import Cyclotomic, parse_cyclotomic, render_cyclotomic, root_of_unity
+from .cyclo import Cyclotomic, parse_cyclotomic, render_cyclotomic
 from .charfun import (
     CharacterTable,
     CharacterTableError,
@@ -59,7 +59,7 @@ __all__ = [
     "is_normal_in", "is_subgroup", "normal_closure", "normalizer",
     "o_2prime", "setwise_stabilizer", "sylow_2", "trivial_group",
     "ConjugacyClassSet", "EnumerationThresholdError", "SampledClassSet", "conjugacy_classes",
-    "Cyclotomic", "parse_cyclotomic", "render_cyclotomic", "root_of_unity",
+    "Cyclotomic", "parse_cyclotomic", "render_cyclotomic",
     "CharacterTable", "CharacterTableError", "ClassFunction", "atlas_string",
     "decompose", "fs_indicator", "inner_product", "perm_character",
     "character_table",

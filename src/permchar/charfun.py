@@ -12,7 +12,8 @@ convolution, both over Python ints. Sums collect their terms in buckets
 keyed by the lcm M of the conductors involved, and each bucket is reduced
 modulo Phi_M once. Galois-conjugate classes carry values of the same
 conductor, so for characters every bucket is Galois-stable and reduces to
-a rational; a bucket that does not is added exactly as a Cyclotomic.
+a rational; the buckets that do not are summed into one vector at the lcm
+of their moduli, which becomes the one Cyclotomic of the result.
 """
 
 from __future__ import annotations
@@ -258,20 +259,26 @@ def _is_real(form) -> bool:
 
 def _total(scalar, buckets: dict, den):
     """The exact value of (scalar + the bucket elements) / den: a Fraction
-    when rational, else a Cyclotomic."""
-    rest = None
+    when rational, else a Cyclotomic. A bucket of modulus M that does not
+    reduce to a rational is lifted to the lcm L of all such moduli by
+    zeta_M = zeta_L^(L/M), and the scalar joins their sum at index 0."""
+    rest = {}
     for M, vec in buckets.items():
         coords = reduce_mod_phi(vec, M)
         if any(coords[1:]):
-            v = Cyclotomic(M, tuple(Fraction(x, den) for x in coords))
-            rest = v if rest is None else rest + v
+            rest[M] = coords
         else:
             scalar += coords[0]
-    total = Fraction(scalar, den)
-    if rest is None:
-        return total
-    rest = rest + total
-    return rest.as_rational() if rest.is_rational() else rest
+    if not rest:
+        return Fraction(scalar, den)
+    L = lcm(*rest)
+    total = [scalar] + [0] * (L - 1)
+    for M, coords in rest.items():
+        step = L // M
+        for i, x in enumerate(coords):
+            total[i * step] += x
+    v = Cyclotomic(L, [Fraction(x, den) for x in total])
+    return v.as_rational() if v.is_rational() else v
 
 
 def _correlation(weights, fa, fb, den):

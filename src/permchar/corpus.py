@@ -173,7 +173,7 @@ class CorpusGroup:
             return trivial_group(self.group.degree)
         if selector == "whole":
             return self.group
-        m = re.fullmatch(r"point(\d+)", selector)
+        m = re.fullmatch(r"point([0-9]+)", selector)
         if m:
             point = int(m.group(1))
             if point >= self.group.degree:
@@ -540,12 +540,12 @@ def load_group_file(path) -> PermGroup:
         if not line:
             continue
         if line.startswith("#"):
-            m = re.match(r"#\s*order:\s*(\d+)", line)
+            m = re.match(r"#\s*order:\s*([0-9]+)", line)
             if m:
                 expected_order = int(m.group(1))
             continue
         if degree is None:
-            m = re.fullmatch(r"degree\s+(\d+)", line)
+            m = re.fullmatch(r"degree\s+([0-9]+)", line)
             if not m:
                 raise ValueError(f"{path}:{lineno}: expected 'degree N' before generators")
             degree = int(m.group(1))
@@ -656,15 +656,15 @@ def build(family: str) -> CorpusGroup:
     if name in fixed:
         return fixed[name]()
     for pattern, builder in [
-        (r"c(\d+)", lambda m: cyclic(int(m.group(1)))),
-        (r"d(\d+)", lambda m: dihedral(int(m.group(1)))),
-        (r"q(\d+)", lambda m: quaternion(int(m.group(1)))),
-        (r"s(\d+)", lambda m: symmetric(int(m.group(1)))),
-        (r"a(\d+)", lambda m: alternating(int(m.group(1)))),
-        (r"f(\d+)_(\d+)", lambda m: frobenius(int(m.group(1)), int(m.group(2)))),
-        (r"agl1_(\d+)", lambda m: agl1(int(m.group(1)))),
-        (r"psl2_(\d+)", lambda m: psl2(int(m.group(1)))),
-        (r"psl3_(\d+)", lambda m: psl3(int(m.group(1)))),
+        (r"c([0-9]+)", lambda m: cyclic(int(m.group(1)))),
+        (r"d([0-9]+)", lambda m: dihedral(int(m.group(1)))),
+        (r"q([0-9]+)", lambda m: quaternion(int(m.group(1)))),
+        (r"s([0-9]+)", lambda m: symmetric(int(m.group(1)))),
+        (r"a([0-9]+)", lambda m: alternating(int(m.group(1)))),
+        (r"f([0-9]+)_([0-9]+)", lambda m: frobenius(int(m.group(1)), int(m.group(2)))),
+        (r"agl1_([0-9]+)", lambda m: agl1(int(m.group(1)))),
+        (r"psl2_([0-9]+)", lambda m: psl2(int(m.group(1)))),
+        (r"psl3_([0-9]+)", lambda m: psl3(int(m.group(1)))),
     ]:
         m = re.fullmatch(pattern, name)
         if m:

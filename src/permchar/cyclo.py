@@ -1,4 +1,4 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_n).
+"""Exact values in cyclotomic fields Q(zeta_n).
 
 Every value is built one way: as a group-ring element sum_i c_i zeta_n^i,
 reduced modulo the n-th cyclotomic polynomial by `reduce_mod_phi` and
@@ -8,9 +8,12 @@ basis zeta^0 .. zeta^(phi(n)-1) at that minimal n, with Fraction
 coordinates, so equality is plain structural comparison. Values are
 immutable and safe to share.
 
-This module parses, renders and stores values. Sums over many classes
-(inner products, indicator sums) run on the integer group-ring kernel in
-`charfun`, which reduces with the same `reduce_mod_phi`.
+This module parses, renders and stores values; it has no field
+arithmetic. Coefficients are ints or Fractions, never floats. The one map
+on values is `Cyclotomic.galois`, which `tableio._galois_conjugate_rep`
+reads. Sums over many classes (inner products, indicator sums) run on the
+integer group-ring kernel in `charfun`, which reduces with the same
+`reduce_mod_phi` and builds a Cyclotomic from one group-ring vector.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm, prod
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -46,20 +48,6 @@ def prime_factors(n: int) -> tuple:
     if n > 1:
         out.append(n)
     return tuple(out)
-
-
-def factorize(k: int) -> list:
-    """Prime factors of k with multiplicity, in increasing order."""
-    out = []
-    d = 2
-    while d * d <= k:
-        while k % d == 0:
-            out.append(d)
-            k //= d
-        d += 1
-    if k > 1:
-        out.append(k)
-    return out
 
 
 def divisors(n: int) -> list:
@@ -161,12 +149,21 @@ def _coprime_descent(n: int, p: int, coords: list):
     return [-x for x in beta]
 
 
+def _check_exact(c) -> None:
+    """Raise TypeError unless c is an int or a Fraction: a float would
+    enter an exact value already rounded."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"cyclotomic coefficient {c!r} is not an int or a Fraction")
+
+
 def _canonical(n: int, terms) -> tuple:
     """(conductor, Fraction coords) of sum_i terms[i] zeta_n^i in canonical
     form. The terms are scaled to integers over a common denominator, so
     the reduction and the descent run on ints."""
     if n < 1:
         raise ValueError("conductor must be positive")
+    for c in terms:
+        _check_exact(c)
     den = lcm(*(c.denominator for c in terms if c))
     vec = [0] * n
     for i, c in enumerate(terms):
@@ -180,7 +177,8 @@ class Cyclotomic:
     """An element of some Q(zeta_n), with n minimal.
 
     `Cyclotomic(n, terms)` is the group-ring element sum_i terms[i] zeta_n^i
-    (indices taken mod n, coefficients ints or Fractions), reduced modulo
+    (indices taken mod n, coefficients ints or Fractions; anything else
+    raises TypeError), reduced modulo
     Phi_n and moved to its minimal conductor. `coords` are then its
     power-basis coordinates there, as Fractions."""
 
@@ -199,73 +197,8 @@ class Cyclotomic:
 
     @staticmethod
     def rational(q) -> "Cyclotomic":
+        _check_exact(q)
         return Cyclotomic(1, (Fraction(q),), _reduced=True)
-
-    # -- ring operations ------------------------------------------------
-
-    def __add__(self, other) -> "Cyclotomic":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.conductor == 1 and other.conductor == 1:
-            return Cyclotomic(1, (self.coords[0] + other.coords[0],), _reduced=True)
-        m = lcm(self.conductor, other.conductor)
-        vec = [0] * m
-        for v in (self, other):
-            step = m // v.conductor
-            for i, c in enumerate(v.coords):
-                vec[i * step] += c
-        return Cyclotomic(m, vec)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic(self.conductor, tuple(-c for c in self.coords), _reduced=True)
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other) -> "Cyclotomic":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.conductor == 1:
-            q = self.coords[0]
-            return Cyclotomic(
-                other.conductor, tuple(q * c for c in other.coords), _reduced=True
-            ) if q else _RAT_ZERO
-        if other.conductor == 1:
-            q = other.coords[0]
-            return Cyclotomic(
-                self.conductor, tuple(q * c for c in self.coords), _reduced=True
-            ) if q else _RAT_ZERO
-        m = lcm(self.conductor, other.conductor)
-        ea, eb = m // self.conductor, m // other.conductor
-        prod = [0] * m
-        for i, x in enumerate(self.coords):
-            if x:
-                for j, y in enumerate(other.coords):
-                    if y:
-                        prod[(i * ea + j * eb) % m] += x * y
-        return Cyclotomic(m, prod)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        # division by rationals only; general inverses are not needed here
-        q = Fraction(other) if not isinstance(other, Cyclotomic) else other.as_rational()
-        if q is None:
-            raise TypeError("division only by rational values")
-        return self * Cyclotomic.rational(Fraction(1) / Fraction(q))
 
     def galois(self, k: int) -> "Cyclotomic":
         """Apply zeta_n -> zeta_n^k, gcd(k, n) = 1."""
@@ -281,22 +214,6 @@ class Cyclotomic:
                 mapped[i * k % n] += c
         return Cyclotomic(n, mapped)
 
-    def conjugate(self) -> "Cyclotomic":
-        """Complex conjugation: zeta_n -> zeta_n^(n-1)."""
-        return self.galois(-1)
-
-    def __pow__(self, e: int) -> "Cyclotomic":
-        out = _RAT_ONE
-        b = self
-        if e < 0:
-            raise ValueError("negative powers unsupported")
-        while e:
-            if e & 1:
-                out = out * b
-            b = b * b
-            e >>= 1
-        return out
-
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -309,20 +226,7 @@ class Cyclotomic:
         """The value as a Fraction, or None if irrational."""
         return self.coords[0] if self.conductor == 1 else None
 
-    def is_real(self) -> bool:
-        return self.conjugate() == self
-
     # -- misc --------------------------------------------------------------
-
-    def to_complex(self) -> complex:
-        from cmath import exp, pi
-
-        z = exp(2j * pi / self.conductor)
-        total = 0j
-        for i, c in enumerate(self.coords):
-            if c:
-                total += float(c) * z**i
-        return total
 
     def sort_key(self) -> tuple:
         return (self.conductor, self.coords)
@@ -344,21 +248,6 @@ class Cyclotomic:
 
     def __str__(self):
         return render_cyclotomic(self)
-
-
-def _coerce(x):
-    if isinstance(x, Cyclotomic):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Cyclotomic.rational(x)
-    return NotImplemented
-
-
-def root_of_unity(n: int, k: int = 1) -> Cyclotomic:
-    """zeta_n^k, stored at its minimal conductor."""
-    if n <= 0:
-        raise ValueError("order of the root must be positive")
-    return Cyclotomic(n, [0] * (k % n) + [1])
 
 
 # -- text format ---------------------------------------------------------------
@@ -465,7 +354,7 @@ def _parse_term(term: str) -> tuple:
     if not term.startswith("E("):
         raise ValueError(f"malformed cyclotomic term {term!r}")
     close = term.index(")")
-    n = int(term[2:close])
+    n = _digits(term[2:close], term)
     if not 1 <= n <= MAX_CONDUCTOR:
         raise ValueError(f"E({n}): n must be in 1..{MAX_CONDUCTOR}")
     rest = term[close + 1 :]
@@ -473,9 +362,14 @@ def _parse_term(term: str) -> tuple:
     if rest:
         if not rest.startswith("^"):
             raise ValueError(f"malformed cyclotomic term {term!r}")
-        k = int(rest[1:])
+        k = _digits(rest[1:], term)
     return coeff, n, k
 
 
-_RAT_ZERO = Cyclotomic(1, (_ZERO,), _reduced=True)
-_RAT_ONE = Cyclotomic(1, (_ONE,), _reduced=True)
+def _digits(text: str, term: str) -> int:
+    """The natural number spelled by `text` in ASCII digits; int() alone
+    would also read a sign, `_` separators and non-ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"malformed cyclotomic term {term!r}")
+    return int(text)
+

@@ -177,7 +177,7 @@ class Permutation:
         return cycle_string(self)
 
 
-_CYCLE_RE = re.compile(r"\(\s*(\d+(?:\s*,\s*\d+)*)\s*\)")
+_CYCLE_RE = re.compile(r"\(\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*\)")
 
 
 def cycle_string(p: Permutation) -> str:

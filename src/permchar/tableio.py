@@ -54,18 +54,18 @@ def parse_table(text: str) -> CharacterTable:
             if key == "name":
                 name = fields[1] if len(fields) > 1 else ""
             elif key == "order":
-                order = int(fields[1])
+                order = _integer(fields[1])
             elif key == "classes":
-                k = int(fields[1])
+                k = _integer(fields[1])
             elif key == "sizes":
-                sizes = [int(x) for x in fields[1:]]
+                sizes = [_integer(x) for x in fields[1:]]
             elif key == "orders":
-                orders = [int(x) for x in fields[1:]]
+                orders = [_integer(x) for x in fields[1:]]
             elif key == "power":
-                p = int(fields[1])
+                p = _integer(fields[1])
                 if not is_prime(p):
                     raise TableSyntaxError(f"line {lineno}: power map key {p} is not a prime")
-                power_maps[p] = tuple(int(x) for x in fields[2:])
+                power_maps[p] = tuple(_integer(x) for x in fields[2:])
             elif key == "chi":
                 rows.append((lineno, fields[1:]))
             else:
@@ -90,6 +90,16 @@ def parse_table(text: str) -> CharacterTable:
     table = CharacterTable(name, order, sizes, orders, power_maps, _parse_rows(rows, orders))
     table.validate()
     return table
+
+
+def _integer(field: str) -> int:
+    """An integer field of the header: ASCII digits with an optional
+    leading `-`. int() alone would also read `+`, `_` separators and
+    non-ASCII digits."""
+    digits = field[1:] if field.startswith("-") else field
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer {field!r}")
+    return int(field)
 
 
 # what parse_cyclotomic reads as n in E(n): everything up to the first ")"

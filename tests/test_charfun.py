@@ -17,9 +17,11 @@ from permchar.charfun import (
     trivial_character,
 )
 from permchar.classes import conjugacy_classes
+from permchar.cyclo import Cyclotomic
 from permchar.dixon import character_table
 from permchar.group import PermGroup, coset_action, sylow_2, trivial_group
 from permchar.perm import inv_images, parse_permutation
+from permchar.tableio import bundled_table
 
 
 def _self_inverse_classes(C) -> list:
@@ -109,6 +111,23 @@ def test_inner_product_and_row_norms():
 def test_inner_product_length_mismatch():
     with pytest.raises(ValueError):
         inner_product(ClassFunction([1, 2]), ClassFunction([1]), [1], 1)
+
+
+def test_floats_are_rejected_not_rounded():
+    """A float would enter an exact class function already rounded:
+    0.1 as 3602879701896397/36028797018963968, and a norm computed from
+    3.0000000000000004 as 13510798882111489/13510798882111488."""
+    T = bundled_table("s3")
+    with pytest.raises(TypeError):
+        ClassFunction([0.1, 1, 1])
+    with pytest.raises(TypeError):
+        inner_product(ClassFunction([3.0000000000000004, 1, 0]), T.rows[0], T.sizes, T.order)
+    with pytest.raises(TypeError):
+        Cyclotomic(3, [0.5, 1])
+    with pytest.raises(TypeError):
+        Cyclotomic.rational(1.0)
+    # ints and Fractions are the exact coefficients
+    assert ClassFunction([Fraction(1, 10), 1, True]).values[0] == Fraction(1, 10)
 
 
 def test_decompose_regular_character():

@@ -9,7 +9,6 @@ from permchar.classes import (
     conjugacy_classes,
     conjugation_orbit,
 )
-from permchar.cyclo import factorize
 from permchar.dixon import character_table
 from permchar.group import trivial_group
 from permchar.perm import inv_images, parse_permutation, power_images
@@ -84,6 +83,20 @@ def test_classify_arbitrary_element():
     for g in [parse_permutation("(1,2,3)", 5), parse_permutation("(1,2,3,4,5)", 5)]:
         k = C.classify(g.images)
         assert C.orders[k] == g.order()
+
+
+def factorize(k: int) -> list:
+    """Prime factors of k with multiplicity, in increasing order."""
+    out = []
+    d = 2
+    while d * d <= k:
+        while k % d == 0:
+            out.append(d)
+            k //= d
+        d += 1
+    if k > 1:
+        out.append(k)
+    return out
 
 
 def composed_power_class(T, inverse, i, k):

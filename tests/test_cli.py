@@ -233,6 +233,23 @@ def test_a_table_file_that_cannot_be_matched_exits_2(tmp_path, capsys):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("old, new", [
+    ("E(3)", "E(0_3)"),
+    ("E(3)", "E(٣)"),
+    ("order 3", "order ٣"),
+])
+def test_a_table_file_with_digits_that_are_not_ascii_exits_2(tmp_path, capsys, old, new):
+    """int() reads `_` separators and non-ASCII digits such as U+0663
+    (ARABIC-INDIC DIGIT THREE); the table grammar is ASCII."""
+    code, out, _ = run(capsys, "table", "--family", "c3")
+    assert code == 0 and old in out
+    path = tmp_path / "c3.ctbl"
+    path.write_text(out.replace(old, new), encoding="utf-8")
+    code, _, err = run(capsys, "decompose", "--family", "c3", "--subgroup", "trivial",
+                       "--table-file", str(path))
+    assert code == 2 and err.startswith("error:")
+
+
 def test_theorem_d_over_the_threshold_exits_2(capsys):
     code, _, err = run(capsys, "verify", "theorem-d", "--family", "m23")
     assert code == 2

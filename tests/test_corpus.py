@@ -143,6 +143,20 @@ def test_group_file_errors(tmp_path):
         corpus.load_group_file(nodeg)
 
 
+def test_digits_are_ascii(tmp_path):
+    """Regex `\\d` also matches non-ASCII digits such as U+0663
+    (ARABIC-INDIC DIGIT THREE), and int() reads them."""
+    for i, text in enumerate(["degree ٤\n(1,2)\n", "degree 4\n(1,٢)\n"]):
+        path = tmp_path / f"g{i}.grp"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError):
+            corpus.load_group_file(path)
+    with pytest.raises(ValueError, match="unknown family"):
+        corpus.build("c٣")
+    with pytest.raises(ValueError):
+        corpus.build("s4").subgroup("point٠")
+
+
 def test_generic_selectors():
     cg = corpus.build("a5")
     assert cg.subgroup("trivial").order() == 1

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from math import lcm
 
 import pytest
@@ -14,7 +13,7 @@ from permchar.dixon import (
     primitive_root,
     sqrt_mod,
 )
-from permchar.cyclo import prime_factors
+from permchar.cyclo import Cyclotomic, prime_factors
 from permchar.perm import inv_images, mul_images, power_images
 from permchar.tableio import bundled_table, serialize_table, tables_match
 from permchar.verify import SWEEP_FAMILIES
@@ -169,10 +168,8 @@ def test_s3_table_matches_hand_computation():
 def test_c3_abelian_linear_values():
     T = character_table(corpus.build("c3").group, name="c3")
     assert T.degrees == [1, 1, 1]
-    from permchar.cyclo import root_of_unity
-
     values = {row.values[1] for row in T.rows}
-    assert values == {root_of_unity(3, k) for k in range(3)}
+    assert values == {Cyclotomic(3, [0] * k + [1]) for k in range(3)}
 
 
 def test_a5_degrees():
@@ -191,7 +188,8 @@ def test_central_character_integrality():
         for row in T.rows:
             d = row.degree.as_rational()
             for k in range(T.n_classes):
-                omega = row.values[k] * Fraction(T.sizes[k]) / d
+                v = row.values[k]
+                omega = Cyclotomic(v.conductor, [c * T.sizes[k] / d for c in v.coords])
                 assert all(c.denominator == 1 for c in omega.coords), (family, k)
 
 

@@ -37,10 +37,12 @@ NUMBERS = st.one_of(
     st.integers(-3, 40),
     st.integers(-(10**12), 10**12),
 ).map(str)
-# Tokens the grammar must reject or bound: exponents, signs and digit
-# separators inside E(...), huge conductors, division by zero.
+# Tokens the grammar must reject or bound: exponents, signs, digit
+# separators and non-ASCII digits (U+0663) inside E(...), huge conductors,
+# division by zero.
 NASTY = [
     "1e999999999", "2e9*E(5)", "E(100000)", "E(+100000)", "E(1_00000)", "E(10000000000)",
+    "E(0_3)", "E(\u0663)", "E(5)^1_0",
     "E(0)", "E(-3)", "E(5)^-1", "1/0", "E(4)^1e9", "nan", "inf", "1_000", "E(", "E()",
     "E(5)^", "*E(5)", "2**E(5)", "+", "-", "()", "#", "",
 ]
@@ -49,7 +51,7 @@ TOKENS = st.one_of(
     st.sampled_from(NASTY),
     st.sampled_from(PLAIN),
     NUMBERS,
-    st.text(alphabet="E()^*/+-_0123456789e. ", max_size=12),
+    st.text(alphabet="E()^*/+-_0123456789\u0663e. ", max_size=12),
 )
 DIRECTIVES = st.sampled_from(["name", "order", "classes", "sizes", "orders", "power", "chi"])
 HEADER_NUMBERS = {"order", "classes", "sizes", "orders", "power"}

@@ -323,6 +323,16 @@ def test_m22_dixon_agrees_with_bundled():
     ("orders 1 2 3", "orders 1 0 3", CharacterTableError),
     ("orders 1 2 3", "orders 1 -2 3", CharacterTableError),
     ("orders 1 2 3", "orders 1 2 5", CharacterTableError),
+    # int() also reads `+`, `_` separators and non-ASCII digits such as
+    # U+0663 (ARABIC-INDIC DIGIT THREE); header integers are ASCII digits
+    ("order 6", "order 0_6", TableSyntaxError),
+    ("order 6", "order +6", TableSyntaxError),
+    ("order 6", "order ٦", TableSyntaxError),
+    ("classes 3", "classes ٣", TableSyntaxError),
+    ("sizes 1 3 2", "sizes 1 3 0_2", TableSyntaxError),
+    ("orders 1 2 3", "orders 1 2 ٣", TableSyntaxError),
+    ("power 2 0 0 2", "power ٢ 0 0 2", TableSyntaxError),
+    ("power 2 0 0 2", "power 2 0 0 ٢", TableSyntaxError),
 ])
 def test_malformed_power_keys_and_orders_are_rejected(old, new, error):
     from permchar.corpus import data_dir
