@@ -328,37 +328,47 @@ def _as_class_function(a) -> ClassFunction:
 # -- core operations -------------------------------------------------------------
 
 
-def perm_character(G: PermGroup, H: PermGroup, reps, classes=None) -> ClassFunction:
-    """The permutation character pi = 1_H^G at the class representatives
-    `reps`: its value at a class is the number of cosets of H fixed by the
+def perm_character(G: PermGroup, H: PermGroup, classes) -> ClassFunction:
+    """The permutation character pi = 1_H^G at the representatives of the
+    class data `classes` (group, reps, sizes, orders and classify): its
+    value at a class is the number of cosets of H fixed by the
     representative. Raises ValueError unless H is a subgroup of G.
 
-    This is the one place that picks how pi is computed. Given the class
-    data `reps` came from (`classify` and `sizes` in the same class order)
-    and |H| <= k [G:H] for k classes, pi comes from the class fusion of H
+    This is the one place that picks how pi is computed. If |H| <= k [G:H]
+    for k classes, pi comes from the class fusion of H
     (`perm_character_by_fusion`): |H| `classify` lookups. Otherwise G acts
     on the [G:H] cosets and each representative is sifted through H once
     per coset, k [G:H] sifts in all.
     """
-    if classes is not None and H.order() <= len(classes.sizes) * (G.order() // H.order()):
+    if H.order() <= len(classes.sizes) * (G.order() // H.order()):
         return perm_character_by_fusion(G, H, classes)
-    return perm_character_values(coset_action(G, H), reps)
+    return perm_character_values(coset_action(G, H), classes.reps)
 
 
 def perm_character_by_fusion(G: PermGroup, H: PermGroup, classes) -> ClassFunction:
     """pi = 1_H^G by the induced-character formula
     pi(k) = |G| |H & C_k| / (|H| |C_k|), counting |H & C_k| with one
     `classify` lookup per element of H. Raises ValueError unless H is a
-    subgroup of G, before any lookup."""
+    subgroup of G, before any lookup.
+
+    The counts and class sizes are pooled per value b = classify(rep_k),
+    so pi(k) = |G| count[b] / (|H| sum of the sizes in b). For exact class
+    data b = k and this is the formula above. A matched classify returns
+    one column for a whole ambiguity group; its classes are Galois
+    conjugate, so they have equal sizes and the rational pi is constant on
+    them, and the pooled ratio is that constant.
+    """
     check_subgroup(G, H)
     counts = [0] * len(classes.sizes)
     classify = classes.classify
     for h in H.element_images_iter():
         counts[classify(h)] += 1
+    pooled = [0] * len(classes.sizes)
+    buckets = [classify(r.images) for r in classes.reps]
+    for b, s in zip(buckets, classes.sizes):
+        pooled[b] += s
     g_order, h_order = G.order(), H.order()
-    return ClassFunction([
-        Fraction(g_order * c, h_order * s) for c, s in zip(counts, classes.sizes)
-    ])
+    return ClassFunction([Fraction(g_order * counts[b], h_order * pooled[b]) for b in buckets])
 
 
 def perm_character_values(action, reps) -> ClassFunction:

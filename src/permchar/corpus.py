@@ -15,7 +15,8 @@ from importlib import resources
 from math import gcd
 from pathlib import Path
 
-from .cyclo import divisors
+from .cyclo import divisors, prime_factors
+from .dixon import primitive_root
 from .group import PermGroup, _point_orbits, setwise_stabilizer, sylow_2, trivial_group
 from .perm import Permutation, parse_permutation, cycle_string
 
@@ -41,22 +42,15 @@ _FIELD_POLYS = {
 MAX_FIELD_SIZE = 128
 
 
-def _factor_prime_power(q: int):
-    if q < 2:
+def _prime_power(q: int) -> tuple:
+    """(p, a) with q = p^a for a prime p; ValueError otherwise."""
+    factors = prime_factors(q)
+    if len(factors) != 1:
         raise ValueError(f"{q} is not a prime power")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            a = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                a += 1
-            if n != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, a
-        p += 1
-    return q, 1
+    p, a = factors[0], 1
+    while p ** a < q:
+        a += 1
+    return p, a
 
 
 class GF:
@@ -64,7 +58,7 @@ class GF:
     coefficient tuples (so 0 is the zero element and 1 is the unit)."""
 
     def __init__(self, q: int):
-        p, a = _factor_prime_power(q)
+        p, a = _prime_power(q)
         if q > MAX_FIELD_SIZE:
             raise ValueError(f"field size {q} exceeds supported bound {MAX_FIELD_SIZE}")
         self.q, self.p, self.a = q, p, a
@@ -107,15 +101,7 @@ class GF:
 
     def _find_generator(self, tuples, mul_tuples, index):
         if self.a == 1:
-            if self.p == 2:
-                return (1,)
-            for g in range(2, self.p):
-                o, y = 1, g
-                while y != 1:
-                    y = y * g % self.p
-                    o += 1
-                if o == self.p - 1:
-                    return (g,)
+            return (1,) if self.p == 2 else (primitive_root(self.p),)
         # residue class of x; primitivity of the shipped polynomial is
         # what makes this a generator, asserted here
         xt = (0, 1) + (0,) * (self.a - 2)
@@ -278,7 +264,7 @@ def alternating(n: int) -> CorpusGroup:
 
 def frobenius(p: int, m: int) -> CorpusGroup:
     """C_p : C_m inside AGL(1,p), with p prime and m dividing p-1."""
-    if _factor_prime_power(p)[1] != 1:
+    if _prime_power(p)[1] != 1:
         raise ValueError(f"f{p}_{m}: {p} is not a prime")
     field = GF(p)
     if (p - 1) % m:
@@ -540,9 +526,13 @@ def load_group_file(path) -> PermGroup:
         if not line:
             continue
         if line.startswith("#"):
-            m = re.match(r"#\s*order:\s*([0-9]+)", line)
+            m = re.match(r"#\s*order:(.*)", line)
             if m:
-                expected_order = int(m.group(1))
+                value = m.group(1).strip()
+                if not (value.isascii() and value.isdigit()):
+                    raise ValueError(f"{path}:{lineno}: declared order {value!r} is not a"
+                                     " number")
+                expected_order = int(value)
             continue
         if degree is None:
             m = re.fullmatch(r"degree\s+([0-9]+)", line)

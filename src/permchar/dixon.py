@@ -11,7 +11,7 @@ column orthogonality for a square table) before it is returned.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from operator import itemgetter, mul
 
 from .charfun import CharacterTable
@@ -63,34 +63,6 @@ def primitive_root(p: int) -> int:
         if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
             return g
         g += 1
-
-
-def sqrt_mod(a: int, p: int) -> int:
-    """Tonelli-Shanks; a must be a quadratic residue mod the odd prime p."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        raise ValueError("not a quadratic residue")
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
 
 
 def _poly_mul_mod(a, b, f, p):
@@ -459,9 +431,11 @@ def character_table(G: PermGroup, C=None, name: str = "") -> CharacterTable:
     for om in omegas:
         s = sum(om[t] * om[inverse_map[t]] % p * inv_sizes[t] for t in range(k)) % p
         deg_sq = order * pow(s, p - 2, p) % p
-        deg = sqrt_mod(deg_sq, p)
-        if deg > p // 2:
-            deg = p - deg
+        # chi(1) <= sqrt|G| < p/2, so chi(1) is the one d in that range
+        # with d^2 = deg_sq (mod p)
+        deg = next((d for d in range(1, isqrt(order) + 1) if d * d % p == deg_sq), None)
+        if deg is None:
+            raise AssertionError(f"no degree d <= sqrt|G| has d^2 = {deg_sq} mod {p}")
         chi_mod = [om[t] * deg % p * inv_sizes[t] % p for t in range(k)]
         values = [Cyclotomic.rational(deg)]
         for t in range(1, k):

@@ -14,13 +14,15 @@ elements into a `classes.SampledClassSet` between matching attempts and
 propagating reps through the table's power maps and Galois conjugation.
 Columns that only algebraic conjugacy distinguishes are reported as
 ambiguity groups; rational class functions cannot see the difference.
+The matching keeps its `SampledClassSet` and classifies elements by their
+bucket key, which is exact up to the ambiguity groups.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, lcm
 from pathlib import Path
 
@@ -228,12 +230,15 @@ class MatchingError(RuntimeError):
 
 @dataclass
 class ClassMatching:
-    """Representatives for each table column of a live group.
+    """Class data of a live group matched to its table: group, reps,
+    sizes and orders (the table's), and classify.
 
     `reps[c]` lies in the class of column c for every resolution of the
     declared `ambiguity_groups` (tuples of column indices that only
     algebraic conjugacy separates; any rational class function is constant
-    on each group).
+    on each group). `classify` maps an element to the first column assigned
+    its `SampledClassSet` bucket key, so it is exact only up to the
+    ambiguity groups: Galois-conjugate columns share a bucket.
     """
 
     table: CharacterTable
@@ -241,6 +246,20 @@ class ClassMatching:
     reps: list
     ambiguity_groups: list
     samples_used: int
+    sampled: SampledClassSet = field(repr=False)
+    columns: dict = field(repr=False)  # bucket key -> first column assigned it
+
+    sizes = property(lambda self: self.table.sizes)
+    orders = property(lambda self: self.table.orders)
+
+    def classify(self, images: tuple) -> int:
+        """The column of an element (image tuple) of the group, up to the
+        ambiguity groups."""
+        key = self.sampled.add(images, order_of_images(images))
+        column = self.columns.get(key)
+        if column is None:
+            raise MatchingError(f"no column was assigned the class key {key}")
+        return column
 
     def alternate_reps(self) -> list:
         """A second full representative set with every ambiguity group's
@@ -372,7 +391,8 @@ def _assign(G: PermGroup, table: CharacterTable, sampled: SampledClassSet, used:
     chosen = full[0]
     reps = _derive_reps(G, table, buckets, chosen)
     ambiguity = _ambiguity_groups(table, chosen, full)
-    matching = ClassMatching(table, G, reps, ambiguity, used)
+    columns = {chosen[c]: c for c in reversed(range(k))}  # the first column per key
+    matching = ClassMatching(table, G, reps, ambiguity, used, sampled, columns)
     _validate_matching(G, matching)
     return matching
 

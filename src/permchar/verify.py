@@ -30,7 +30,7 @@ from .group import (
     sylow_2,
 )
 from .perm import conjugator
-from .tableio import bundled_table, find_representatives
+from .tableio import ClassMatching, bundled_table, find_representatives
 
 
 @dataclass
@@ -85,20 +85,19 @@ _BUNDLED_TABLES = {"m11", "m22", "m23"}
 
 
 class GroupContext:
-    """A group together with its character table and per-column class
-    representatives, from either full enumeration or table matching;
-    built by `for_group` (or `for_family`)."""
+    """A group together with its character table and its class data
+    `classes`: an enumerated `ConjugacyClassSet`, or a `ClassMatching` of
+    the table to sampled classes. Both have group, reps, sizes, orders and
+    classify; a matched classify is exact only up to the ambiguity groups.
+    Built by `for_group` (or `for_family`)."""
 
-    def __init__(self, name, group, table, reps, threshold, corpus_group,
-                 classes=None, matching=None):
+    def __init__(self, name, group, table, classes, threshold, corpus_group):
         self.name = name
         self.group = group
         self.table = table
-        self.reps = reps
+        self.classes = classes
         self.threshold = threshold
         self.corpus_group = corpus_group
-        self.classes = classes
-        self.matching = matching
         self._sylow2 = None
         self._sylow2_normalizer = None
         self._perm_characters: dict = {}
@@ -132,12 +131,11 @@ class GroupContext:
         if table is None and name in _BUNDLED_TABLES:
             table = bundled_table(name)
         if table is not None:
-            matching = find_representatives(group, table, seed=seed)
-            return cls(name, group, table, matching.reps, threshold, corpus_group,
-                       matching=matching)
-        classes = conjugacy_classes(group, threshold=threshold)
-        table = character_table(group, classes, name=name)
-        return cls(name, group, table, classes.reps, threshold, corpus_group, classes=classes)
+            classes = find_representatives(group, table, seed=seed)
+        else:
+            classes = conjugacy_classes(group, threshold=threshold)
+            table = character_table(group, classes, name=name)
+        return cls(name, group, table, classes, threshold, corpus_group)
 
     def subgroup(self, selector: str) -> PermGroup:
         return self.corpus_group.subgroup(selector)
@@ -145,14 +143,12 @@ class GroupContext:
     def perm_character(self, H: PermGroup) -> ClassFunction:
         """pi = 1_H^G at the class representatives, kept per generating set
         of H, so every checker on the same subgroup shares one computation.
-        An enumerated context hands `perm_character` its class data, which
-        lets small subgroups take the class-fusion path; a matched context
-        has none and always builds the coset action."""
+        `perm_character` picks class fusion or the coset action from the
+        sizes alone."""
         key = tuple(g.images for g in H.generators)
         pi = self._perm_characters.get(key)
         if pi is None:
-            pi = self._perm_characters[key] = perm_character(
-                self.group, H, self.reps, self.classes)
+            pi = self._perm_characters[key] = perm_character(self.group, H, self.classes)
         return pi
 
     def decompose_perm_character(self, H: PermGroup):
@@ -522,7 +518,12 @@ def check_burnside(ctx: GroupContext) -> VerificationReport:
 def induction_real_constituents(ctx: GroupContext, H: PermGroup):
     """For each real theta in Irr(H): its indicator and the real
     constituents of theta^G, via Frobenius reciprocity over the fusion
-    map (no induction operator needed)."""
+    map (no induction operator needed). The fusion map restricts
+    non-rational characters too, so it needs exact class data: a matching
+    with ambiguity groups raises ValueError."""
+    if isinstance(ctx.classes, ClassMatching) and ctx.classes.ambiguity_groups:
+        raise ValueError(f"{ctx.name}: class fusion needs exact class data, and the"
+                         f" matching has ambiguity groups {ctx.classes.ambiguity_groups}")
     h_classes = conjugacy_classes(H)
     h_table = character_table(H, h_classes)
     fusion = [ctx.classes.classify(r.images) for r in h_classes.reps]
@@ -641,9 +642,9 @@ def reproduce_paper_tables(seed: int = 0, items=None) -> list:
             ],
             passed=ok,
         )
-        if ctx.matching is not None and ctx.matching.ambiguity_groups:
+        if isinstance(ctx.classes, ClassMatching) and ctx.classes.ambiguity_groups:
             report.notes.append(
-                f"class-matching ambiguity groups: {ctx.matching.ambiguity_groups}"
+                f"class-matching ambiguity groups: {ctx.classes.ambiguity_groups}"
             )
         reports.append(report)
     return reports

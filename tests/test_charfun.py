@@ -21,7 +21,7 @@ from permchar.cyclo import Cyclotomic
 from permchar.dixon import character_table
 from permchar.group import PermGroup, coset_action, sylow_2, trivial_group
 from permchar.perm import inv_images, parse_permutation
-from permchar.tableio import bundled_table
+from permchar.tableio import ClassMatching, bundled_table
 
 
 def _self_inverse_classes(C) -> list:
@@ -39,7 +39,7 @@ def _ctx(family):
 def test_perm_character_spec_examples():
     G, C, T = _ctx("s3")
     # H = G: all-ones
-    pi = perm_character(G, G, C.reps)
+    pi = perm_character(G, G, C)
     assert all(v == 1 for v in pi.values)
     # H = A3: values (2, 0, 2) on classes (1A, 2A, 3A)
     a3 = corpus.build("c3").group
@@ -47,7 +47,7 @@ def test_perm_character_spec_examples():
     from permchar.perm import parse_permutation
 
     H = PermGroup([parse_permutation("(1,2,3)", 3)], 3)
-    pi = perm_character(G, H, C.reps)
+    pi = perm_character(G, H, C)
     assert [int(v.as_rational()) for v in pi.values] == [2, 0, 2]
     # permutation characters are rational, hence conjugation-fixed
     assert pi.is_rational_valued() and pi.is_real_valued()
@@ -58,41 +58,77 @@ THEOREM_D_FAMILIES = ["c6", "s4", "a5", "psl3_2", "agl1_27", "q8", "sl23",
                       "d10", "q16", "a4", "c3q16", "f7_3", "f13_3", "a4c4"]
 
 
-@pytest.mark.parametrize("family", verify.SWEEP_FAMILIES + sorted(
-    set(THEOREM_D_FAMILIES) - set(verify.SWEEP_FAMILIES)))
-def test_fusion_matches_coset_action(family):
-    """pi by class fusion equals pi by the coset action on the sweep's
-    subgroups (seeds 0 and 1, budget 14), on 1 and G, and on the Sylow-2
-    normalizer of the theorem-D groups, whichever path the rule picks for
-    the public `perm_character`."""
-    ctx = verify.context(family)
+def _assert_fusion_matches_coset_action(ctx, subgroups):
+    """pi by class fusion, and by whichever path `perm_character` picks,
+    equals pi by the coset action at the context's class reps."""
     G, C = ctx.group, ctx.classes
-    subgroups = [H for seed in (0, 1)
-                 for _, H in verify.sample_subgroups(G, seed=seed, budget=14)]
-    subgroups += [trivial_group(G.degree), G]
-    if family in THEOREM_D_FAMILIES:
-        subgroups.append(ctx.sylow2_normalizer())
     for H in subgroups:
         oracle = perm_character_values(coset_action(G, H), C.reps)
         assert perm_character_by_fusion(G, H, C) == oracle, H
-        assert perm_character(G, H, C.reps, C) == oracle, H
+        assert perm_character(G, H, C) == oracle, H
+
+
+def _sweep_subgroups(G) -> list:
+    """The sweep's subgroups (seeds 0 and 1, budget 14), 1 and G."""
+    subgroups = [H for seed in (0, 1)
+                 for _, H in verify.sample_subgroups(G, seed=seed, budget=14)]
+    return subgroups + [trivial_group(G.degree), G]
+
+
+@pytest.mark.parametrize("family", verify.SWEEP_FAMILIES + sorted(
+    set(THEOREM_D_FAMILIES) - set(verify.SWEEP_FAMILIES)))
+def test_fusion_matches_coset_action(family):
+    """On enumerated class data: the sweep's subgroups, and the Sylow-2
+    normalizer of the theorem-D groups."""
+    ctx = verify.context(family)
+    subgroups = _sweep_subgroups(ctx.group)
+    if family in THEOREM_D_FAMILIES:
+        subgroups.append(ctx.sylow2_normalizer())
+    _assert_fusion_matches_coset_action(ctx, subgroups)
+
+
+# the sweep families whose Dixon table `find_representatives` cannot match:
+# non-Galois classes collide, or no assignment respects the power maps
+UNMATCHABLE_SWEEP_FAMILIES = {"q8", "q16", "q32", "c3q16"}
+
+
+@pytest.mark.parametrize("family", [
+    f for f in verify.SWEEP_FAMILIES if f not in UNMATCHABLE_SWEEP_FAMILIES])
+def test_fusion_matches_coset_action_on_matched_classes(family):
+    """On a matching of the family's own Dixon table, whose classify is
+    exact only up to the ambiguity groups: the sweep's subgroups."""
+    enumerated = verify.context(family)
+    ctx = verify.GroupContext.for_group(family, enumerated.group, table=enumerated.table)
+    assert isinstance(ctx.classes, ClassMatching)
+    _assert_fusion_matches_coset_action(ctx, _sweep_subgroups(ctx.group))
+
+
+@pytest.mark.parametrize("family, selector", [
+    pytest.param(f, s, marks=[pytest.mark.slow] if f == "m23" else [])
+    for f, s, _, _ in verify.PAPER_TABLE_ITEMS
+])
+def test_fusion_matches_coset_action_on_the_paper_pairs(family, selector):
+    ctx = verify.context(family)
+    _assert_fusion_matches_coset_action(ctx, [ctx.subgroup(selector)])
 
 
 def test_both_perm_character_paths_reject_non_subgroups():
     """A subgroup of the wrong degree or outside G raises the coset
     action's ValueError on the fusion path too, not a KeyError from
-    `classify`; both subgroups are small enough for the rule to pick
-    fusion when class data is given."""
+    `classify`. The rule sends the small subgroups to fusion and the
+    large ones, S5 and S4 against |A4| = 12, to the coset action."""
     G, C, _ = _ctx("a4")
     cases = [
         (trivial_group(5), "degree mismatch"),
+        (corpus.build("s5").group, "degree mismatch"),
         (PermGroup([parse_permutation("(1,2)", 4)], 4), "not a subgroup"),
+        (corpus.build("s4").group, "not a subgroup"),
     ]
     for H, message in cases:
         for compute in (
-            lambda: perm_character(G, H, C.reps, C),
-            lambda: perm_character(G, H, C.reps),
+            lambda: perm_character(G, H, C),
             lambda: perm_character_by_fusion(G, H, C),
+            lambda: coset_action(G, H),
         ):
             with pytest.raises(ValueError, match=message):
                 compute()
@@ -104,7 +140,7 @@ def test_inner_product_and_row_norms():
         assert inner_product(row, row, T.sizes, T.order) == 1
     # transitive action: <pi, 1> = 1
     H = sylow_2(G)
-    pi = perm_character(G, H, C.reps)
+    pi = perm_character(G, H, C)
     assert inner_product(pi, trivial_character(T), T.sizes, T.order) == 1
 
 
@@ -146,7 +182,7 @@ def test_decompose_errors_on_non_character():
 def test_column_reconstruction():
     G, C, T = _ctx("a5")
     H = G.pointwise_stabilizer([0])
-    pi = perm_character(G, H, C.reps)
+    pi = perm_character(G, H, C)
     mults = decompose(pi, T)  # recomposition is checked inside decompose
     assert sum(m * d for m, d in zip(mults, T.degrees)) == 5
 
@@ -154,7 +190,7 @@ def test_column_reconstruction():
 def test_atlas_rendering():
     G, C, T = _ctx("s4")
     H = sylow_2(G)
-    pi = perm_character(G, H, C.reps)
+    pi = perm_character(G, H, C)
     assert atlas_string(decompose(pi, T), T) == "1a+2a"
     reg = decompose(regular_character(T), T)
     # multiplicity-2 renders with a doubled letter, 3 with tripled

@@ -143,6 +143,24 @@ def test_group_file_errors(tmp_path):
         corpus.load_group_file(nodeg)
 
 
+def test_declared_order_must_be_a_number(tmp_path, capsys):
+    """A `# order:` header whose value is not ASCII digits is an error
+    naming its line, not skipped or read by its leading digits; other
+    comments are ignored and whitespace around the value is allowed."""
+    from permchar.cli import main
+
+    for i, value in enumerate(["twelve", "2x", "", "-2", "1 2", "\u0662"]):
+        path = tmp_path / f"g{i}.grp"
+        path.write_text(f"# name: c2\n# order: {value}\ndegree 2\n(1,2)\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"g{i}.grp:2: declared order"):
+            corpus.load_group_file(path)
+        assert main(["fsind", "--group-file", str(path)]) == 2
+    capsys.readouterr()
+    ok = tmp_path / "ok.grp"
+    ok.write_text("# ordering: anything\n#order:  2 \ndegree 2\n(1,2)\n")
+    assert corpus.load_group_file(ok).order() == 2
+
+
 def test_digits_are_ascii(tmp_path):
     """Regex `\\d` also matches non-ASCII digits such as U+0663
     (ARABIC-INDIC DIGIT THREE), and int() reads them."""

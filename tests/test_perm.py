@@ -153,6 +153,6 @@ def test_degree_one_groups_keep_tuples(family):
     T = character_table(G, C, name=family)
     assert T.degrees == [1]
     assert coset_action(G, trivial_group(1)).reps == [(0,)]
-    pi = perm_character(G, trivial_group(1), C.reps)
+    pi = perm_character(G, trivial_group(1), C)
     assert [str(v) for v in pi.values] == ["1"]
     assert decompose(pi, T) == [1]

@@ -308,6 +308,39 @@ def test_matching_m22_against_full_enumeration():
             assert same[0] == col
 
 
+@pytest.mark.parametrize("family", [
+    "m11", "psl2_23", "a7", pytest.param("m22", marks=pytest.mark.slow)])
+def test_matched_classify_agrees_with_enumerated_classes(family):
+    """`ClassMatching.classify` against `ConjugacyClassSet.classify` on
+    every element. The matched column is a function of the class, with the
+    class's size and order, and each ambiguity group (or single column
+    outside them) receives as many classes as it has columns. A Dixon
+    table has the enumeration's column order, so there the column of
+    class k lies in the ambiguity group of k."""
+    G = corpus.build(family).group
+    C = conjugacy_classes(G)
+    dixon = family not in BUNDLED
+    T = character_table(G, C, name=family) if dixon else bundled_table(family)
+    m = find_representatives(G, T, seed=0)
+    assert (m.group, m.sizes, m.orders) == (G, T.sizes, T.orders)
+    group_of = {c: grp for grp in m.ambiguity_groups for c in grp}
+    column_of: dict = {}
+    for g in G.element_images_iter():
+        k, c = C.classify(g), m.classify(g)
+        assert column_of.setdefault(k, c) == c, (k, g)
+    assert len(column_of) == len(C)
+    received: dict = {}
+    for k, c in column_of.items():
+        assert (T.sizes[c], T.orders[c]) == (C.sizes[k], C.orders[k])
+        received.setdefault(group_of.get(c, (c,)), []).append(k)
+        if dixon:
+            assert k in group_of.get(c, (c,))
+    assert all(len(grp) == len(ks) for grp, ks in received.items())
+    # a transposition lies in none of these groups, so no column has its key
+    with pytest.raises(MatchingError, match="no column"):
+        m.classify((1, 0) + tuple(range(2, G.degree)))
+
+
 @pytest.mark.slow
 def test_m22_dixon_agrees_with_bundled():
     G = corpus.build("m22").group

@@ -3,6 +3,7 @@ import pytest
 from permchar import corpus, verify
 from permchar.group import PermGroup
 from permchar.perm import parse_permutation
+from permchar.tableio import ClassMatching
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -124,7 +125,7 @@ def _check_theorem_D_against_brute_force(family):
     ]
     assert len(columns) == len(r.witnesses)
     for k, w in zip(columns, r.witnesses):
-        x = ctx.reps[k].images
+        x = ctx.classes.reps[k].images
         brute = sum(1 for Q in conjugates if all(conj_images(e, x) in Q for e in Q))
         assert w["normalized_sylow_count"] == brute, (family, k)
 
@@ -151,7 +152,7 @@ def test_theorem_D_reads_the_table_and_enumerates_nothing(monkeypatch):
     monkeypatch.setattr(verify, "sylow2_conjugates", forbidden)
     assert verify.check_theorem_D(matched).passed
     assert verify.check_theorem_D(enumerated).passed
-    assert matched.classes is None
+    assert isinstance(matched.classes, ClassMatching)
     assert enumerated.classes is classes
 
 
@@ -223,6 +224,14 @@ def test_c3q16_phenomenon():
     assert r.conclusion["per_candidate"]["c3q16"]["exhibits"] is False
     assert r.conclusion["per_candidate"]["a4c4"]["exhibits"] is True
     assert r.conclusion["per_candidate"]["a4c4"]["index"] == 3
+
+
+def test_induction_refuses_class_data_with_ambiguity_groups():
+    """Restricting a non-rational character needs exact fusion, which a
+    matched classify gives only up to its ambiguity groups."""
+    ctx = verify.context("m11")
+    with pytest.raises(ValueError, match="ambiguity groups"):
+        verify.induction_real_constituents(ctx, ctx.sylow2())
 
 
 def test_sweep_runner_small():
@@ -324,7 +333,7 @@ def test_o2prime_classes_match_the_group_oracle(family):
     ctx = verify.context(family)
     K = o_2prime(ctx.group)
     got = ctx.table.o2prime_classes()
-    assert got == [k for k, r in enumerate(ctx.reps) if K.contains_images(r.images)]
+    assert got == [k for k, r in enumerate(ctx.classes.reps) if K.contains_images(r.images)]
     assert sum(ctx.table.sizes[k] for k in got) == K.order()
 
 
@@ -340,8 +349,9 @@ def test_pi_derivations_match_group_oracles_mathieu(family, selector):
 def test_checkers_share_one_perm_character_per_subgroup(monkeypatch):
     """Five checkers on one subgroup compute pi once, on whichever path
     `perm_character` picks: psl3_2's point stabilizer (|H| = 24 <= 6 * 7)
-    by class fusion and no coset action; M11's S5, in a matched context
-    with no classifier, by exactly one coset action."""
+    and, in a matched context, M11's S5 (120 <= 10 * 66) by class fusion
+    and no coset action; M11's point stabilizer M10 (720 > 10 * 11) by
+    exactly one coset action."""
     from permchar import charfun, group
 
     calls = []
@@ -357,7 +367,8 @@ def test_checkers_share_one_perm_character_per_subgroup(monkeypatch):
         monkeypatch.setattr(mod, "coset_action", coset)
     monkeypatch.setattr(charfun, "perm_character_by_fusion",
                         counting("fusion", charfun.perm_character_by_fusion))
-    for family, selector, path in (("psl3_2", "point", "fusion"), ("m11", "s5", "coset")):
+    for family, selector, path in (("psl3_2", "point", "fusion"), ("m11", "s5", "fusion"),
+                                   ("m11", "point0", "coset")):
         calls.clear()
         ctx = verify.GroupContext.for_family(family)
         H = ctx.subgroup(selector)
