@@ -14,8 +14,8 @@ from array import array
 from math import gcd
 
 from .cyclo import divisors
-from .group import PermGroup
-from .perm import Permutation, conjugator, cycle_type, order_of_images, power_images
+from .group import PermGroup, point_set_orbit
+from .perm import Permutation, conjugator, cycle_type, mul_images, order_of_images, power_images
 
 DEFAULT_ENUMERATION_THRESHOLD = 2_000_000
 
@@ -110,7 +110,10 @@ class _PackedSet:
         self.buf = b"".join(sorted(records))
         self.n = len(records)
 
-    def __contains__(self, rec):
+    def __len__(self) -> int:
+        return self.n
+
+    def __contains__(self, rec) -> bool:
         lo, hi = 0, self.n
         w = self.width
         while lo < hi:
@@ -125,13 +128,96 @@ class _PackedSet:
         return False
 
 
+def _invariant_set(images: tuple, ct: tuple) -> frozenset:
+    """F(g) for g with cycle type ct: the points on the cycles of g of the
+    length that covers the fewest points, ties going to the shorter length;
+    every point when g has one cycle length. F(x^-1 g x) is the image of
+    F(g) under x."""
+    if ct[0] == ct[-1]:
+        return frozenset(range(len(images)))
+    covered: dict = {}
+    for k in ct:
+        covered[k] = covered.get(k, 0) + k
+    length = min(covered, key=lambda k: (covered[k], k))
+    if length == 1:
+        return frozenset([p for p, q in enumerate(images) if p == q])
+    seen = [False] * len(images)
+    points = []
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        cycle = [start]
+        seen[start] = True
+        j = images[start]
+        while j != start:
+            seen[j] = True
+            cycle.append(j)
+            j = images[j]
+        if len(cycle) == length:
+            points.extend(cycle)
+    return frozenset(points)
+
+
+class _SetOrbit:
+    """The G-orbit of an invariant point set `base` (F0), with its
+    setwise stabilizer S. `transversal[i]` maps F0 onto the orbit's i-th
+    set and `inverses[i]` is its inverse, so `move` conjugates an element
+    whose invariant set is the i-th onto one whose invariant set is F0.
+    When F0 is every point, S is G, nothing moves, and the S-classes are
+    kept as `pack`ed byte records; `key` is the form of their members."""
+
+    def __init__(self, group: PermGroup, base: frozenset, pack):
+        if len(base) == group.degree:
+            self.index = {base: 0}
+            self.stabilizer = group
+            self.key = pack
+            return
+        orbit, self.transversal, self.inverses, self.stabilizer = point_set_orbit(group, base)
+        self.index = {points: i for i, points in enumerate(orbit)}
+        self.key = tuple
+
+    def move(self, images: tuple, points: frozenset):
+        """u * g * u^-1 for the transversal element u that maps F0 onto
+        `points`, the invariant set of g; None if `points` is not in
+        this orbit."""
+        i = self.index.get(points)
+        if i is None:
+            return None
+        if i == 0:
+            return images
+        return mul_images(mul_images(self.transversal[i], images), self.inverses[i])
+
+
+class _WalkedClass:
+    """One conjugacy class of G, found through the orbit `frame` of its
+    elements' invariant sets: `members` is the S-class of the moved `rep`,
+    S the stabilizer of F0, and n = |F0^G| * |members| is the size of the
+    G-class. Two elements are G-conjugate exactly when their moved copies
+    are S-conjugate. Where F0 is every point (one cycle length), S is G and
+    the members are the whole class, packed."""
+
+    __slots__ = ("rep", "frame", "members", "n")
+
+    def __init__(self, rep: tuple, frame: _SetOrbit, moved: tuple):
+        self.rep = rep
+        self.frame = frame
+        members = conjugation_orbit(frame.stabilizer, moved, frame.key)
+        self.members = members if frame.key is tuple else _PackedSet(members)
+        self.n = len(frame.index) * len(members)
+
+    def holds(self, images: tuple, points: frozenset) -> bool:
+        """Whether an element with invariant set `points` lies in the class."""
+        moved = self.frame.move(images, points)
+        return moved is not None and self.frame.key(moved) in self.members
+
+
 class SampledClassSet:
     """Classes of a group too large to enumerate, from seeded random elements.
 
     Each element added goes into a bucket keyed (fingerprint, class size or
     None), the fingerprint being (element order, cycle type); `buckets`
-    keeps the first element added per key. A class is walked, and kept
-    packed, only where its size is part of the key:
+    keeps the first element added per key. A class is sized only where its
+    size is part of the key:
 
     - Given `table`, for the element orders whose table columns come in
       several sizes (the two order-4 classes of M22 on 22 points share a
@@ -144,12 +230,23 @@ class SampledClassSet:
       The set then holds the class data `dixon.character_table` reads:
       group, reps (the first element added per class), sizes, orders and
       classify, classes sorted by (order, size, rep images).
+
+    A class is sized through the stabilizer S of an invariant point set
+    (`_invariant_set`) instead of being walked whole: |g^G| = |F0^G| *
+    |g0^S| for g0 the conjugate of g with invariant set F0. One orbit of
+    point sets, with its transversal and S, serves every class whose
+    invariant sets lie in it. On M22 the order-4 elements fix 2 points, so
+    S has order 1,920 and the two order-4 classes are walked as S-classes
+    of 60 and 120 elements instead of 13,860 and 27,720. Only an element
+    with one cycle length, whose invariant set is every point, has its
+    whole class walked, and that class is kept as packed byte records.
     """
 
     def __init__(self, group: PermGroup, table=None, seed: int = 0, budget: int = 100_000):
         self.group = group
         self.buckets: dict = {}
-        self._walked: dict = {}  # cycle type -> [(rep images, _PackedSet of the class)]
+        self._frames: dict = {}  # size of the invariant set -> [_SetOrbit]
+        self._walked: dict = {}  # cycle type -> [_WalkedClass]
         self._total = 0
         self._pack = bytes if group.degree <= 256 else lambda x: array("H", x).tobytes()
         self._walk_orders = None if table is None else {
@@ -180,19 +277,29 @@ class SampledClassSet:
         return key
 
     def _class_size(self, images: tuple, ct: tuple, order: int) -> int:
+        points = _invariant_set(images, ct)
+        frames = self._frames.setdefault(len(points), [])
+        for frame in frames:
+            moved = frame.move(images, points)
+            if moved is not None:
+                break
+        else:
+            frame = _SetOrbit(self.group, points, self._pack)
+            frames.append(frame)
+            moved = images
         walked = self._walked.setdefault(ct, [])
-        record = self._pack(images)
-        for _, members in walked:
-            if record in members:
-                return members.n
-        members = _PackedSet(conjugation_orbit(self.group, images, self._pack))
-        walked.append((images, members))
-        self._total += members.n
+        record = frame.key(moved)
+        for cls in walked:
+            if cls.frame is frame and record in cls.members:
+                return cls.n
+        cls = _WalkedClass(images, frame, moved)
+        walked.append(cls)
+        self._total += cls.n
         if self._walk_orders is None:
             for k in range(2, order):
                 if gcd(k, order) == 1:
                     self.add(power_images(images, k), order)
-        return members.n
+        return cls.n
 
     def _discover(self, rng: random.Random, budget: int) -> None:
         order = self.group.order()
@@ -205,9 +312,9 @@ class SampledClassSet:
             self.sample(rng, 1)
             used += 1
         flat = sorted(
-            (order_of_images(rep), members.n, rep)
+            (order_of_images(cls.rep), cls.n, cls.rep)
             for walked in self._walked.values()
-            for rep, members in walked
+            for cls in walked
         )
         index = {rep: i for i, (_, _, rep) in enumerate(flat)}
         self.reps = [Permutation(rep) for _, _, rep in flat]
@@ -217,18 +324,18 @@ class SampledClassSet:
         # last class walked of each cycle type classifies by elimination
         # and its members need not be kept; nothing is added to a complete set
         self._by_type = {
-            ct: [(index[rep], members) for rep, members in walked[:-1]]
-            + [(index[walked[-1][0]], None)]
+            ct: [(index[cls.rep], cls) for cls in walked[:-1]] + [(index[walked[-1].rep], None)]
             for ct, walked in self._walked.items()
         }
-        del self._walked
+        del self._walked, self._frames
 
     def classify(self, images: tuple) -> int:
         """Class index of an element (image tuple) of the group."""
-        candidates = self._by_type[cycle_type(images)]
+        ct = cycle_type(images)
+        candidates = self._by_type[ct]
         if len(candidates) > 1:
-            record = self._pack(images)
-            for idx, members in candidates[:-1]:
-                if record in members:
+            points = _invariant_set(images, ct)
+            for idx, cls in candidates[:-1]:
+                if cls.holds(images, points):
                     return idx
         return candidates[-1][0]

@@ -340,6 +340,13 @@ def orbit_stabilizer(G: PermGroup, seed, act):
     and sifted incrementally, so the stabilizer generating set stays
     small. Deterministic for a fixed generator order.
     """
+    orbit, _, _, stab = _orbit_transversal_stabilizer(G, seed, act)
+    return orbit, stab
+
+
+def _orbit_transversal_stabilizer(G: PermGroup, seed, act):
+    """`orbit_stabilizer` that also returns the transversal of `_orbit` and
+    its inverses: (orbit, transversal, inverses, stabilizer)."""
     gens = [g.images for g in G.generators]
     orbit, transversal, images = _orbit(seed, gens, act, G.degree)
     inverses = [inv_images(u) for u in transversal]
@@ -351,7 +358,7 @@ def orbit_stabilizer(G: PermGroup, seed, act):
             if not stab.contains_images(s):
                 stab_gens.append(Permutation(s))
                 stab = PermGroup(stab_gens, G.degree)
-    return orbit, stab
+    return orbit, transversal, inverses, stab
 
 
 def _conjugators(G: PermGroup) -> dict:
@@ -374,15 +381,20 @@ def normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
     return stab
 
 
+def point_set_orbit(G: PermGroup, points):
+    """The G-orbit of a point set F0, as (orbit, transversal, inverses,
+    stabilizer): orbit[0] is F0, transversal[i] maps F0 onto orbit[i],
+    inverses[i] is its inverse, and the stabilizer is Stab_G(F0)."""
+    return _orbit_transversal_stabilizer(G, frozenset(points), _image_set)
+
+
+def _image_set(points: frozenset, g: tuple) -> frozenset:
+    return frozenset(map(g.__getitem__, points))
+
+
 def setwise_stabilizer(G: PermGroup, points) -> PermGroup:
     """Stabilizer of a point set, via the orbit on point sets."""
-    seed = frozenset(points)
-
-    def act(obj, g):
-        return frozenset(g[p] for p in obj)
-
-    _, stab = orbit_stabilizer(G, seed, act)
-    return stab
+    return point_set_orbit(G, points)[3]
 
 
 # -- coset actions -----------------------------------------------------------

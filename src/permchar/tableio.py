@@ -162,7 +162,8 @@ def tables_match(A: CharacterTable, B: CharacterTable) -> bool:
     """Exact equality up to a row and column permutation.
 
     Columns are matched respecting sizes, orders and the shared power
-    maps; rows must then coincide as multisets of value tuples.
+    maps (every one of them commutes with the finished bijection); rows
+    must then coincide as multisets of value tuples.
     """
     k = A.n_classes
     if A.order != B.order or k != B.n_classes:
@@ -182,11 +183,19 @@ def tables_match(A: CharacterTable, B: CharacterTable) -> bool:
     used = [False] * k
 
     def power_consistent(a: int, c: int) -> bool:
+        # prunes on targets assigned already; `commutes` checks the rest
         for p in shared_primes:
             ta, tb = A.power_maps[p][a], B.power_maps[p][c]
             if sigma[ta] is not None and sigma[ta] != tb:
                 return False
         return True
+
+    def commutes() -> bool:
+        return all(
+            sigma[A.power_maps[p][a]] == B.power_maps[p][sigma[a]]
+            for p in shared_primes
+            for a in range(k)
+        )
 
     def rows_agree() -> bool:
         inv = [0] * k
@@ -203,7 +212,7 @@ def tables_match(A: CharacterTable, B: CharacterTable) -> bool:
 
     def backtrack(a: int) -> bool:
         if a == k:
-            return rows_agree()
+            return commutes() and rows_agree()
         for c in candidates[a]:
             if not used[c] and power_consistent(a, c):
                 sigma[a] = c
@@ -238,7 +247,10 @@ class ClassMatching:
     algebraic conjugacy separates; any rational class function is constant
     on each group). `classify` maps an element to the first column assigned
     its `SampledClassSet` bucket key, so it is exact only up to the
-    ambiguity groups: Galois-conjugate columns share a bucket.
+    ambiguity groups: Galois-conjugate columns share a bucket. Where the
+    key holds a class size, the element is moved onto a base invariant
+    point set and looked up in a class of that set's stabilizer, not in a
+    walked class of G.
     """
 
     table: CharacterTable
@@ -281,9 +293,10 @@ def find_representatives(
     consistent representative.
 
     Fingerprints are (element order, cycle type) in G's own permutation
-    action, refined by an exact class-size probe where the
-    table demands it. Power harvesting (all powers of each sample) reaches
-    small classes quickly. The assignment search is deterministic;
+    action, refined by the exact class size where the table demands it
+    (`SampledClassSet` sizes a class through a point-set stabilizer).
+    Power harvesting (all powers of each sample) reaches small classes
+    quickly. The assignment search is deterministic;
     ambiguity groups come out as the column sets that only algebraic
     conjugacy separates.
     """

@@ -6,12 +6,13 @@ from permchar import corpus
 from permchar.classes import (
     EnumerationThresholdError,
     SampledClassSet,
+    _invariant_set,
     conjugacy_classes,
     conjugation_orbit,
 )
 from permchar.dixon import character_table
 from permchar.group import trivial_group
-from permchar.perm import inv_images, parse_permutation, power_images
+from permchar.perm import conj_images, cycle_type, inv_images, parse_permutation, power_images
 
 
 def _inverse_classes(C) -> list:
@@ -186,3 +187,42 @@ def test_sampled_classes_agree_with_enumerated_classes(family):
 def test_sampled_classes_raise_when_the_budget_runs_out():
     with pytest.raises(RuntimeError, match=r"class sizes sum to \d+ of \|G\| = 7920 after 1 samples"):
         SampledClassSet(corpus.build("m11").group, seed=0, budget=1)
+
+
+@pytest.mark.parametrize("family", [
+    "m11", "psl2_23", "a7",
+    # a regular cyclic group: every element has one cycle length
+    "c300",
+    pytest.param("m22", marks=pytest.mark.slow),
+])
+def test_reduced_class_sizes_equal_whole_class_walks(family):
+    """A class sized through the stabilizer of its invariant point set has
+    the size of its whole conjugation orbit in G."""
+    G = corpus.build(family).group
+    S = SampledClassSet(G, seed=0)
+    assert S.sizes == [len(conjugation_orbit(G, r.images)) for r in S.reps]
+    lengths = [set(r.cycle_type()) for r in S.reps]
+    if family == "c300":
+        assert all(len(ls) == 1 for ls in lengths)
+    if family in ("m11", "a7"):
+        # m11 6a has cycle type 2.3.6 and a7 has (1,2)(3,4)(5,6,7)
+        assert any(1 not in ls and len(ls) > 1 for ls in lengths)
+
+
+@pytest.mark.parametrize("text, degree, want", [
+    # fixed points and 2-cycles cover 2 points each: the tie goes to length 1
+    ("(1,2)(3,4,5,6)", 8, {6, 7}),
+    ("(1,2)(3,4,5)", 5, {0, 1}),
+    ("(1,2,3,4)(5,6,7,8)", 8, set(range(8))),
+    ("(1,2)(3,4)(5,6,7,8,9,10)", 11, {10}),
+    # two 3-cycles and a 6-cycle cover 6 points each: the tie goes to length 3
+    ("(1,2,3)(4,5,6)(7,8,9,10,11,12)", 12, set(range(6))),
+    ("(1,2,3)(4,5,6)(7,8,9,10,11,12)", 13, {12}),
+])
+def test_invariant_set_takes_the_length_covering_fewest_points(text, degree, want):
+    g = parse_permutation(text, degree).images
+    assert _invariant_set(g, cycle_type(g)) == want
+    # it moves with conjugation: F(x^-1 g x) is F(g) under x
+    x = tuple(reversed(range(degree)))
+    y = conj_images(g, x)
+    assert _invariant_set(y, cycle_type(y)) == {x[p] for p in want}

@@ -97,7 +97,7 @@ PINNED_BUNDLED_TABLES = [
     ("q8", "20f8b5cb59791c3997cf26e8d75bed8fe023f937e58c86ac3abaceeb487c8f71"),
     ("sl23", "96300103098a1e233e22acf8a562b869ac4e09f29e3f12f516c9f65211d301ad"),
     ("psl3_2", "bd19ae25caec703a843437c97dc7824544ce98a58aecf4963abd6bab269840f7"),
-    ("m11", "0883146708e594fb147f9142bce9d075e073375bbaa23cb85356649119f98358"),
+    ("m11", "4546b2fb165db5b676ca229dce9ff4d1ffb9d7c547f5c9212b07d26cd78378d6"),
     ("m22", "b72e153b87dfcab082366c938ce3bc2a888ce67cc60fb5043bb38114b6e240e9"),
     ("m23", "6da6781b7fa1cc7c73805dd44f37f74f9068f5b03282ab716ab6b136364a31d9"),
 ]
@@ -122,6 +122,39 @@ def test_bundled_table_serialization_is_pinned(name, digest):
     from permchar.corpus import data_dir
 
     assert _digest(parse_table((data_dir() / "tables" / f"{name}.ctbl").read_text())) == digest
+
+
+@pytest.mark.parametrize("name", BUNDLED + verify.SWEEP_FAMILIES)
+def test_coprime_power_maps_follow_the_galois_action(name):
+    """For a prime p not dividing o(c), the class of x^p (x in class c) is
+    the column sigma_p of column c: chi(x^p) = sigma_p(chi(x))."""
+    if name in BUNDLED:
+        T = bundled_table(name)
+    else:
+        T = character_table(corpus.build(name).group, name=name)
+    for p, pm in T.power_maps.items():
+        for c, o in enumerate(T.orders):
+            if o % p:
+                assert all(
+                    row.values[pm[c]] == row.values[c].galois(p) for row in T.rows
+                ), (name, p, c)
+
+
+def test_tables_match_checks_every_shared_power_map():
+    """A 3-power map that swaps M11's 8a and 8b (columns 6 and 7) sends
+    column 6 to a later column, which the search never checked while it
+    assigned column 6; no column bijection both commutes with that map and
+    makes the rows agree."""
+    from permchar.corpus import data_dir
+
+    text = (data_dir() / "tables" / "m11.ctbl").read_text()
+    assert "power 3 0 1 0 3 4 1 6 7 8 9\n" in text
+    swapped = parse_table(text.replace("power 3 0 1 0 3 4 1 6 7 8 9\n",
+                                       "power 3 0 1 0 3 4 1 7 6 8 9\n"))
+    T = character_table(corpus.build("m11").group, name="m11")
+    assert tables_match(T, bundled_table("m11"))
+    assert not tables_match(T, swapped)
+    assert not tables_match(swapped, T)
 
 
 def test_perturbed_value_fails_validation():
@@ -182,6 +215,15 @@ def test_matching_m11_bundled():
     pi1 = ClassFunction([r.fixed_points() for r in m.reps])
     pi2 = ClassFunction([r.fixed_points() for r in alt])
     assert decompose(pi1, T) == decompose(pi2, T)
+
+
+def test_m11_ambiguity_groups_have_reps_in_distinct_classes():
+    G = corpus.build("m11").group
+    C = conjugacy_classes(G)
+    for seed in range(4):
+        m = find_representatives(G, bundled_table("m11"), seed=seed)
+        for grp in m.ambiguity_groups:
+            assert len({C.classify(m.reps[c].images) for c in grp}) == len(grp), (seed, grp)
 
 
 @pytest.mark.parametrize("family", ["c12", "d16", "sl23", "agl1_13"])
@@ -248,10 +290,10 @@ def test_matching_is_unchanged_under_the_fixed_point_fingerprint(name, monkeypat
 # find_representatives(G, bundled table, seed) for the paper's groups:
 # (name, seed, sha256 of repr([rep images]), ambiguity_groups, samples_used)
 PINNED_MATCHINGS = [
-    ("m11", 0, "7d29ee964f7639339a5d76d0a83256daba643de828818b67a4a524cae97d374e", [(6, 7), (8, 9)], 200),
-    ("m11", 1, "74a6f645e9b851608b59d362864083291b0be3b1e037a9a98aea640daf0866dd", [(6, 7), (8, 9)], 200),
-    ("m11", 2, "2bf34b238c2f6d7daa8f24bad3df59fe24dcef8471bc1d21de6d64f8cc2170f8", [(6, 7), (8, 9)], 200),
-    ("m11", 3, "05e3a7d824b50618b637417260e51eb3703fa4ed43b0d8dfe14705e036ab9a07", [(6, 7), (8, 9)], 200),
+    ("m11", 0, "9987b9315fafa2c656c467dcfea67f92818ce1bc000c993e883860262e91d740", [(6, 7), (8, 9)], 200),
+    ("m11", 1, "e9b9999a8a92d2449785a772278b5939f253165d581259cfdd4269a4e72df5e5", [(6, 7), (8, 9)], 200),
+    ("m11", 2, "285bc616668ab863927b8b48470f34fd7daaf7023e709e6efe249fcade249893", [(6, 7), (8, 9)], 200),
+    ("m11", 3, "ed7dc26b772f91224ace28ef6fc7266738aabe7909e427664763ccd6c69271a7", [(6, 7), (8, 9)], 200),
     ("m22", 0, "5938dd4e3217e52da2c9b0f8a070e2a3abce56ca4d35fd40edd21a7afdf33a87", [(7, 8), (10, 11)], 200),
     ("m22", 1, "aae8f83acb3b772697f4651b513da0821fda338eb0ee58d7445e57f64290891c", [(7, 8), (10, 11)], 200),
     ("m22", 2, "29d33bfe19688ce6e32876bc31995999c90d75b2119c7ad2e8735d28bd2df510", [(7, 8), (10, 11)], 200),
@@ -273,6 +315,27 @@ def test_matching_of_the_paper_groups_is_pinned(name, seed, digest, ambiguity, u
     assert hashlib.sha256(repr([r.images for r in m.reps]).encode()).hexdigest() == digest
     assert m.ambiguity_groups == ambiguity
     assert m.samples_used == used
+
+
+def test_matching_m22_sizes_classes_through_a_point_set_stabilizer(monkeypatch):
+    """M22's order-4 classes (13,860 and 27,720 elements, two fixed points)
+    are sized as classes of the stabilizer of a 2-set, of order 1,920:
+    the matcher never walks a conjugacy class of G itself."""
+    G = corpus.build("m22").group
+    walked = []
+    walk = classes.conjugation_orbit
+
+    def counting(group, images, key=tuple):
+        orbit = walk(group, images, key)
+        walked.append((group, len(orbit)))
+        return orbit
+
+    monkeypatch.setattr(classes, "conjugation_orbit", counting)
+    m = find_representatives(G, bundled_table("m22"), seed=0)
+    assert walked and all(group is not G for group, _ in walked)
+    assert {group.order() for group, _ in walked} == {1920}
+    assert sorted(n for _, n in walked) == [60, 120]
+    assert {13860, 27720} <= {size for _, size in m.sampled.buckets}
 
 
 @pytest.mark.slow

@@ -4,10 +4,10 @@
 M22 (order 443520) is within the enumeration threshold, so its table comes
 straight from the exact Dixon-Schneider driver over fully enumerated
 classes. M23 (order 10200960) is too large to enumerate, so its class data
-is `classes.SampledClassSet`: classes discovered by seeded sampling, the
-algebraically-conjugate pairs that share a cycle type told apart by packed
-element sets, and completeness proven by the class sizes summing to the
-group order. Each table must pass the full orthogonality validation before
+is `classes.SampledClassSet`: classes discovered by seeded sampling, sized
+and told apart (the algebraically-conjugate pairs that share a cycle type
+included) through the stabilizer of an invariant point set, and
+completeness proven by the class sizes summing to the group order. Each table must pass the full orthogonality validation before
 it is written.
 
 Run from the repository root:  python3 tools/build_mathieu_tables.py
