@@ -460,17 +460,6 @@ def fs_indicator_brute(row: ClassFunction, group: PermGroup, classify) -> Fracti
     return total / group.order()
 
 
-def regular_character(table: CharacterTable) -> ClassFunction:
-    """|G| at the identity, zero elsewhere."""
-    vals = [Fraction(0)] * table.n_classes
-    vals[0] = Fraction(table.order)
-    return ClassFunction(vals)
-
-
-def trivial_character(table: CharacterTable) -> ClassFunction:
-    return ClassFunction([Fraction(1)] * table.n_classes)
-
-
 def restriction_values(row: ClassFunction, fusion) -> ClassFunction:
     """Values of a G-class-function on the classes of a subgroup, given the
     fusion map (H-class index -> G-class index)."""

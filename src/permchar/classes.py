@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from math import gcd
+from math import gcd, lcm
 
 from .cyclo import divisors
 from .group import PermGroup, point_set_orbit
@@ -22,6 +22,13 @@ DEFAULT_ENUMERATION_THRESHOLD = 2_000_000
 
 class EnumerationThresholdError(RuntimeError):
     """Raised when a group is too large for full class enumeration."""
+
+
+def fingerprint(images: tuple) -> tuple:
+    """(element order, cycle type) of an image tuple, from one walk of its
+    cycles: the order is the lcm of the cycle lengths."""
+    ct = cycle_type(images)
+    return lcm(*ct), ct
 
 
 def conjugation_orbit(group: PermGroup, images: tuple, key=tuple) -> set:
@@ -253,7 +260,8 @@ class SampledClassSet:
             o for o in table.orders
             if len({s for o2, s in zip(table.orders, table.sizes) if o2 == o}) > 1
         }
-        self.add(tuple(range(group.degree)), 1)
+        identity = tuple(range(group.degree))
+        self.add(identity, fingerprint(identity))
         if table is None:
             self._discover(random.Random(seed), budget)
 
@@ -261,22 +269,25 @@ class SampledClassSet:
         """Add n seeded-uniform elements of the group and all their powers."""
         for _ in range(n):
             g = self.group.random_element(rng).images
-            o = order_of_images(g)
-            for d in divisors(o):
-                self.add(power_images(g, d), o // d)
+            fp = fingerprint(g)
+            self.add(g, fp)
+            for d in divisors(fp[0])[1:]:
+                h = power_images(g, d)
+                self.add(h, fingerprint(h))
 
-    def add(self, images: tuple, order: int) -> tuple:
-        """Bucket `images`, an element of the given order; return its key."""
-        ct = cycle_type(images)
+    def add(self, images: tuple, fp: tuple) -> tuple:
+        """Bucket `images`, an element with fingerprint fp = (order, cycle
+        type) as `fingerprint` gives it; return its key."""
         size = None
-        if self._walk_orders is None or order in self._walk_orders:
-            size = self._class_size(images, ct, order)
-        key = ((order, ct), size)
+        if self._walk_orders is None or fp[0] in self._walk_orders:
+            size = self._class_size(images, fp)
+        key = (fp, size)
         if key not in self.buckets:
             self.buckets[key] = images
         return key
 
-    def _class_size(self, images: tuple, ct: tuple, order: int) -> int:
+    def _class_size(self, images: tuple, fp: tuple) -> int:
+        order, ct = fp
         points = _invariant_set(images, ct)
         frames = self._frames.setdefault(len(points), [])
         for frame in frames:
@@ -298,7 +309,8 @@ class SampledClassSet:
         if self._walk_orders is None:
             for k in range(2, order):
                 if gcd(k, order) == 1:
-                    self.add(power_images(images, k), order)
+                    # a coprime power generates the same cyclic group: same fingerprint
+                    self.add(power_images(images, k), fp)
         return cls.n
 
     def _discover(self, rng: random.Random, budget: int) -> None:

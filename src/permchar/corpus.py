@@ -18,7 +18,7 @@ from pathlib import Path
 from .cyclo import divisors, prime_factors
 from .dixon import primitive_root
 from .group import PermGroup, _point_orbits, setwise_stabilizer, sylow_2, trivial_group
-from .perm import Permutation, parse_permutation, cycle_string
+from .perm import Permutation, parse_permutation
 
 # Lexicographically least primitive polynomial per (p, a), coefficients low
 # to high, monic; validated at field construction (the residue of x must
@@ -555,15 +555,6 @@ def load_group_file(path) -> PermGroup:
             f"{path}: constructed order {G.order()} != declared order {expected_order}"
         )
     return G
-
-
-def save_group_file(path, G: PermGroup, name: str, comment: str = "") -> None:
-    lines = [f"# name: {name}", f"# order: {G.order()}"]
-    if comment:
-        lines += [f"# {c}" for c in comment.splitlines()]
-    lines.append(f"degree {G.degree}")
-    lines += [cycle_string(g) for g in G.generators]
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _load_bundled(name: str) -> PermGroup:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
+from itertools import product
 
 from .perm import (
     Permutation,
@@ -346,18 +347,24 @@ def orbit_stabilizer(G: PermGroup, seed, act):
 
 def _orbit_transversal_stabilizer(G: PermGroup, seed, act):
     """`orbit_stabilizer` that also returns the transversal of `_orbit` and
-    its inverses: (orbit, transversal, inverses, stabilizer)."""
+    its inverses: (orbit, transversal, inverses, stabilizer).
+
+    The sifting stops once the stabilizer has order |G|/|orbit|: every
+    later Schreier generator lies in it already and would add nothing, so
+    the generator list is the one the full loop would build."""
     gens = [g.images for g in G.generators]
     orbit, transversal, images = _orbit(seed, gens, act, G.degree)
     inverses = [inv_images(u) for u in transversal]
+    order = G.order() // len(orbit)
     stab_gens: list[Permutation] = []
     stab = trivial_group(G.degree)
-    for i, u in enumerate(transversal):
-        for g, row in zip(gens, images):
-            s = mul_images(mul_images(u, g), inverses[row[i]])
-            if not stab.contains_images(s):
-                stab_gens.append(Permutation(s))
-                stab = PermGroup(stab_gens, G.degree)
+    for (i, u), (g, row) in product(enumerate(transversal), zip(gens, images)):
+        if stab.order() == order:
+            break
+        s = mul_images(mul_images(u, g), inverses[row[i]])
+        if not stab.contains_images(s):
+            stab_gens.append(Permutation(s))
+            stab = PermGroup(stab_gens, G.degree)
     return orbit, transversal, inverses, stab
 
 

@@ -130,9 +130,6 @@ class Permutation:
     def __pow__(self, n: int) -> "Permutation":
         return Permutation(power_images(self.images, n))
 
-    def conjugate_by(self, other: "Permutation") -> "Permutation":
-        return Permutation(conj_images(self.images, other.images))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
 

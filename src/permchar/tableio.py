@@ -27,11 +27,11 @@ from math import gcd, lcm
 from pathlib import Path
 
 from .charfun import CharacterTable, ClassFunction, check_class_data, decompose
-from .classes import SampledClassSet
+from . import classes
 from .cyclo import parse_cyclotomic, render_cyclotomic
 from .dixon import is_prime
 from .group import PermGroup
-from .perm import Permutation, order_of_images, power_images
+from .perm import Permutation, power_images
 
 
 class TableSyntaxError(ValueError):
@@ -250,7 +250,9 @@ class ClassMatching:
     ambiguity groups: Galois-conjugate columns share a bucket. Where the
     key holds a class size, the element is moved onto a base invariant
     point set and looked up in a class of that set's stabilizer, not in a
-    walked class of G.
+    walked class of G. Every other key is fixed by the element's
+    fingerprint alone, so its column is memoized by fingerprint: such an
+    element costs one walk of its cycles and one dict probe.
     """
 
     table: CharacterTable
@@ -258,8 +260,10 @@ class ClassMatching:
     reps: list
     ambiguity_groups: list
     samples_used: int
-    sampled: SampledClassSet = field(repr=False)
+    sampled: classes.SampledClassSet = field(repr=False)
     columns: dict = field(repr=False)  # bucket key -> first column assigned it
+    # fingerprint -> column, for the fingerprints whose key holds no size
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     sizes = property(lambda self: self.table.sizes)
     orders = property(lambda self: self.table.orders)
@@ -267,20 +271,16 @@ class ClassMatching:
     def classify(self, images: tuple) -> int:
         """The column of an element (image tuple) of the group, up to the
         ambiguity groups."""
-        key = self.sampled.add(images, order_of_images(images))
-        column = self.columns.get(key)
+        fp = classes.fingerprint(images)
+        column = self._memo.get(fp)
         if column is None:
-            raise MatchingError(f"no column was assigned the class key {key}")
+            key = self.sampled.add(images, fp)
+            column = self.columns.get(key)
+            if column is None:
+                raise MatchingError(f"no column was assigned the class key {key}")
+            if key[1] is None:
+                self._memo[fp] = column
         return column
-
-    def alternate_reps(self) -> list:
-        """A second full representative set with every ambiguity group's
-        reps rotated one place (a swap for a pair), for harmlessness checks."""
-        out = list(self.reps)
-        for grp in self.ambiguity_groups:
-            for a, b in zip(grp, grp[1:] + grp[:1]):
-                out[b] = self.reps[a]
-        return out
 
 
 def find_representatives(
@@ -308,7 +308,7 @@ def find_representatives(
     if budget is None:
         budget = 10_000 * k
     rng = random.Random(seed)
-    sampled = SampledClassSet(G, table)
+    sampled = classes.SampledClassSet(G, table)
     used = 0
     last_error = "no sampling performed"
     while True:
@@ -326,7 +326,9 @@ def find_representatives(
                 ) from None
 
 
-def _assign(G: PermGroup, table: CharacterTable, sampled: SampledClassSet, used: int) -> ClassMatching:
+def _assign(
+    G: PermGroup, table: CharacterTable, sampled: classes.SampledClassSet, used: int
+) -> ClassMatching:
     k = table.n_classes
     primes = sorted(table.power_maps)
     buckets = sampled.buckets
@@ -342,7 +344,7 @@ def _assign(G: PermGroup, table: CharacterTable, sampled: SampledClassSet, used:
         processed.add(key)
         for p in primes:
             h = power_images(buckets[key], p)
-            key2 = sampled.add(h, order_of_images(h))
+            key2 = sampled.add(h, classes.fingerprint(h))
             power_bucket[(key, p)] = key2
             if key2 not in processed:
                 queue.append(key2)

@@ -13,8 +13,6 @@ from permchar.charfun import (
     perm_character,
     perm_character_by_fusion,
     perm_character_values,
-    regular_character,
-    trivial_character,
 )
 from permchar.classes import conjugacy_classes
 from permchar.cyclo import Cyclotomic
@@ -22,6 +20,8 @@ from permchar.dixon import character_table
 from permchar.group import PermGroup, coset_action, sylow_2, trivial_group
 from permchar.perm import inv_images, parse_permutation
 from permchar.tableio import ClassMatching, bundled_table
+
+from helpers import regular_character, trivial_character
 
 
 def _self_inverse_classes(C) -> list:

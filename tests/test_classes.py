@@ -170,10 +170,10 @@ def test_real_class_indices_agree_with_inversion():
     "c300",
     pytest.param("m22", marks=pytest.mark.slow),
 ])
-def test_sampled_classes_agree_with_enumerated_classes(family):
-    G = corpus.build(family).group
+def test_sampled_classes_agree_with_enumerated_classes(family, enumerated_classes):
+    C = enumerated_classes(family)
+    G = C.group
     S = SampledClassSet(G, seed=0)
-    C = conjugacy_classes(G)
     # sampled reps are first-sampled elements, not lex-least, so the two
     # numberings agree up to the bijection sigma
     sigma = [C.classify(r.images) for r in S.reps]

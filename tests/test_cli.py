@@ -5,6 +5,8 @@ import pytest
 
 from permchar.cli import main
 
+from helpers import save_group_file
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -174,7 +176,7 @@ def test_group_file_input(tmp_path, capsys):
     from permchar import corpus
 
     path = tmp_path / "g.grp"
-    corpus.save_group_file(path, corpus.build("s4").group, "s4copy")
+    save_group_file(path, corpus.build("s4").group, "s4copy")
     code, out, _ = run(capsys, "fsind", "--group-file", str(path))
     assert code == 0
     assert out.count("degree") == 5
@@ -198,7 +200,7 @@ def test_theorem_d_with_a_table_file(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "theorem-d", "--family", "m11", "--table-file", table)
     assert code == 0 and "[pass]" in out
     path = tmp_path / "g.grp"
-    corpus.save_group_file(path, corpus.build("m11").group, "m11copy")
+    save_group_file(path, corpus.build("m11").group, "m11copy")
     code, out, _ = run(capsys, "verify", "theorem-d", "--group-file", str(path),
                        "--table-file", table)
     assert code == 0 and "[pass] theorem-D: g" in out

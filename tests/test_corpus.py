@@ -3,6 +3,8 @@ import pytest
 from permchar import corpus
 from permchar.group import is_subgroup
 
+from helpers import save_group_file
+
 
 @pytest.mark.parametrize("family,order,degree", [
     ("c1", 1, 1), ("c6", 6, 6), ("d10", 10, 5), ("d24", 24, 12),
@@ -121,7 +123,7 @@ def test_named_subgroup_is_built_once(monkeypatch):
 def test_group_file_round_trip(tmp_path):
     cg = corpus.build("s4")
     path = tmp_path / "s4.grp"
-    corpus.save_group_file(path, cg.group, "s4")
+    save_group_file(path, cg.group, "s4")
     G = corpus.load_group_file(path)
     assert G.order() == 24 and G.degree == 4
 

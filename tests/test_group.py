@@ -4,10 +4,12 @@ from types import SimpleNamespace
 import pytest
 
 from permchar import corpus, verify
+from permchar.classes import conjugacy_classes
 from permchar.group import (
     PermGroup,
     _coset_key,
     _Level,
+    _orbit_transversal_stabilizer,
     _point_orbits,
     centralizer,
     core,
@@ -30,6 +32,8 @@ from permchar.perm import (
     mul_images,
     parse_permutation,
 )
+
+from helpers import THEOREM_D_FAMILIES
 
 
 def brute_force_order(gens, degree):
@@ -278,7 +282,9 @@ def test_centralizer_and_normalizer_against_brute_force():
 def _parent_pointer_orbit_stabilizer(G, seed, act):
     """The orbit_stabilizer that the shared breadth-first orbit replaced,
     kept as the oracle: parent pointers, each transversal word rebuilt from
-    them, and a second `act` pass for the Schreier generators."""
+    them, and a second `act` pass for the Schreier generators, every one
+    of them sifted (no stop at |G|/|orbit|). Returns (orbit, transversal,
+    stabilizer)."""
     gens = [g.images for g in G.generators]
     orbit_index = {seed: 0}
     orbit = [seed]
@@ -314,7 +320,7 @@ def _parent_pointer_orbit_stabilizer(G, seed, act):
             if not stab.contains_images(s):
                 stab_gens.append(Permutation(s))
                 stab = PermGroup(stab_gens, G.degree)
-    return orbit, stab
+    return orbit, words, stab
 
 
 def _conjugate_set(obj, g):
@@ -326,9 +332,9 @@ def _image_set(obj, g):
 
 
 def _assert_matches_parent_pointer_oracle(G, seed, act, stab):
-    """orbit_stabilizer gives the oracle's orbit and stabilizer generators,
-    calling `act` once per (point, generator); `stab` is the stabilizer a
-    public wrapper returned for the same action."""
+    """The orbit, transversal and stabilizer generators are the oracle's,
+    with `act` called once per (point, generator); `stab` is the stabilizer
+    a public wrapper returned for the same action."""
     calls = 0
 
     def counted(obj, g):
@@ -336,12 +342,15 @@ def _assert_matches_parent_pointer_oracle(G, seed, act, stab):
         calls += 1
         return act(obj, g)
 
-    orbit, new = orbit_stabilizer(G, seed, counted)
-    old_orbit, old = _parent_pointer_orbit_stabilizer(G, seed, act)
+    orbit, transversal, inverses, new = _orbit_transversal_stabilizer(G, seed, counted)
+    old_orbit, old_transversal, old = _parent_pointer_orbit_stabilizer(G, seed, act)
     assert orbit == old_orbit
+    assert transversal == old_transversal
+    assert inverses == [inv_images(u) for u in old_transversal]
     old_gens = [g.images for g in old.generators]
     assert [g.images for g in new.generators] == old_gens
     assert [g.images for g in stab.generators] == old_gens
+    assert new.order() * len(orbit) == G.order()
     assert calls == len(orbit) * len(G.generators)
 
 
@@ -369,6 +378,27 @@ def test_m23_setwise_stabilizer_matches_parent_pointer_oracle(points):
     G = corpus.build("m23").group
     seed = frozenset(points)
     _assert_matches_parent_pointer_oracle(G, seed, _image_set, setwise_stabilizer(G, points))
+
+
+def test_m22_pair_stabilizer_matches_parent_pointer_oracle():
+    G = corpus.build("m22").group
+    _assert_matches_parent_pointer_oracle(
+        G, frozenset({0, 1}), _image_set, setwise_stabilizer(G, {0, 1})
+    )
+
+
+def test_m11_centralizers_of_class_reps_match_parent_pointer_oracle():
+    G = corpus.build("m11").group
+    for x in conjugacy_classes(G).reps:
+        _assert_matches_parent_pointer_oracle(G, x.images, conj_images, centralizer(G, x))
+
+
+@pytest.mark.parametrize("family", THEOREM_D_FAMILIES)
+def test_sylow_2_normalizer_matches_parent_pointer_oracle(family):
+    G = corpus.build(family).group
+    P = sylow_2(G)
+    seed = frozenset(P.element_images_iter())
+    _assert_matches_parent_pointer_oracle(G, seed, _conjugate_set, normalizer(G, P))
 
 
 def test_normal_closure():

@@ -26,13 +26,13 @@ from permchar.charfun import (
     fs_indicator,
     fs_indicator_brute,
     inner_product,
-    regular_character,
-    trivial_character,
 )
 from permchar.classes import conjugacy_classes
 from permchar.corpus import build
 from permchar.cyclo import Cyclotomic
 from permchar.tableio import bundled_table
+
+from helpers import regular_character, trivial_character
 
 BUNDLED = ["s3", "s4", "a5", "d10", "q8", "sl23", "psl3_2", "m11", "m22", "m23"]
 

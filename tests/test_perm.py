@@ -18,6 +18,8 @@ from permchar.perm import (
     power_images,
 )
 
+from helpers import conjugate_by
+
 
 def test_identity_and_bijection_check():
     p = Permutation.identity(5)
@@ -45,7 +47,7 @@ def test_inverse_and_associativity():
 def test_conjugation_matches_definition():
     p = parse_permutation("(1,2,3)", 5)
     q = parse_permutation("(3,4,5)", 5)
-    assert p.conjugate_by(q) == ~q * p * q
+    assert conjugate_by(p, q) == ~q * p * q
     assert conj_images(p.images, q.images) == (~q * p * q).images
 
 

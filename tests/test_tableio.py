@@ -18,6 +18,8 @@ from permchar.tableio import (
     tables_match,
 )
 
+from helpers import alternate_reps
+
 BUNDLED = ["s3", "s4", "a5", "d10", "q8", "sl23", "psl3_2", "m11", "m22", "m23"]
 
 
@@ -211,7 +213,7 @@ def test_matching_m11_bundled():
         assert rep.order() == T.orders[col]
     # harmlessness: any rational class function decomposes identically
     # under the alternate resolution
-    alt = m.alternate_reps()
+    alt = alternate_reps(m)
     pi1 = ClassFunction([r.fixed_points() for r in m.reps])
     pi2 = ClassFunction([r.fixed_points() for r in alt])
     assert decompose(pi1, T) == decompose(pi2, T)
@@ -246,7 +248,7 @@ def test_alternate_reps_rotate_ambiguity_groups_of_any_length(family):
     T = character_table(G, name=family)
     m = find_representatives(G, T, seed=0)
     assert any(len(grp) > 2 for grp in m.ambiguity_groups)
-    alt = m.alternate_reps()
+    alt = alternate_reps(m)
     for grp in m.ambiguity_groups:
         assert sorted(alt[c].images for c in grp) == sorted(m.reps[c].images for c in grp)
         assert all(alt[c].images != m.reps[c].images for c in grp)
@@ -279,7 +281,9 @@ def test_matching_is_unchanged_under_the_fixed_point_fingerprint(name, monkeypat
     G = corpus.build(name).group
     T = bundled_table(name)
     new = [find_representatives(G, T, seed=seed) for seed in range(4)]
-    monkeypatch.setattr(classes, "cycle_type", _fixed_points_of_powers)
+    monkeypatch.setattr(
+        classes, "fingerprint", lambda g: (order_of_images(g), _fixed_points_of_powers(g))
+    )
     for seed, m in enumerate(new):
         old = find_representatives(G, T, seed=seed)
         assert [r.images for r in m.reps] == [r.images for r in old.reps]
@@ -339,10 +343,10 @@ def test_matching_m22_sizes_classes_through_a_point_set_stabilizer(monkeypatch):
 
 
 @pytest.mark.slow
-def test_matching_m22_against_full_enumeration():
+def test_matching_m22_against_full_enumeration(enumerated_classes):
     """Cross-check the sampling matcher against exact classes."""
-    G = corpus.build("m22").group
-    C = conjugacy_classes(G)
+    C = enumerated_classes("m22")
+    G = C.group
     T = bundled_table("m22")
     m = find_representatives(G, T, seed=0)
     # M22's fingerprint-ambiguous pairs are the algebraically conjugate
@@ -373,15 +377,16 @@ def test_matching_m22_against_full_enumeration():
 
 @pytest.mark.parametrize("family", [
     "m11", "psl2_23", "a7", pytest.param("m22", marks=pytest.mark.slow)])
-def test_matched_classify_agrees_with_enumerated_classes(family):
+def test_matched_classify_agrees_with_enumerated_classes(family, enumerated_classes):
     """`ClassMatching.classify` against `ConjugacyClassSet.classify` on
     every element. The matched column is a function of the class, with the
     class's size and order, and each ambiguity group (or single column
     outside them) receives as many classes as it has columns. A Dixon
     table has the enumeration's column order, so there the column of
-    class k lies in the ambiguity group of k."""
-    G = corpus.build(family).group
-    C = conjugacy_classes(G)
+    class k lies in the ambiguity group of k. The classify memo then holds
+    only fingerprints whose bucket key carries no class size."""
+    C = enumerated_classes(family)
+    G = C.group
     dixon = family not in BUNDLED
     T = character_table(G, C, name=family) if dixon else bundled_table(family)
     m = find_representatives(G, T, seed=0)
@@ -399,15 +404,19 @@ def test_matched_classify_agrees_with_enumerated_classes(family):
         if dixon:
             assert k in group_of.get(c, (c,))
     assert all(len(grp) == len(ks) for grp, ks in received.items())
+    sized = {fp for fp, size in m.sampled.buckets if size is not None}
+    # a7's order-3 and M22's order-4 columns come in two sizes
+    assert bool(sized) == (family in ("a7", "m22"))
+    assert m._memo and not sized & set(m._memo)
     # a transposition lies in none of these groups, so no column has its key
     with pytest.raises(MatchingError, match="no column"):
         m.classify((1, 0) + tuple(range(2, G.degree)))
 
 
 @pytest.mark.slow
-def test_m22_dixon_agrees_with_bundled():
-    G = corpus.build("m22").group
-    T = character_table(G, name="m22")
+def test_m22_dixon_agrees_with_bundled(enumerated_classes):
+    C = enumerated_classes("m22")
+    T = character_table(C.group, C, name="m22")
     assert tables_match(T, bundled_table("m22"))
 
 

@@ -5,6 +5,8 @@ from permchar.group import PermGroup
 from permchar.perm import parse_permutation
 from permchar.tableio import ClassMatching
 
+from helpers import THEOREM_D_FAMILIES
+
 
 @pytest.fixture(scope="module", autouse=True)
 def _fresh_cache():
@@ -71,10 +73,6 @@ def test_theorem_B_agl_counterexample():
     # a closed form in q would give (27^2-1)/2 = 364, which exceeds the
     # character degree; the honest value is (3^2-1)/2 = 4 (closed form in p)
     assert mults[theta] != 364
-
-
-THEOREM_D_FAMILIES = ["c6", "s4", "a5", "psl3_2", "agl1_27", "q8", "sl23",
-                      "d10", "q16", "a4", "c3q16", "f7_3", "f13_3", "a4c4"]
 
 
 @pytest.mark.parametrize("family", THEOREM_D_FAMILIES)
