@@ -54,9 +54,11 @@ class ConjugacyClassSet:
     """Classes of an enumerable group.
 
     The class data `dixon.character_table` reads: group, reps (lex-least
-    Permutation per class), sizes, orders, and classify (image tuple ->
-    class index, one lookup in the element map the enumeration builds and
-    keeps). Class 0 is the identity class.
+    Permutation per class), sizes, orders, classify (image tuple -> class
+    index, one lookup in the element map the enumeration builds and keeps)
+    and elements (class index -> its members, kept as the tuple the
+    enumeration walked). Class 0 is the identity class. The enumeration
+    stops as soon as the classes found hold |G| elements.
     """
 
     def __init__(self, group: PermGroup, threshold: int = DEFAULT_ENUMERATION_THRESHOLD):
@@ -68,26 +70,30 @@ class ConjugacyClassSet:
         self.group = group
 
         element_class: dict = {}
-        raw: list[tuple] = []  # (rep images, size)
+        raw: list[tuple] = []  # (rep images, members)
+        n = group.order()
         for x in group.element_images_iter():
             if x in element_class:
                 continue
             orbit = conjugation_orbit(group, x)
             idx = len(raw)
-            raw.append((min(orbit), len(orbit)))
+            raw.append((min(orbit), tuple(orbit)))
             for y in orbit:
                 element_class[y] = idx
+            if len(element_class) == n:
+                break
 
         order_key = [order_of_images(rep) for rep, _ in raw]
         perm = sorted(
-            range(len(raw)), key=lambda i: (order_key[i], raw[i][1], raw[i][0])
+            range(len(raw)), key=lambda i: (order_key[i], len(raw[i][1]), raw[i][0])
         )
         newindex = [0] * len(raw)
         for new, old in enumerate(perm):
             newindex[old] = new
         self.reps = [Permutation(raw[old][0]) for old in perm]
-        self.sizes = [raw[old][1] for old in perm]
+        self.sizes = [len(raw[old][1]) for old in perm]
         self.orders = [order_key[old] for old in perm]
+        self._members = [raw[old][1] for old in perm]
 
         # renumber in place: only one element map exists at a time
         for y, i in element_class.items():
@@ -101,6 +107,10 @@ class ConjugacyClassSet:
     def element_class_map(self) -> dict:
         """images tuple -> class index: the map `classify` reads."""
         return self._element_class
+
+    def elements(self, i: int) -> tuple:
+        """The members of class i, as image tuples."""
+        return self._members[i]
 
 
 def conjugacy_classes(
@@ -235,8 +245,8 @@ class SampledClassSet:
       added right away. Sampling from `seed` stops when the class sizes sum
       to |G|, and raises RuntimeError if `budget` samples do not get there.
       The set then holds the class data `dixon.character_table` reads:
-      group, reps (the first element added per class), sizes, orders and
-      classify, classes sorted by (order, size, rep images).
+      group, reps (the first element added per class), sizes, orders,
+      classify and elements, classes sorted by (order, size, rep images).
 
     A class is sized through the stabilizer S of an invariant point set
     (`_invariant_set`) instead of being walked whole: |g^G| = |F0^G| *
@@ -351,3 +361,8 @@ class SampledClassSet:
                 if cls.holds(images, points):
                     return idx
         return candidates[-1][0]
+
+    def elements(self, i: int) -> set:
+        """The members of class i, as image tuples, walked afresh: a
+        complete set keeps no class whole."""
+        return conjugation_orbit(self.group, self.reps[i].images)

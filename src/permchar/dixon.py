@@ -11,11 +11,11 @@ column orthogonality for a square table) before it is returned.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import itemgetter, mul
 
 from .charfun import CharacterTable
-from .classes import conjugacy_classes, conjugation_orbit
+from .classes import conjugacy_classes
 from .cyclo import Cyclotomic, prime_factors
 from .group import PermGroup
 from .perm import mul_images
@@ -192,7 +192,8 @@ def class_matrix(C, i: int, rows=None) -> list:
 
         entries[r][c] = |C_r| * #{x in C_i : x * z_r in C_c} / |C_c|,
 
-    classifying each product with `C.classify`."""
+    classifying each product with `C.classify`; class i is read from
+    `C.elements(i)`."""
     k = len(C.reps)
     rows = range(k) if rows is None else sorted(rows)
     entries = [None] * k
@@ -207,7 +208,7 @@ def class_matrix(C, i: int, rows=None) -> list:
     counts = [[0] * k for _ in rows]
     if rows:
         # k > 1, so the degree is > 1 and itemgetter returns tuples
-        for x in conjugation_orbit(C.group, reps[i]):
+        for x in C.elements(i):
             x_times = itemgetter(*x)
             for count, z in zip(counts, zs):
                 count[classify(x_times(z))] += 1
@@ -351,10 +352,16 @@ def character_table(G: PermGroup, C=None, name: str = "") -> CharacterTable:
 
     Deterministic: classes in their canonical order, rows sorted by degree
     and then by value tuples. `C`, the class data (enumerated when None),
-    is `group`, `reps`, `sizes`, `orders` and `classify` (image tuple ->
-    class index; class 0 is the identity): the exponent, inverse map and
-    power maps are derived here. Class matrices are consumed in order of
-    class size, then index; the table does not depend on that order.
+    is `group`, `reps`, `sizes`, `orders`, `classify` (image tuple ->
+    class index; class 0 is the identity) and `elements` (class index ->
+    its members): the exponent, inverse map and power maps are derived
+    here. Class matrices are consumed smallest first until one splits no
+    space; from then on a class that is rational (its coprime powers lie
+    in it) or a coprime power of a consumed class goes last, as it rarely
+    splits anything: the first cannot separate Galois-conjugate
+    characters, the second carries the Galois images of eigenvalues
+    already used. This is an order, not a skip; the table does not depend
+    on it.
     """
     if C is None:
         C = conjugacy_classes(G)
@@ -370,14 +377,30 @@ def character_table(G: PermGroup, C=None, name: str = "") -> CharacterTable:
     w = primitive_root(p)
     z_e = pow(w, (p - 1) // exponent, p)
 
-    # split common eigenspaces of the class matrices over F_p, class by
-    # class in order of size, stopping once every space is one-dimensional;
-    # each matrix is computed only at the rows the unsplit spaces read:
-    # their pivots and one check row each
+    # powers[t][s] is the class of rep_t^s for 0 <= s < orders[t]: the lift
+    # reads these, and they hold the inverse map (s = orders[t] - 1) and the
+    # prime power maps (s = p mod orders[t])
+    powers = []
+    for r, m in zip(C.reps, orders):
+        x, row = r.images, [0]
+        for _ in range(1, m):
+            row.append(C.classify(x))
+            x = mul_images(x, r.images)
+        powers.append(row)
+    coprime = [{row[s] for s in range(1, m) if gcd(s, m) == 1} for row, m in zip(powers, orders)]
+    # classes that rarely split anything: the rational ones, joined below
+    # by the coprime powers of each class consumed
+    unlikely = {t for t in range(1, k) if coprime[t] <= {t}}
+
+    # split common eigenspaces of the class matrices over F_p, stopping
+    # once every space is one-dimensional; each matrix is computed only at
+    # the rows the unsplit spaces read: their pivots and one check row each
     spaces = [[[1 if i == j else 0 for j in range(k)] for i in range(k)]]
-    for i in sorted(range(1, k), key=lambda c: (C.sizes[c], c)):
-        if all(len(b) == 1 for b in spaces):
-            break
+    pending = sorted(range(1, k), key=lambda c: (C.sizes[c], c))
+    stalled = False
+    while pending and not all(len(b) == 1 for b in spaces):
+        i = _next_class(pending, unlikely if stalled else ())
+        pending.remove(i)
         solvers = [_Solver(b, p) if len(b) > 1 else None for b in spaces]
         live = [s for s in solvers if s is not None]
         rows = {r for s in live for r in s.pivots}
@@ -388,7 +411,10 @@ def character_table(G: PermGroup, C=None, name: str = "") -> CharacterTable:
             if s.check is not None:
                 rows.add(s.check)
         A = class_matrix(C, i, rows)
-        spaces = _resplit(spaces, solvers, A, p)
+        split = _resplit(spaces, solvers, A, p)
+        stalled = stalled or len(split) == len(spaces)
+        spaces = split
+        unlikely |= coprime[i]
     if not all(len(b) == 1 for b in spaces):
         raise AssertionError("eigenspace splitting failed to reach dimension one")
 
@@ -401,16 +427,6 @@ def character_table(G: PermGroup, C=None, name: str = "") -> CharacterTable:
         inv = pow(v[0], p - 2, p)
         omegas.append([x * inv % p for x in v])
 
-    # powers[t][s] is the class of rep_t^s for 0 <= s < orders[t]: the lift
-    # reads these, and they hold the inverse map (s = orders[t] - 1) and the
-    # prime power maps (s = p mod orders[t])
-    powers = []
-    for r, m in zip(C.reps, orders):
-        x, row = r.images, [0]
-        for _ in range(1, m):
-            row.append(C.classify(x))
-            x = mul_images(x, r.images)
-        powers.append(row)
     inverse_map = [row[-1] for row in powers]
     # prime 2 is always stored: indicator sums square class reps even in
     # odd-order groups
@@ -465,6 +481,12 @@ def character_table(G: PermGroup, C=None, name: str = "") -> CharacterTable:
     table = CharacterTable(name or f"order{order}", order, sizes, orders, power_maps, rows)
     table.validate()
     return table
+
+
+def _next_class(pending, skip):
+    """The class to consume next: the first of `pending` (sorted by size)
+    not in `skip`, or the first of all when every pending class is."""
+    return next((c for c in pending if c not in skip), pending[0])
 
 
 def _resplit(spaces, solvers, A, p):

@@ -112,15 +112,21 @@ def _parse_rows(rows, orders) -> list:
     """Parse the `chi` entries. Every value of a character lies in
     Q(zeta_e) for the exponent e = lcm(orders), so a row with an E(n), n
     not dividing 2e, is rejected before it is parsed. `parse_cyclotomic`
-    also bounds every conductor by `cyclo.MAX_CONDUCTOR`."""
+    also bounds every conductor by `cyclo.MAX_CONDUCTOR`. Each distinct
+    entry is checked and parsed once, and its `Cyclotomic` (immutable) is
+    shared by every place it occurs."""
     bound = 2 * lcm(*(o for o in orders if o > 0))
+    values: dict = {}  # entry text -> Cyclotomic
     out = []
     for lineno, tokens in rows:
         try:
-            for n in (int(n) for tok in tokens for n in _ROOT_OF_UNITY.findall(tok)):
+            new = [tok for tok in dict.fromkeys(tokens) if tok not in values]
+            for n in (int(n) for tok in new for n in _ROOT_OF_UNITY.findall(tok)):
                 if n < 1 or bound % n:
                     raise ValueError(f"E({n}): {n} does not divide 2*lcm(orders) = {bound}")
-            out.append([parse_cyclotomic(tok) for tok in tokens])
+            for tok in new:
+                values[tok] = parse_cyclotomic(tok)
+            out.append([values[tok] for tok in tokens])
         except (ValueError, IndexError, ZeroDivisionError) as exc:
             raise TableSyntaxError(f"line {lineno}: {exc}") from None
     return out

@@ -11,8 +11,9 @@ from permchar.classes import (
     conjugation_orbit,
 )
 from permchar.dixon import character_table
-from permchar.group import trivial_group
+from permchar.group import PermGroup, trivial_group
 from permchar.perm import conj_images, cycle_type, inv_images, parse_permutation, power_images
+from permchar.verify import SWEEP_FAMILIES
 
 
 def _inverse_classes(C) -> list:
@@ -154,6 +155,40 @@ def test_element_map_is_kept_above_ten_thousand_elements():
     for _ in range(40):
         x = G.random_element(rng).images
         assert min(conjugation_orbit(G, x)) == C.reps[C.classify(x)].images
+
+
+@pytest.mark.parametrize("family", SWEEP_FAMILIES + ["m11", "psl2_23"])
+def test_stored_members_are_the_conjugation_orbits(family):
+    """The enumeration keeps each class's members: `elements(i)` is the
+    conjugation orbit of rep i, and after the early stop the element map
+    still covers the whole group."""
+    G = corpus.build(family).group
+    C = conjugacy_classes(G)
+    for i, r in enumerate(C.reps):
+        members = C.elements(i)
+        assert len(members) == C.sizes[i]
+        assert set(members) == conjugation_orbit(G, r.images)
+    assert len(C.element_class_map()) == G.order()
+
+
+def test_enumeration_stops_once_the_classes_cover_the_group(monkeypatch):
+    """M11 has found all its classes long before its 7,920th element: the
+    enumeration leaves the element iterator there."""
+    visited = []
+    walk = PermGroup.element_images_iter
+
+    def counting(self):
+        for x in walk(self):
+            visited.append(x)
+            yield x
+
+    monkeypatch.setattr(PermGroup, "element_images_iter", counting)
+    G = corpus.build("m11").group
+    C = conjugacy_classes(G)
+    assert sum(C.sizes) == G.order()
+    assert len(visited) < G.order() // 2
+    # the last element visited opened the last class found
+    assert C.classify(visited[-1]) not in {C.classify(x) for x in visited[:-1]}
 
 
 def test_real_class_indices_agree_with_inversion():

@@ -1,3 +1,4 @@
+import random
 from math import lcm
 
 import pytest
@@ -13,7 +14,8 @@ from permchar.dixon import (
     primitive_root,
 )
 from permchar.cyclo import Cyclotomic, prime_factors
-from permchar.perm import inv_images, mul_images, power_images
+from permchar.group import PermGroup
+from permchar.perm import conj_images, inv_images, mul_images, power_images
 from permchar.tableio import bundled_table, serialize_table, tables_match
 from permchar.verify import SWEEP_FAMILIES
 
@@ -107,9 +109,12 @@ def _misfiling(C, call):
 ])
 def test_a_misfiled_product_makes_the_table_fail(family, call):
     """Every `call` falls among the class-matrix products, so one entry of
-    one requested row is off: the table must not come out."""
+    one requested row is off: the table must not come out. The power maps
+    classify the o - 1 nontrivial powers of each rep before the first
+    product."""
     G = corpus.build(family).group
     C = conjugacy_classes(G)
+    call += sum(o - 1 for o in C.orders)
     calls = _misfiling(C, call)
     with pytest.raises((AssertionError, ArithmeticError, ValueError)):
         character_table(G, C)
@@ -149,6 +154,44 @@ def test_every_unsplit_space_reads_a_check_row(family, monkeypatch):
     monkeypatch.setattr(dixon, "_resplit", checked)
     character_table(corpus.build(family).group, name=family)
     assert seen
+
+
+def _relabelled(G, seed):
+    """G with its points renamed by a seeded permutation s: each generator
+    g becomes s^-1 g s."""
+    s = list(range(G.degree))
+    random.Random(seed).shuffle(s)
+    return PermGroup([conj_images(g.images, tuple(s)) for g in G.generators], G.degree)
+
+
+@pytest.mark.parametrize("family, relabel, fewer", [
+    ("psl2_23", None, True), ("m11", None, True), ("a7", None, True),
+    ("agl1_13", None, False), ("c12", None, False), ("m11", 7, True),
+])
+def test_table_does_not_depend_on_the_consumption_order(family, relabel, fewer, monkeypatch):
+    """Consuming classes by what they can split only reorders the class
+    matrices: with the plain size order back in place the table serializes
+    identically, and that order consumes at least as many classes (more
+    where rational or power-conjugate classes come early)."""
+    G = corpus.build(family).group
+    if relabel is not None:
+        G = _relabelled(G, relabel)
+    C = conjugacy_classes(G)
+    consumed = []
+    matrix = dixon.class_matrix
+
+    def recording(C, i, rows=None):
+        consumed.append(i)
+        return matrix(C, i, rows)
+
+    monkeypatch.setattr(dixon, "class_matrix", recording)
+    by_rule = serialize_table(character_table(G, C, name=family))
+    n_rule = len(consumed)
+    consumed.clear()
+    monkeypatch.setattr(dixon, "_next_class", lambda pending, skip: pending[0])
+    assert serialize_table(character_table(G, C, name=family)) == by_rule
+    assert consumed == sorted(consumed, key=lambda c: (C.sizes[c], c))
+    assert n_rule < len(consumed) if fewer else n_rule == len(consumed)
 
 
 def test_s3_table_matches_hand_computation():

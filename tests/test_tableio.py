@@ -360,7 +360,6 @@ def test_matching_m22_against_full_enumeration(enumerated_classes):
         assert C.orders[k] == T.orders[col]
     # the assignment is exact away from ambiguity groups
     ambiguous = {c for grp in m.ambiguity_groups for c in grp}
-    canonical = {tuple(sorted((C.sizes[i], C.orders[i], i) for i in range(len(C)))): None}
     # map exact classes to columns by (size, order) where unique
     for col, rep in enumerate(m.reps):
         if col in ambiguous:
@@ -455,6 +454,39 @@ def test_bad_table_values_are_syntax_errors(value):
     text = (data_dir() / "tables" / "s3.ctbl").read_text()
     with pytest.raises(TableSyntaxError, match="line 11"):
         parse_table(text.replace("chi 2 0 -1", f"chi 2 0 {value}"))
+
+
+def test_repeated_entries_are_parsed_once(monkeypatch):
+    """Every distinct entry of a table is parsed once, and each cell holds
+    the value parsing that cell alone gives."""
+    from permchar import tableio
+    from permchar.corpus import data_dir
+
+    text = (data_dir() / "tables" / "m11.ctbl").read_text()
+    parse = tableio.parse_cyclotomic
+    parsed = []
+    monkeypatch.setattr(tableio, "parse_cyclotomic", lambda tok: parsed.append(tok) or parse(tok))
+    T = parse_table(text)
+    chi = [line.split()[1:] for line in text.splitlines() if line.startswith("chi ")]
+    cells = [tok for row in chi for tok in row]
+    assert sorted(parsed) == sorted(set(cells)) and len(parsed) < len(cells)
+    assert [list(row.values) for row in T.rows] == [[parse(tok) for tok in row] for row in chi]
+
+
+def test_a_repeated_bad_entry_fails_at_its_first_line():
+    """A bad E(n) is checked when first met: repeated on lines 10 and 11,
+    it fails at line 10, and a row whose later entry is bad fails before
+    any entry of that row is parsed."""
+    from permchar.corpus import data_dir
+
+    text = (data_dir() / "tables" / "s3.ctbl").read_text()
+    bad = text.replace("chi 1 -1 1", "chi 1 E(7) 1").replace("chi 2 0 -1", "chi 2 E(7) E(7)")
+    with pytest.raises(TableSyntaxError, match=r"^line 10: E\(7\)"):
+        parse_table(bad)
+    # line 11's 1/0 would fail to parse, but its E(7) is checked first
+    bad = text.replace("chi 2 0 -1", "chi 2 1/0 E(7)")
+    with pytest.raises(TableSyntaxError, match=r"^line 11: E\(7\)"):
+        parse_table(bad)
 
 
 def _parse_in_capped_child(text):
