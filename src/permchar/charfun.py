@@ -101,6 +101,7 @@ class CharacterTable:
         self.power_maps = {int(p): tuple(m) for p, m in power_maps.items()}
         self.rows = [r if isinstance(r, ClassFunction) else ClassFunction(r) for r in rows]
         self._fs = None
+        self._degrees = None
         self._letters = None
         self._real_rows = None
         self._real_classes = None
@@ -114,7 +115,11 @@ class CharacterTable:
 
     @property
     def degrees(self) -> list:
-        return [int(r.degree.as_rational()) for r in self.rows]
+        """Row degrees; computed once. `validate` checks the degree column
+        before it reads them."""
+        if self._degrees is None:
+            self._degrees = [int(r.degree.as_rational()) for r in self.rows]
+        return self._degrees
 
     def row_letters(self) -> list:
         """ATLAS letter per row: a, b, ... within each degree, by row order."""

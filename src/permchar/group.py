@@ -51,7 +51,6 @@ class _Level:
 
     def recompute_orbit(self, stab_gens: list, degree: int) -> None:
         self.orbit_gens = list(stab_gens)
-        self.orbit_inv_gens = [inv_images(g) for g in stab_gens]
         self.inv_transversals = {}
         if self.full:
             self.orbit = {self.point: identity_images(degree)}
@@ -66,6 +65,8 @@ class _Level:
                         self.orbit[b] = mul_images(u, g)
                         queue.append(b)
         else:
+            # only `transversal_inv` reads these, and only in vector mode
+            self.orbit_inv_gens = [inv_images(g) for g in stab_gens]
             self.orbit = {self.point: None}
             queue = [self.point]
             for a in queue:
@@ -113,6 +114,14 @@ class PermGroup:
     """Group generated by permutations of {0..degree-1}, with BSGS."""
 
     def __init__(self, generators, degree: int, base_hint=None):
+        self._build(generators, degree, base_hint)
+
+    # -- construction ------------------------------------------------------
+
+    def _build(self, generators, degree: int, base_hint=None, stop_order: int = 0) -> bool:
+        """Set the group up and run Schreier-Sims on `generators`. Returns
+        False, leaving the chain unfinished, once the product of the basic
+        orbit lengths reaches `stop_order` (0: never)."""
         gens = [g if isinstance(g, Permutation) else Permutation(g) for g in generators]
         for g in gens:
             if g.degree != degree:
@@ -121,12 +130,16 @@ class PermGroup:
         self._identity = identity_images(degree)
         self.generators = [g for g in gens if not g.is_identity()]
         self._levels: list[_Level] = [_Level(pt, degree) for pt in base_hint or ()]
-        self._schreier_sims([g.images for g in self.generators])
-        self._order = 1
-        for lv in self._levels:
-            self._order *= len(lv.orbit)
+        if not self._schreier_sims([g.images for g in self.generators], stop_order):
+            return False
+        self._order = self._orbit_product()
+        return True
 
-    # -- construction ------------------------------------------------------
+    def _orbit_product(self) -> int:
+        out = 1
+        for lv in self._levels:
+            out *= len(lv.orbit)
+        return out
 
     def _sift(self, g: tuple, start: int = 0):
         """Reduce g through the chain; returns (residue, stop level)."""
@@ -161,11 +174,19 @@ class PermGroup:
         for j in range(i, -1, -1):
             self._levels[j].recompute_orbit(self._stab_gens(j), self.degree)
 
-    def _schreier_sims(self, gens: list[tuple]) -> None:
+    def _schreier_sims(self, gens: list[tuple], stop_order: int = 0) -> bool:
+        """Complete the chain; False if stopped early at `stop_order`.
+
+        Each level's orbit is an orbit of a subgroup of <gens>, the next
+        level's group fixes its point, so the product of the orbit lengths
+        never exceeds |<gens>|: reaching a bound on that order proves the
+        chain complete."""
         for g in gens:
             residue, i = self._sift(g)
             if not self._is_identity(residue):
                 self._add_generator_at(i, residue)
+                if self._orbit_product() == stop_order:
+                    return False
         # verify Schreier generators bottom-up; jumping deeper on new strong
         # generators keeps the pass deterministic and terminating
         i = len(self._levels) - 1
@@ -173,17 +194,25 @@ class PermGroup:
             lv = self._levels[i]
             clean = True
             for pt in sorted(lv.orbit):
-                u = lv.transversal(pt, self.degree)
-                for g in lv.orbit_gens:
+                u = None
+                for gi, g in enumerate(lv.orbit_gens):
                     target = g[pt]
-                    s = mul_images(
-                        mul_images(u, g), lv.transversal_inv(target, self.degree)
-                    )
+                    if not lv.full and lv.orbit[target] == (pt, gi):
+                        continue  # a tree edge: u * g is the transversal of target
+                    if u is None:
+                        u = lv.transversal(pt, self.degree)
+                    ug = mul_images(u, g)
+                    # the Schreier generator u * g * t^-1 is trivial iff u * g = t
+                    if lv.full and ug == lv.orbit[target]:
+                        continue
+                    s = mul_images(ug, lv.transversal_inv(target, self.degree))
                     if self._is_identity(s):
                         continue
                     residue, j = self._sift(s, i + 1)
                     if not self._is_identity(residue):
                         self._add_generator_at(j, residue)
+                        if self._orbit_product() == stop_order:
+                            return False
                         i = j
                         clean = False
                         break
@@ -191,6 +220,7 @@ class PermGroup:
                     break
             if clean:
                 i -= 1
+        return True
 
     # -- queries -----------------------------------------------------------
 
@@ -206,26 +236,28 @@ class PermGroup:
     def __contains__(self, p: Permutation) -> bool:
         return self.contains_images(p.images)
 
+    @cached_property
+    def _sorted_orbits(self) -> list:
+        """(level, its orbit sorted) for every level with a nontrivial orbit."""
+        return [(lv, sorted(lv.orbit)) for lv in self._levels if len(lv.orbit) > 1]
+
     def random_element(self, rng: random.Random) -> Permutation:
         g = identity_images(self.degree)
-        for lv in self._levels:
-            if len(lv.orbit) == 1:
-                continue
-            pts = sorted(lv.orbit)
+        for lv, pts in self._sorted_orbits:
             pt = pts[rng.randrange(len(pts))]
             g = mul_images(lv.transversal(pt, self.degree), g)
         return Permutation(g)
 
     def element_images_iter(self):
         """All elements as image tuples, in a fixed deterministic order."""
-        nontrivial = [lv for lv in self._levels if len(lv.orbit) > 1]
+        nontrivial = self._sorted_orbits
 
         def rec(i: int, prefix: tuple):
             if i < 0:
                 yield prefix
                 return
-            lv = nontrivial[i]
-            for pt in sorted(lv.orbit):
+            lv, pts = nontrivial[i]
+            for pt in pts:
                 u = lv.transversal(pt, self.degree)
                 yield from rec(i - 1, mul_images(prefix, u))
 
@@ -255,6 +287,18 @@ def _gens_fixing(gens, degree: int, points) -> list:
 
 def trivial_group(degree: int) -> PermGroup:
     return PermGroup([], degree)
+
+
+def proper_subgroup(G: PermGroup, gens) -> PermGroup | None:
+    """<gens> for elements of G, or None when they generate G.
+
+    The chain build stops as soon as its orbit lengths multiply to |G|,
+    which proves <gens> = G; otherwise it runs to the end and the group
+    is exactly `PermGroup(gens, G.degree)`."""
+    H = PermGroup.__new__(PermGroup)
+    if not H._build(gens, G.degree, stop_order=G.order()) or H.order() == G.order():
+        return None
+    return H
 
 
 def is_subgroup(H: PermGroup, G: PermGroup) -> bool:

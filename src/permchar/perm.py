@@ -27,14 +27,6 @@ def inv_images(p: tuple) -> tuple:
     return tuple(out)
 
 
-def conj_images(p: tuple, q: tuple) -> tuple:
-    """q^-1 * p * q on image tuples."""
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[q[i]] = q[j]
-    return tuple(out)
-
-
 def conjugator(g: tuple):
     """y -> g^-1 * y * g on image tuples, for a g of degree at least 2
     (a group generator moves a point). The getter for g^-1 is built once,

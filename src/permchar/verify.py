@@ -27,6 +27,7 @@ from .group import (
     PermGroup,
     _point_orbits,
     normalizer,
+    proper_subgroup,
     sylow_2,
 )
 from .perm import conjugator
@@ -100,6 +101,7 @@ class GroupContext:
         self.corpus_group = corpus_group
         self._sylow2 = None
         self._sylow2_normalizer = None
+        self._trivial_row = None
         self._perm_characters: dict = {}
         self._decompositions: dict = {}
 
@@ -194,11 +196,16 @@ class GroupContext:
         return self._sylow2_normalizer
 
     def trivial_row_index(self) -> int:
-        one = ClassFunction([1] * self.table.n_classes)
-        for i, row in enumerate(self.table.rows):
-            if row == one:
-                return i
-        raise AssertionError("table has no trivial row")
+        """Index of the trivial row; computed once."""
+        if self._trivial_row is None:
+            one = ClassFunction([1] * self.table.n_classes)
+            for i, row in enumerate(self.table.rows):
+                if row == one:
+                    self._trivial_row = i
+                    break
+            else:
+                raise AssertionError("table has no trivial row")
+        return self._trivial_row
 
 
 _context_cache: dict = {}
@@ -698,8 +705,10 @@ def sample_subgroups(G: PermGroup, seed: int = 0, budget: int = 12) -> list:
                 push(f"cyclic{H.order()}", H)
         else:
             h = G.random_element(rng)
-            H = PermGroup([g, h], G.degree)
-            push(f"gen2_{H.order()}", H)
+            # G itself holds the "whole" key already, so its chain is not finished
+            H = proper_subgroup(G, [g, h])
+            if H is not None:
+                push(f"gen2_{H.order()}", H)
     return out
 
 

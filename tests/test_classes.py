@@ -12,8 +12,10 @@ from permchar.classes import (
 )
 from permchar.dixon import character_table
 from permchar.group import PermGroup, trivial_group
-from permchar.perm import conj_images, cycle_type, inv_images, parse_permutation, power_images
+from permchar.perm import cycle_type, inv_images, parse_permutation, power_images
 from permchar.verify import SWEEP_FAMILIES
+
+from helpers import conj_images
 
 
 def _inverse_classes(C) -> list:

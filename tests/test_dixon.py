@@ -15,9 +15,11 @@ from permchar.dixon import (
 )
 from permchar.cyclo import Cyclotomic, prime_factors
 from permchar.group import PermGroup
-from permchar.perm import conj_images, inv_images, mul_images, power_images
+from permchar.perm import inv_images, mul_images, power_images
 from permchar.tableio import bundled_table, serialize_table, tables_match
 from permchar.verify import SWEEP_FAMILIES
+
+from helpers import conj_images
 
 
 def test_modular_helpers():

@@ -20,20 +20,20 @@ from permchar.group import (
     normalizer,
     o_2prime,
     orbit_stabilizer,
+    proper_subgroup,
     setwise_stabilizer,
     sylow_2,
     trivial_group,
 )
 from permchar.perm import (
     Permutation,
-    conj_images,
     identity_images,
     inv_images,
     mul_images,
     parse_permutation,
 )
 
-from helpers import THEOREM_D_FAMILIES
+from helpers import THEOREM_D_FAMILIES, ReferenceChain, chain_levels, conj_images
 
 
 def brute_force_order(gens, degree):
@@ -80,6 +80,94 @@ def test_transversal_inverses_invert_the_transversals(family, degree):
             u = lv.transversal(pt, degree)
             assert u[lv.point] == pt
             assert mul_images(u, lv.transversal_inv(pt, degree)) == one
+
+
+# the corpus groups the library checks: the sweep and theorem-D families and the Mathieu groups
+CORPUS_FAMILIES = sorted(set(verify.SWEEP_FAMILIES) | set(THEOREM_D_FAMILIES) | {"m11", "m22", "m23"})
+
+
+def _assert_matches_reference(G, R, draws=0, max_listed=2000):
+    """G's chain is R's level by level, and so are `draws` seeded random
+    elements and, up to order `max_listed`, the order of the elements."""
+    assert chain_levels(G._levels) == chain_levels(R.levels)
+    assert G.order() == R.order
+    if draws:
+        rng_g, rng_r = random.Random(G.order()), random.Random(G.order())
+        assert ([G.random_element(rng_g).images for _ in range(draws)]
+                == [R.random_element(rng_r) for _ in range(draws)])
+    if G.order() <= max_listed:
+        assert list(G.element_images_iter()) == R.element_images()
+
+
+@pytest.mark.parametrize("family", CORPUS_FAMILIES)
+def test_chain_matches_the_reference_schreier_sims(family):
+    G = corpus.build(family).group
+    _assert_matches_reference(G, ReferenceChain(G.generators, G.degree), draws=30)
+
+
+def _assert_two_generated_subgroups_match(G, seed, samples):
+    """Seeded 2-generated subgroups: `PermGroup` builds the reference
+    chain, and `proper_subgroup` returns None exactly when the reference
+    order is |G|, else that same chain."""
+    rng = random.Random(seed)
+    outcomes = set()
+    for _ in range(samples):
+        gens = [G.random_element(rng), G.random_element(rng)]
+        R = ReferenceChain(gens, G.degree)
+        _assert_matches_reference(PermGroup(gens, G.degree), R, draws=5)
+        H = proper_subgroup(G, gens)
+        assert (H is None) == (R.order == G.order())
+        if H is not None:
+            _assert_matches_reference(H, R, draws=5)
+        outcomes.add(H is None)
+    return outcomes
+
+
+@pytest.mark.parametrize("family", verify.SWEEP_FAMILIES)
+def test_two_generated_subgroups_match_the_reference(family):
+    G = corpus.build(family).group
+    _assert_two_generated_subgroups_match(G, seed=18, samples=12)
+
+
+@pytest.mark.parametrize("family", ["s5", "psl2_7", "agl1_9", "q16"])
+def test_two_generated_subgroups_match_the_reference_with_schreier_vectors(family):
+    G = _padded(corpus.build(family).group, 600)
+    assert all(not lv.full for lv in G._levels)
+    _assert_matches_reference(G, ReferenceChain(G.generators, 600), draws=10)
+    # both answers occur, so the stop and the finished build are both checked
+    assert _assert_two_generated_subgroups_match(G, seed=18, samples=12) == {True, False}
+
+
+def test_cyclic_group_of_degree_600_matches_the_reference():
+    """One 600-point orbit: every Schreier generator but one comes from a
+    tree edge of the Schreier vector."""
+    n = 600
+    c = Permutation([*range(1, n), 0])
+    G = PermGroup([c], n)
+    # listing the elements walks 600 Schreier-vector paths per group
+    _assert_matches_reference(G, ReferenceChain([c], n), draws=10, max_listed=0)
+    assert proper_subgroup(G, [c]) is None
+    H = proper_subgroup(G, [c**4])
+    assert H.order() == 150
+    _assert_matches_reference(H, ReferenceChain([c**4], n), draws=10, max_listed=0)
+
+
+@pytest.mark.parametrize("family", ["c12", "s4", "m11", "psl2_13"])
+def test_whole_group_stop_does_less_than_the_full_build(family, monkeypatch):
+    """Generators of G stop the build once the orbit lengths multiply to
+    |G|, before the remaining Schreier generators are formed and sifted:
+    during the verification pass, or before it (c12's one generator)."""
+    G = corpus.build(family).group
+    calls = []
+    for cls, name in ((PermGroup, "_sift"), (_Level, "transversal")):
+        method = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda self, *a, m=method: calls.append(1) or m(self, *a))
+    PermGroup(G.generators, G.degree)
+    full = len(calls)
+    calls.clear()
+    assert proper_subgroup(G, G.generators) is None
+    assert len(calls) < full
+    assert proper_subgroup(trivial_group(3), []) is None
 
 
 def test_membership_is_exact():
@@ -476,8 +564,6 @@ def test_lemma_reality_in_normal_subgroup_property():
 
 
 def _conj_class(G, x):
-    from permchar.perm import conj_images
-
     gens = [g.images for g in G.generators]
     orbit = {x.images}
     queue = [x.images]
@@ -499,7 +585,8 @@ def test_breadth_first_orbit_of_a_20000_point_cycle():
     """The one orbit of x -> x + 7 (mod 20,000) is 0, 7, 14, ... in
     breadth-first order, from `_point_orbits` and from a Schreier-vector
     chain level. `_point_orbits` reads only the generators and the degree;
-    a whole chain of this degree would take minutes to verify."""
+    a whole chain of this degree takes seconds, for one transversal walk
+    of 19,999 steps."""
     n = 20_000
     step = tuple((x + 7) % n for x in range(n))
     bfs = tuple(7 * i % n for i in range(n))

@@ -351,6 +351,9 @@ def test_corrupted_tables_fail_alike(name):
     for what, bad in _corruptions(T):
         got = outcome(CharacterTable.validate, bad)
         assert got == outcome(oracle_validate, bad), (name, what)
+        # the degrees are kept once read; validate checks the column first
+        outcome(lambda: bad.degrees)
+        assert outcome(CharacterTable.validate, bad) == got, (name, what)
         seen.add(got[0])
         assert_table_agrees(bad)
     assert CharacterTableError in seen and ValueError in seen, seen

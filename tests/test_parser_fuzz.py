@@ -170,7 +170,8 @@ def test_parser_raises_only_documented_errors(target):
     proc = subprocess.run(
         [sys.executable, __file__, target],
         capture_output=True, text=True, timeout=4 * CPU_SECONDS,
-        env={"PYTHONPATH": src, "PATH": "", "HOME": "/nonexistent"},
+        env={"PYTHONPATH": src, "PATH": "", "HOME": "/nonexistent",
+             "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
 

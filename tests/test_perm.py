@@ -10,7 +10,6 @@ from permchar.group import PermGroup, coset_action, trivial_group
 from permchar.perm import (
     Permutation,
     cycle_string,
-    conj_images,
     inv_images,
     mul_images,
     order_of_images,
@@ -18,7 +17,7 @@ from permchar.perm import (
     power_images,
 )
 
-from helpers import conjugate_by
+from helpers import conj_images, conjugate_by
 
 
 def test_identity_and_bijection_check():

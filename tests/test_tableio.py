@@ -512,7 +512,7 @@ def _parse_in_capped_child(text):
     proc = subprocess.run(
         [sys.executable, "-c", child],
         input=text, capture_output=True, text=True, timeout=120,
-        env={"PYTHONPATH": src, "PATH": ""},
+        env={"PYTHONPATH": src, "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert proc.returncode == 0, proc.stderr[-500:]
     return proc.stdout

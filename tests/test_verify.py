@@ -5,7 +5,7 @@ from permchar.group import PermGroup
 from permchar.perm import parse_permutation
 from permchar.tableio import ClassMatching
 
-from helpers import THEOREM_D_FAMILIES
+from helpers import THEOREM_D_FAMILIES, conj_images
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -101,7 +101,7 @@ def _check_theorem_D_against_brute_force(family):
     conjugates of P, and the real odd-order classes read off the table
     against full enumeration."""
     from permchar.classes import conjugacy_classes
-    from permchar.perm import conj_images, inv_images
+    from permchar.perm import inv_images
 
     ctx = verify.context(family)
     r = verify.check_theorem_D(ctx)
