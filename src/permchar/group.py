@@ -177,10 +177,10 @@ class PermGroup:
     def _schreier_sims(self, gens: list[tuple], stop_order: int = 0) -> bool:
         """Complete the chain; False if stopped early at `stop_order`.
 
-        Each level's orbit is an orbit of a subgroup of <gens>, the next
-        level's group fixes its point, so the product of the orbit lengths
-        never exceeds |<gens>|: reaching a bound on that order proves the
-        chain complete."""
+        Level j's orbit is an orbit of S_j, the group of the strong
+        generators at levels >= j. S_{j+1} fixes level j's point and
+        S_0 <= <gens>, so the product of the orbit lengths never exceeds
+        |<gens>|: reaching a bound on that order proves the chain complete."""
         for g in gens:
             residue, i = self._sift(g)
             if not self._is_identity(residue):
