@@ -343,7 +343,8 @@ def perm_character(G: PermGroup, H: PermGroup, classes) -> ClassFunction:
     for k classes, pi comes from the class fusion of H
     (`perm_character_by_fusion`): |H| `classify` lookups. Otherwise G acts
     on the [G:H] cosets and each representative is sifted through H once
-    per coset, k [G:H] sifts in all.
+    per coset that passes the orbit guard of `CosetAction.fixed_cosets`,
+    at most k [G:H] sifts in all.
     """
     if H.order() <= len(classes.sizes) * (G.order() // H.order()):
         return perm_character_by_fusion(G, H, classes)

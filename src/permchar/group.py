@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
+from operator import itemgetter
 
 from .perm import (
     Permutation,
@@ -249,20 +250,26 @@ class PermGroup:
         return Permutation(g)
 
     def element_images_iter(self):
-        """All elements as image tuples, in a fixed deterministic order."""
-        nontrivial = self._sorted_orbits
+        """All elements as image tuples, in a fixed deterministic order: the
+        deepest level's point varies slowest, the first level's fastest."""
+        us = [[lv.transversal(pt, self.degree) for pt in pts] for lv, pts in self._sorted_orbits]
+        if not us:
+            return iter((self._identity,))
 
-        def rec(i: int, prefix: tuple):
-            if i < 0:
+        def prefixes(i: int, prefix: tuple):
+            # compose deepest stabilizer first so each element is formed once
+            if i == 0:
                 yield prefix
                 return
-            lv, pts = nontrivial[i]
-            for pt in pts:
-                u = lv.transversal(pt, self.degree)
-                yield from rec(i - 1, mul_images(prefix, u))
+            for u in us[i]:
+                yield from prefixes(i - 1, mul_images(prefix, u))
 
-        # compose deepest stabilizer first so each element is formed once
-        yield from rec(len(nontrivial) - 1, identity_images(self.degree))
+        # the first level's elements prefix * u, one C-level map per prefix
+        # (a nontrivial group has degree >= 2, so the getter returns tuples)
+        first = us[0]
+        return chain.from_iterable(
+            map(itemgetter(*prefix), first) for prefix in prefixes(len(us) - 1, self._identity)
+        )
 
     def elements(self):
         for g in self.element_images_iter():
@@ -480,14 +487,24 @@ class CosetAction:
     def _rep_inverses(self) -> list:
         return [inv_images(x) for x in self.reps]
 
+    @cached_property
+    def _guard(self) -> tuple:
+        """(a, O): a point a of a smallest H-orbit O, and O as a set. Every
+        element of H maps a into O."""
+        orbit = min(_point_orbits(self.H), key=len)
+        return orbit[0], frozenset(orbit)
+
     def fixed_cosets(self, p: Permutation) -> int:
-        """Number of cosets fixed by p: #{i : reps[i] * p * reps[i]^-1 in H}."""
+        """Number of cosets fixed by p: #{i : reps[i] * p * reps[i]^-1 in H}.
+        Only an element y that maps the guard point a into its H-orbit can
+        lie in H, so y is formed and sifted only when y[a] is in O."""
         g = p.images
+        a, orbit = self._guard
         contains = self.H.contains_images
         return sum(
             1
             for x, xi in zip(self.reps, self._rep_inverses)
-            if contains(mul_images(mul_images(x, g), xi))
+            if xi[g[x[a]]] in orbit and contains(mul_images(mul_images(x, g), xi))
         )
 
     def kernel(self) -> PermGroup:

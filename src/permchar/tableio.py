@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
 from math import gcd, lcm
 from pathlib import Path
 
@@ -243,7 +242,6 @@ class MatchingError(RuntimeError):
     pass
 
 
-@dataclass
 class ClassMatching:
     """Class data of a live group matched to its table: group, reps,
     sizes and orders (the table's), and classify.
@@ -261,15 +259,18 @@ class ClassMatching:
     element costs one walk of its cycles and one dict probe.
     """
 
-    table: CharacterTable
-    group: PermGroup
-    reps: list
-    ambiguity_groups: list
-    samples_used: int
-    sampled: classes.SampledClassSet = field(repr=False)
-    columns: dict = field(repr=False)  # bucket key -> first column assigned it
-    # fingerprint -> column, for the fingerprints whose key holds no size
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
+    def __init__(self, table: CharacterTable, group: PermGroup, reps: list,
+                 ambiguity_groups: list, samples_used: int,
+                 sampled: classes.SampledClassSet, columns: dict):
+        self.table = table
+        self.group = group
+        self.reps = reps
+        self.ambiguity_groups = ambiguity_groups
+        self.samples_used = samples_used
+        self.sampled = sampled
+        self.columns = columns  # bucket key -> first column assigned it
+        # fingerprint -> column, for the fingerprints whose key holds no size
+        self._memo: dict = {}
 
     sizes = property(lambda self: self.table.sizes)
     orders = property(lambda self: self.table.orders)

@@ -7,9 +7,7 @@ products, indicators from the squaring power map, parities from integers.
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass, field
 from math import lcm
 
 from . import corpus
@@ -27,6 +25,7 @@ from .group import (
     PermGroup,
     _point_orbits,
     normalizer,
+    orbit_stabilizer,
     proper_subgroup,
     sylow_2,
 )
@@ -34,7 +33,6 @@ from .perm import conjugator
 from .tableio import ClassMatching, bundled_table, find_representatives
 
 
-@dataclass
 class VerificationReport:
     """Outcome of one mechanical check.
 
@@ -42,14 +40,17 @@ class VerificationReport:
     held; witnesses carry the re-checkable data (constituent names,
     multiplicities, indicators, class names)."""
 
-    statement: str
-    group: str
-    subgroup: str | None
-    hypotheses: dict
-    conclusion: dict
-    witnesses: list = field(default_factory=list)
-    passed: bool = False
-    notes: list = field(default_factory=list)
+    def __init__(self, statement: str, group: str, subgroup: str | None, hypotheses: dict,
+                 conclusion: dict, witnesses: list | None = None, passed: bool = False,
+                 notes: list | None = None):
+        self.statement = statement
+        self.group = group
+        self.subgroup = subgroup
+        self.hypotheses = hypotheses
+        self.conclusion = conclusion
+        self.witnesses = [] if witnesses is None else witnesses
+        self.passed = passed
+        self.notes = [] if notes is None else notes
 
     def to_json(self) -> dict:
         return {
@@ -99,8 +100,8 @@ class GroupContext:
         self.classes = classes
         self.threshold = threshold
         self.corpus_group = corpus_group
-        self._sylow2 = None
-        self._sylow2_normalizer = None
+        self._sylow2: dict = {}  # seed -> P
+        self._sylow2_normalizer: dict = {}  # seed -> N_G(P)
         self._trivial_row = None
         self._perm_characters: dict = {}
         self._decompositions: dict = {}
@@ -181,19 +182,27 @@ class GroupContext:
         return covers, inside
 
     def sylow2(self, seed: int = 0) -> PermGroup:
-        if self._sylow2 is None:
-            self._sylow2 = sylow_2(self.group, seed=seed)
-        return self._sylow2
+        P = self._sylow2.get(seed)
+        if P is None:
+            P = self._sylow2[seed] = sylow_2(self.group, seed=seed)
+        return P
 
     def sylow2_normalizer(self, seed: int = 0) -> PermGroup:
-        """N_G(P) for P = sylow2(seed). Its conjugation orbit holds about
-        |G| elements, so past the context's threshold this raises."""
-        if self._sylow2_normalizer is None:
+        """N_G(P) for P = sylow2(seed). N_G(P) permutes the P-orbits, so it
+        lies in the stabilizer S of the partition of the points into
+        P-orbits, and N_G(P) = N_S(P): the conjugation orbit of P's element
+        set is walked in S, not in G. Past the context's threshold this
+        raises."""
+        N = self._sylow2_normalizer.get(seed)
+        if N is None:
             if self.group.order() > self.threshold:
                 raise EnumerationThresholdError(f"group order {self.group.order()} exceeds"
                                                 f" enumeration threshold {self.threshold}")
-            self._sylow2_normalizer = normalizer(self.group, self.sylow2(seed=seed))
-        return self._sylow2_normalizer
+            P = self.sylow2(seed=seed)
+            partition = frozenset(frozenset(orbit) for orbit in _point_orbits(P))
+            _, S = orbit_stabilizer(self.group, partition, _image_partition)
+            N = self._sylow2_normalizer[seed] = normalizer(S, P)
+        return N
 
     def trivial_row_index(self) -> int:
         """Index of the trivial row; computed once."""
@@ -206,6 +215,10 @@ class GroupContext:
             else:
                 raise AssertionError("table has no trivial row")
         return self._trivial_row
+
+
+def _image_partition(partition: frozenset, g: tuple) -> frozenset:
+    return frozenset(frozenset(map(g.__getitem__, block)) for block in partition)
 
 
 _context_cache: dict = {}
@@ -743,4 +756,6 @@ def theorem_a_sweep(
 
 
 def reports_to_json(reports) -> str:
+    import json  # imported here, so that importing this module does not load json
+
     return json.dumps([r.to_json() for r in reports], indent=2)

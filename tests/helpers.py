@@ -1,7 +1,7 @@
 """Helpers that only the tests use: the theorem-D families, class
-functions, a group-file writer, conjugation of Permutations, a second
-resolution of a matching's ambiguity groups, and a reference
-Schreier-Sims."""
+functions, a group-file writer, conjugation of Permutations, an unguarded
+fixed-coset count, a second resolution of a matching's ambiguity groups,
+and a reference Schreier-Sims."""
 
 from fractions import Fraction
 from pathlib import Path
@@ -48,6 +48,17 @@ def conj_images(p: tuple, q: tuple) -> tuple:
 def conjugate_by(p: Permutation, q: Permutation) -> Permutation:
     """q^-1 * p * q."""
     return Permutation(conj_images(p.images, q.images))
+
+
+def unguarded_fixed_cosets(action, p: Permutation) -> int:
+    """`CosetAction.fixed_cosets` without its orbit guard: every coset's
+    reps[i] * p * reps[i]^-1 is formed and sifted through H."""
+    g = p.images
+    return sum(
+        1
+        for x in action.reps
+        if action.H.contains_images(mul_images(mul_images(x, g), inv_images(x)))
+    )
 
 
 def alternate_reps(matching) -> list:

@@ -33,7 +33,13 @@ from permchar.perm import (
     parse_permutation,
 )
 
-from helpers import THEOREM_D_FAMILIES, ReferenceChain, chain_levels, conj_images
+from helpers import (
+    THEOREM_D_FAMILIES,
+    ReferenceChain,
+    chain_levels,
+    conj_images,
+    unguarded_fixed_cosets,
+)
 
 
 def brute_force_order(gens, degree):
@@ -191,6 +197,27 @@ def test_element_iteration_unique_and_complete():
     assert len(elems) == 24 == len(set(elems))
 
 
+@pytest.mark.parametrize("family,degree", [("psl2_7", 600), ("s5", 520), ("s4", 513)])
+def test_element_walk_matches_the_reference_with_schreier_vectors(family, degree):
+    """The batched walk lists the reference's elements in its order when
+    every level keeps a Schreier vector, over three or more levels."""
+    G = _padded(corpus.build(family).group, degree)
+    assert all(not lv.full for lv in G._levels) and len(G._sorted_orbits) >= 3
+    elems = list(G.element_images_iter())
+    assert elems == ReferenceChain(G.generators, degree).element_images()
+    assert len(set(elems)) == G.order()
+
+
+@pytest.mark.parametrize("gens,degree", [
+    ([], 1), ([], 0), ([], 5), ([(1, 0)], 2), ([(1, 2, 0)], 3),
+])
+def test_element_walk_of_trivial_and_tiny_groups(gens, degree):
+    G = PermGroup(gens, degree)
+    elems = list(G.element_images_iter())
+    assert elems == ReferenceChain(G.generators, degree).element_images()
+    assert len(elems) == G.order()
+
+
 def test_random_element_is_member_and_deterministic():
     G = corpus.build("psl3_2").group
     r1 = [G.random_element(random.Random(5)) for _ in range(10)]
@@ -306,6 +333,55 @@ def test_coset_key_separates_exactly_the_right_cosets(family, degree):
             assert mul_images(kx, inv_images(x)) in hset  # the key lies in Hx
             for y, ky in zip(elems, keys):
                 assert (kx == ky) == (mul_images(x, inv_images(y)) in hset)
+
+
+def _assert_fixed_cosets_match_the_unguarded_count(G, H, seed=0, draws=6):
+    """fixed_cosets against sifting every coset, for the identity, the
+    generators of G and H, and seeded random elements of G."""
+    act = coset_action(G, H)
+    rng = random.Random(seed)
+    elements = [Permutation(identity_images(G.degree)), *G.generators, *H.generators,
+                *(G.random_element(rng) for _ in range(draws))]
+    for p in elements:
+        assert act.fixed_cosets(p) == unguarded_fixed_cosets(act, p), p
+    assert act.fixed_cosets(elements[0]) == act.degree
+
+
+# every selector of every corpus group, up to this index
+_GUARD_MAX_INDEX = 2000
+
+
+@pytest.mark.parametrize("family", CORPUS_FAMILIES + ["c1"])
+def test_fixed_cosets_match_the_unguarded_count_on_corpus_selectors(family):
+    cg = corpus.build(family)
+    G = cg.group
+    for selector in cg.subgroup_names():
+        try:
+            H = cg.subgroup(selector)
+        except ValueError:  # h2p needs an odd field size
+            continue
+        if G.order() // H.order() <= _GUARD_MAX_INDEX:
+            _assert_fixed_cosets_match_the_unguarded_count(G, H)
+
+
+@pytest.mark.parametrize("family", verify.SWEEP_FAMILIES)
+def test_fixed_cosets_match_the_unguarded_count_on_sampled_subgroups(family):
+    G = corpus.build(family).group
+    for _, H in verify.sample_subgroups(G, seed=1, budget=8):
+        _assert_fixed_cosets_match_the_unguarded_count(G, H, seed=1)
+
+
+@pytest.mark.parametrize("family,selector,transitive", [
+    ("agl1_9", "f", True), ("psl3_2", "whole", True), ("s4", "trivial", False),
+])
+def test_fixed_cosets_guard_on_transitive_and_trivial_subgroups(family, selector, transitive):
+    """A transitive H guards with all points, so the guard rejects no
+    coset; the trivial group guards with a fixed point."""
+    cg = corpus.build(family)
+    H = cg.subgroup(selector)
+    a, orbit = coset_action(cg.group, H)._guard
+    assert orbit == (frozenset(range(H.degree)) if transitive else {a})
+    _assert_fixed_cosets_match_the_unguarded_count(cg.group, H)
 
 
 def test_coset_action_requires_subgroup():

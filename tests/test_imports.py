@@ -1,4 +1,5 @@
-"""Every imported name is read somewhere in its module.
+"""Every imported name is read somewhere in its module, and importing
+`permchar.verify` loads no module that only a rarely used path needs.
 
 An AST scan of `src/`, `tools/` and `tests/`: a name bound by an import
 counts as used when the module loads it (a bare name, or the root of an
@@ -7,6 +8,8 @@ attribute chain), names it in a quoted annotation, or lists it in
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,3 +76,22 @@ def test_no_unused_imports(path):
         if name not in used
     )
     assert not unused, f"{path.relative_to(ROOT)}: unused imports {unused}"
+
+
+def test_importing_verify_loads_no_dataclasses_inspect_or_json():
+    """`dataclasses` pulls in `inspect` (about 7.5 ms a process) and `json`
+    is read only by `reports_to_json`; a fresh interpreter that imports
+    `permchar.verify` must load none of the three."""
+    code = (
+        "import sys; before = set(sys.modules); import permchar.verify; "
+        "print(sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(ROOT / "src"), "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(ast.literal_eval(proc.stdout))
+    assert "permchar.verify" in loaded
+    assert not loaded & {"dataclasses", "inspect", "json"}

@@ -1,7 +1,7 @@
 import pytest
 
 from permchar import corpus, verify
-from permchar.group import PermGroup
+from permchar.group import PermGroup, is_normal_in, is_subgroup, normalizer, sylow_2
 from permchar.perm import parse_permutation
 from permchar.tableio import ClassMatching
 
@@ -136,6 +136,32 @@ def test_theorem_D_counts_match_sylow_conjugates(family):
 @pytest.mark.slow
 def test_theorem_D_counts_match_sylow_conjugates_m22():
     _check_theorem_D_against_brute_force("m22")
+
+
+@pytest.mark.parametrize("family", THEOREM_D_FAMILIES + ["m11", pytest.param("m22", marks=pytest.mark.slow)])
+def test_sylow2_normalizer_equals_the_normalizer_in_G(family):
+    """N_S(P), S the stabilizer of the P-orbit partition, is N_G(P): the
+    same order, and each generating set lies in the other group."""
+    ctx = verify.GroupContext.for_family(family)
+    N, P = ctx.sylow2_normalizer(), ctx.sylow2()
+    reference = normalizer(ctx.group, P)
+    assert N.order() == reference.order()
+    assert is_subgroup(N, reference) and is_subgroup(reference, N)
+    assert is_subgroup(P, N) and is_normal_in(P, N)
+
+
+def test_sylow_caches_are_keyed_by_seed():
+    """A seed asked after another gets its own Sylow 2-subgroup and its own
+    normalizer; a5's seeds 0 and 1 pick different Sylow 2-subgroups."""
+    ctx = verify.GroupContext.for_family("a5")
+    P0, N0 = ctx.sylow2(seed=0), ctx.sylow2_normalizer(seed=0)
+    P1, N1 = ctx.sylow2(seed=1), ctx.sylow2_normalizer(seed=1)
+    expect = sylow_2(ctx.group, seed=1)
+    assert [g.images for g in P1.generators] == [g.images for g in expect.generators]
+    assert set(P1.element_images_iter()) != set(P0.element_images_iter())
+    assert is_subgroup(P1, N1) and is_normal_in(P1, N1) and not is_normal_in(P1, N0)
+    assert N1.order() == N0.order() == 12
+    assert ctx.sylow2(seed=0) is P0 and ctx.sylow2_normalizer(seed=0) is N0
 
 
 def test_theorem_D_reads_the_table_and_enumerates_nothing(monkeypatch):
