@@ -70,23 +70,22 @@ def _poly_mul_mod(a, b, f, p):
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
+                out[i + j] += x * y
     return _poly_rem(out, f, p)
 
 
 def _poly_rem(a, f, p):
+    """a mod f over F_p. The coefficients of a may be any ints: they
+    accumulate unreduced and each is reduced once, when it is read."""
     a = list(a)
     df = len(f) - 1
     inv_lead = pow(f[-1], p - 2, p)
     for i in range(len(a) - 1, df - 1, -1):
         c = a[i] * inv_lead % p
         if c:
-            for j in range(df + 1):
-                a[i - df + j] = (a[i - df + j] - c * f[j]) % p
-    out = a[:df]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+            for j in range(df):
+                a[i - df + j] -= c * f[j]
+    return _trim([x % p for x in a[:df]])
 
 
 def _trim(a):
@@ -102,7 +101,7 @@ def _poly_gcd(a, b, p):
         if len(a) < len(b):
             a, b = b, a
             continue
-        a, b = b, _trim(_poly_rem(a, b, p))
+        a, b = b, _poly_rem(a, b, p)
     if not a:
         return []
     inv = pow(a[-1], p - 2, p)
@@ -110,45 +109,73 @@ def _poly_gcd(a, b, p):
 
 
 def poly_roots_mod(f, p: int) -> list:
-    """Distinct roots in F_p of the polynomial f (low-to-high coeffs)."""
-    f = list(f)
-    while f and f[-1] == 0:
-        f.pop()
+    """Distinct roots in F_p of the polynomial f (low-to-high coeffs),
+    sorted. Degrees 1 and 2 are solved in closed form."""
+    f = _trim([c % p for c in f])
     if len(f) <= 1:
         return []
+    if p == 2:
+        return [x for x, v in enumerate((f[0], sum(f))) if v % 2 == 0]
+    if len(f) <= 3:
+        return _low_degree_roots(f, p)
     # keep only the part splitting into distinct linear factors
-    xp = _pow_poly_mod(_poly_rem([0, 1], f, p), p, f, p)
-    xp_minus_x = list(xp)
-    while len(xp_minus_x) < 2:
-        xp_minus_x.append(0)
+    xp_minus_x = _pow_linear_mod(0, p, f, p) + [0, 0]
     xp_minus_x[1] = (xp_minus_x[1] - 1) % p
-    g = _poly_gcd(f, xp_minus_x, p)
     roots = []
-    _split_linear(g, p, 0, roots)
+    _split_linear(_poly_gcd(f, xp_minus_x, p), p, 0, roots)
     return sorted(roots)
 
 
+def _low_degree_roots(f, p):
+    """Sorted distinct roots of f, trimmed and of degree at most 2, over
+    F_p for odd p: -c/b, or the quadratic formula."""
+    if len(f) <= 2:
+        return [-f[0] * pow(f[1], p - 2, p) % p] if len(f) == 2 else []
+    c, b, a = f
+    disc = (b * b - 4 * a * c) % p
+    if disc and pow(disc, (p - 1) // 2, p) != 1:
+        return []
+    inv_2a = pow(2 * a, p - 2, p)
+    r = _sqrt_mod(disc, p)
+    return sorted({(-b - r) * inv_2a % p, (-b + r) * inv_2a % p})
+
+
+def _sqrt_mod(a, p):
+    """A square root of the square a modulo the odd prime p (Tonelli-Shanks)."""
+    if a == 0:
+        return 0
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, r, t = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while t != 1:
+        # the least i with t^(2^i) = 1; then c^(2^(s-i-1)) fixes one more bit
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        r, t = r * b % p, t * c % p
+    return r
+
+
 def _split_linear(g, p, shift, roots):
-    """Equal-degree (degree 1) splitting, deterministic shift sequence."""
-    g = list(g)
-    while g and g[-1] == 0:
-        g.pop()
+    """Roots of g, a product of distinct linear factors over F_p (p odd):
+    degree at most 2 in closed form, higher degrees by equal-degree
+    splitting with a deterministic shift sequence."""
     deg = len(g) - 1
-    if deg <= 0:
-        return
-    if deg == 1:
-        # g = c0 + c1 x -> root -c0/c1
-        roots.append((-g[0] * pow(g[1], p - 2, p)) % p)
-        return
-    if g[0] == 0:
-        roots.append(0)
-        _split_linear(g[1:], p, shift, roots)
+    if deg <= 2:
+        roots.extend(_low_degree_roots(g, p))
         return
     a = shift
     while True:
         # h = (x + a)^((p-1)/2) - 1 mod g
-        base = _poly_rem([a, 1], g, p)
-        h = list(_pow_poly_mod(base, (p - 1) // 2, g, p)) or [0]
+        h = _pow_linear_mod(a, (p - 1) // 2, g, p) or [0]
         h[0] = (h[0] - 1) % p
         d = _poly_gcd(g, h, p)
         if 0 < len(d) - 1 < deg:
@@ -158,14 +185,18 @@ def _split_linear(g, p, shift, roots):
         a += 1
 
 
-def _pow_poly_mod(base, e, f, p):
-    result = [1]
-    while e:
-        if e & 1:
-            result = _poly_mul_mod(result, base, f, p)
-        base = _poly_mul_mod(base, base, f, p)
-        e >>= 1
-    return result
+def _pow_linear_mod(a, e, f, p):
+    """(x + a)^e mod f over F_p, for deg f >= 2: square and multiply from
+    the top bit, where multiplying by x + a is a shift and one reduction."""
+    r = [1]
+    for bit in bin(e)[2:]:
+        r = _poly_mul_mod(r, r, f, p)
+        if bit == "1":
+            shifted = [0, *r]
+            for i, c in enumerate(r):
+                shifted[i] += a * c
+            r = _poly_rem(shifted, f, p)
+    return r
 
 
 def _poly_exact_div(a, b, p):
@@ -176,8 +207,8 @@ def _poly_exact_div(a, b, p):
         c = a[i + len(b) - 1] * inv_lead % p
         q[i] = c
         if c:
-            for j in range(len(b)):
-                a[i + j] = (a[i + j] - c * b[j]) % p
+            for j in range(len(b) - 1):
+                a[i + j] -= c * b[j]
     return q
 
 
@@ -444,6 +475,10 @@ def character_table(G: PermGroup, C=None, name: str = "") -> CharacterTable:
         zpow = [pow(zm_inv, e, p) for e in range(m)]
         fourier[m] = ([[zpow[s * t % m] for s in range(m)] for t in range(m)], pow(m, p - 2, p))
     rows = []
+    # values recur across rows and columns (Galois conjugates, repeated
+    # entries): lift each once, keyed by the values mod p at the powers of
+    # the rep, a tuple of length o(rep) whose first entry is chi(1)
+    lifted = {}
     for om in omegas:
         s = sum(om[t] * om[inverse_map[t]] % p * inv_sizes[t] for t in range(k)) % p
         deg_sq = order * pow(s, p - 2, p) % p
@@ -456,18 +491,21 @@ def character_table(G: PermGroup, C=None, name: str = "") -> CharacterTable:
         values = [Cyclotomic.rational(deg)]
         for t in range(1, k):
             m = orders[t]
-            dft, inv_m = fourier[m]
-            coeffs = [0] * m
-            chis = [chi_mod[c] for c in powers[t]]
-            for texp in range(m):
-                mt = sum(map(mul, chis, dft[texp])) % p * inv_m % p
-                # true multiplicities are at most the degree < p/2
-                if 2 * mt >= p:
-                    raise AssertionError("eigenvalue multiplicity exceeded the prime bound")
-                coeffs[texp] = mt
-            if sum(coeffs) != deg:
-                raise AssertionError("eigenvalue multiplicities do not sum to the degree")
-            values.append(Cyclotomic(m, coeffs))
+            chis = tuple([chi_mod[c] for c in powers[t]])
+            value = lifted.get(chis)
+            if value is None:
+                dft, inv_m = fourier[m]
+                coeffs = [0] * m
+                for texp in range(m):
+                    mt = sum(map(mul, chis, dft[texp])) % p * inv_m % p
+                    # true multiplicities are at most the degree < p/2
+                    if 2 * mt >= p:
+                        raise AssertionError("eigenvalue multiplicity exceeded the prime bound")
+                    coeffs[texp] = mt
+                if sum(coeffs) != deg:
+                    raise AssertionError("eigenvalue multiplicities do not sum to the degree")
+                value = lifted[chis] = Cyclotomic(m, coeffs)
+            values.append(value)
         rows.append(values)
 
     one = Cyclotomic.rational(1)
@@ -508,20 +546,20 @@ def _resplit(spaces, solvers, A, p):
                 raise ArithmeticError("vector escapes the subspace (not invariant?)")
             for t, c in enumerate(coords):
                 R[t][m_i] = c
+        # the space is spanned by eigenvectors omega_chi, so A has one
+        # eigenvalue on it exactly when R is scalar: then nothing splits
+        # and the space keeps its basis
+        lam = R[0][0]
+        if all(x == (lam if a == b else 0) for a, row in enumerate(R) for b, x in enumerate(row)):
+            out.append(basis)
+            continue
         roots = poly_roots_mod(_charpoly_mod(R, p), p)
-        k = len(basis[0])
+        cols = list(zip(*basis))
         for lam in roots:
-            shifted = [
-                [(R[a][b] - (lam if a == b else 0)) % p for b in range(d)] for a in range(d)
-            ]
-            sub = []
-            for kv in _kernel_mod(shifted, p):
-                vec = [0] * k
-                for coef, bvec in zip(kv, basis):
-                    if coef:
-                        for idx in range(k):
-                            vec[idx] = (vec[idx] + coef * bvec[idx]) % p
-                sub.append(vec)
+            shifted = [list(row) for row in R]
+            for a in range(d):
+                shifted[a][a] -= lam
+            sub = [[sum(map(mul, kv, col)) % p for col in cols] for kv in _kernel_mod(shifted, p)]
             if sub:
                 out.append(sub)
     return out

@@ -392,31 +392,39 @@ def orbit_stabilizer(G: PermGroup, seed, act):
     and sifted incrementally, so the stabilizer generating set stays
     small. Deterministic for a fixed generator order.
     """
-    orbit, _, _, stab = _orbit_transversal_stabilizer(G, seed, act)
+    orbit, _, stab = _orbit_transversal_stabilizer(G, seed, act)
     return orbit, stab
 
 
 def _orbit_transversal_stabilizer(G: PermGroup, seed, act):
-    """`orbit_stabilizer` that also returns the transversal of `_orbit` and
-    its inverses: (orbit, transversal, inverses, stabilizer).
+    """`orbit_stabilizer` that also returns the transversal of `_orbit`:
+    (orbit, transversal, stabilizer).
 
     The sifting stops once the stabilizer has order |G|/|orbit|: every
     later Schreier generator lies in it already and would add nothing, so
-    the generator list is the one the full loop would build."""
+    the generator list is the one the full loop would build. A generator
+    u_i * g with u_i * g = u_j is the identity and is skipped; each other
+    u_j is inverted when a generator first needs it."""
     gens = [g.images for g in G.generators]
     orbit, transversal, images = _orbit(seed, gens, act, G.degree)
-    inverses = [inv_images(u) for u in transversal]
+    inverses: dict = {}
     order = G.order() // len(orbit)
     stab_gens: list[Permutation] = []
     stab = trivial_group(G.degree)
     for (i, u), (g, row) in product(enumerate(transversal), zip(gens, images)):
         if stab.order() == order:
             break
-        s = mul_images(mul_images(u, g), inverses[row[i]])
+        j = row[i]
+        ug = mul_images(u, g)
+        if ug == transversal[j]:
+            continue
+        if j not in inverses:
+            inverses[j] = inv_images(transversal[j])
+        s = mul_images(ug, inverses[j])
         if not stab.contains_images(s):
             stab_gens.append(Permutation(s))
             stab = PermGroup(stab_gens, G.degree)
-    return orbit, transversal, inverses, stab
+    return orbit, transversal, stab
 
 
 def _conjugators(G: PermGroup) -> dict:
@@ -443,7 +451,8 @@ def point_set_orbit(G: PermGroup, points):
     """The G-orbit of a point set F0, as (orbit, transversal, inverses,
     stabilizer): orbit[0] is F0, transversal[i] maps F0 onto orbit[i],
     inverses[i] is its inverse, and the stabilizer is Stab_G(F0)."""
-    return _orbit_transversal_stabilizer(G, frozenset(points), _image_set)
+    orbit, transversal, stab = _orbit_transversal_stabilizer(G, frozenset(points), _image_set)
+    return orbit, transversal, [inv_images(u) for u in transversal], stab
 
 
 def _image_set(points: frozenset, g: tuple) -> frozenset:
@@ -452,7 +461,7 @@ def _image_set(points: frozenset, g: tuple) -> frozenset:
 
 def setwise_stabilizer(G: PermGroup, points) -> PermGroup:
     """Stabilizer of a point set, via the orbit on point sets."""
-    return point_set_orbit(G, points)[3]
+    return orbit_stabilizer(G, frozenset(points), _image_set)[1]
 
 
 # -- coset actions -----------------------------------------------------------

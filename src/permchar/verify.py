@@ -385,18 +385,29 @@ def check_theorem_D(ctx: GroupContext, seed: int = 0) -> VerificationReport:
 
 def check_simple_sylow_avoidance(ctx: GroupContext, seed: int = 0) -> VerificationReport:
     """For a nonabelian simple group: some real element of odd order
-    normalizes no Sylow 2-subgroup."""
+    normalizes no Sylow 2-subgroup. G is nonabelian simple exactly when
+    |G| > 1, the trivial row is the only linear one (G = G') and every
+    other row is faithful (its kernel, where it takes the value chi(1), is
+    the identity class): every normal subgroup is an intersection of
+    kernels."""
+    table = ctx.table
+    triv = ctx.trivial_row_index()
+    simple = table.order > 1 and all(
+        table.degrees[i] > 1 and all(v != row.values[0] for v in row.values[1:])
+        for i, row in enumerate(table.rows)
+        if i != triv
+    )
     base = check_theorem_D(ctx, seed=seed)
     avoiders = [w for w in base.witnesses if w["normalized_sylow_count"] == 0]
     report = VerificationReport(
         statement="simple-sylow-avoidance",
         group=ctx.name,
         subgroup=None,
-        hypotheses={"nonabelian_simple": True},
+        hypotheses={"nonabelian_simple": simple},
         conclusion={"real_odd_avoider_exists": bool(avoiders)},
         witnesses=avoiders,
     )
-    report.passed = bool(avoiders)
+    report.passed = not simple or bool(avoiders)
     return report
 
 

@@ -55,6 +55,14 @@ def test_verify_pass_and_exit_zero(capsys):
     assert "[pass]" in out
 
 
+@pytest.mark.parametrize("family, simple", [("c3", False), ("s4", False), ("a5", True)])
+def test_simple_avoidance_reads_its_hypothesis_off_the_table(capsys, family, simple):
+    code, out, _ = run(capsys, "verify", "simple-avoidance", "--family", family)
+    assert code == 0
+    assert "[pass]" in out
+    assert f"hypothesis nonabelian_simple: {simple}" in out
+
+
 def test_verify_json_and_text_agree(capsys):
     code1, out1, _ = run(capsys, "verify", "theorem-a", "--family", "s4", "--subgroup", "sylow2")
     code2, out2, _ = run(capsys, "verify", "theorem-a", "--family", "s4", "--subgroup", "sylow2", "--json")

@@ -32,6 +32,57 @@ def test_modular_helpers():
     assert poly_roots_mod([-6, 11, -6, 1], 101) == [1, 2, 3]
 
 
+def _poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def _non_residue(p):
+    return next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+
+
+def _oracle_polys(p, rng):
+    """Seeded polynomials of degree 0 to 6 over F_p: random ones, products
+    of linear factors with repeats, and irreducible quadratics alone or
+    times linear factors."""
+    polys = []
+    for deg in range(7):
+        for _ in range(4):
+            polys.append([rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)])
+    for deg in range(1, 7):
+        roots = [rng.randrange(min(p, 4)) for _ in range(deg)]  # repeats
+        f = [rng.randrange(1, p)]
+        for r in roots:
+            f = _poly_mul(f, [-r % p, 1], p)
+        polys.append(f)
+    if p > 2:
+        n = _non_residue(p)
+        irreducible = [(-n) % p, 0, 1]  # x^2 - n
+        polys.append(irreducible)
+        polys.append(_poly_mul(irreducible, [rng.randrange(p), rng.randrange(1, p)], p))
+        # (x - c)^2 - n: an irreducible quadratic with a linear term
+        c = rng.randrange(1, p)
+        shifted = [(c * c - n) % p, (-2 * c) % p, 1]
+        polys.append(shifted)
+        polys.append(_poly_mul(shifted, _poly_mul([0, 1], [p - 1, 1], p), p))
+        polys.append(_poly_mul(shifted, shifted, p))
+    return polys
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 13, 17, 73, 337, 1321, 3037])
+def test_poly_roots_mod_matches_brute_force(p):
+    """Every x in F_p is tried. The primes cover p = 3 (mod 4) and 2-adic
+    valuations 1 to 4 of p - 1, the cases of the square root."""
+    rng = random.Random(p)
+    for f in _oracle_polys(p, rng):
+        want = [x for x in range(p) if sum(c * pow(x, i, p) for i, c in enumerate(f)) % p == 0]
+        assert poly_roots_mod(f, p) == want, (f, p)
+    assert poly_roots_mod([], p) == poly_roots_mod([0, p], p) == []
+
+
 def test_class_matrix_s3_spec_examples():
     C = conjugacy_classes(corpus.build("s3").group)
     mats = [class_matrix(C, i) for i in range(len(C))]
@@ -135,6 +186,26 @@ def test_resplit_rejects_an_image_that_escapes_the_subspace():
     escaping = [[1, 0, 0], [0, 2, 0], [1, 0, 3]]
     with pytest.raises(ArithmeticError):
         dixon._resplit([basis], [solver], escaping, p)
+
+
+def test_resplit_keeps_a_space_on_which_a_is_scalar(monkeypatch):
+    p = 7
+    basis = [[1, 0, 0], [0, 1, 0]]
+    solver = dixon._Solver(basis, p)
+    solver.check = 2
+
+    def unused(*args):
+        raise AssertionError("a scalar restriction needs no eigenvalues")
+
+    monkeypatch.setattr(dixon, "_charpoly_mod", unused)
+    monkeypatch.setattr(dixon, "_kernel_mod", unused)
+    out = dixon._resplit([basis], [solver], [[5, 0, 0], [0, 5, 0], [0, 0, 3]], p)
+    assert out == [basis] and out[0] is basis
+    monkeypatch.undo()
+    # equal diagonal entries, not scalar: [[2, 1], [1, 2]] has the
+    # eigenvalues 1 and 3 (mod 7), with eigenvectors (6, 1) and (1, 1)
+    A = [[2, 1, 0], [1, 2, 0], [0, 0, 3]]
+    assert dixon._resplit([basis], [solver], A, p) == [[[6, 1, 0]], [[1, 1, 0]]]
 
 
 @pytest.mark.parametrize("family", ["s4", "sl23", "psl2_11", "m11"])
@@ -256,6 +327,30 @@ def test_validation_runs_on_output():
     T = character_table(corpus.build("f7_3").group)
     T.validate()
     assert T.fs_indicators() == [1, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("family", ["s4", "a5", "psl2_11", "m11", "agl1_13"])
+def test_lift_builds_one_value_per_degree_and_power_values(family, monkeypatch):
+    """The lift of chi at class t reads chi at the powers of its rep, the
+    first of which is chi(1): it builds one Cyclotomic per distinct such
+    tuple (the pinned serializations check the values)."""
+    G = corpus.build(family).group
+    C = conjugacy_classes(G)
+    built = []
+
+    def counting(m, coeffs):
+        built.append(m)
+        return Cyclotomic(m, coeffs)
+
+    counting.rational = Cyclotomic.rational
+    monkeypatch.setattr(dixon, "Cyclotomic", counting)
+    T = character_table(G, C, name=family)
+    powers = [
+        [C.classify(power_images(r.images, s)) for s in range(o)]
+        for r, o in zip(C.reps, C.orders)
+    ]
+    keys = {tuple(row.values[c] for c in powers[t]) for row in T.rows for t in range(1, len(C))}
+    assert len(built) == len(keys) < (len(C) - 1) * len(C)
 
 
 def test_sampled_class_data_gives_the_enumerated_m11_table():

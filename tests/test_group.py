@@ -20,6 +20,7 @@ from permchar.group import (
     normalizer,
     o_2prime,
     orbit_stabilizer,
+    point_set_orbit,
     proper_subgroup,
     setwise_stabilizer,
     sylow_2,
@@ -506,11 +507,10 @@ def _assert_matches_parent_pointer_oracle(G, seed, act, stab):
         calls += 1
         return act(obj, g)
 
-    orbit, transversal, inverses, new = _orbit_transversal_stabilizer(G, seed, counted)
+    orbit, transversal, new = _orbit_transversal_stabilizer(G, seed, counted)
     old_orbit, old_transversal, old = _parent_pointer_orbit_stabilizer(G, seed, act)
     assert orbit == old_orbit
     assert transversal == old_transversal
-    assert inverses == [inv_images(u) for u in old_transversal]
     old_gens = [g.images for g in old.generators]
     assert [g.images for g in new.generators] == old_gens
     assert [g.images for g in stab.generators] == old_gens
@@ -542,6 +542,33 @@ def test_m23_setwise_stabilizer_matches_parent_pointer_oracle(points):
     G = corpus.build("m23").group
     seed = frozenset(points)
     _assert_matches_parent_pointer_oracle(G, seed, _image_set, setwise_stabilizer(G, points))
+    orbit, transversal, inverses, stab = point_set_orbit(G, points)
+    old_orbit, old_transversal, old = _parent_pointer_orbit_stabilizer(G, seed, _image_set)
+    assert (orbit, transversal) == (old_orbit, old_transversal)
+    assert inverses == [inv_images(u) for u in old_transversal]
+    assert [g.images for g in stab.generators] == [g.images for g in old.generators]
+
+
+def test_stabilizers_invert_only_the_transversal_elements_they_read(monkeypatch):
+    """The Schreier loop stops at |G|/|orbit| and skips the identity
+    generators of the tree edges, so most transversal elements are never
+    inverted; `point_set_orbit` still returns every inverse."""
+    from permchar import group
+
+    G = corpus.build("m23").group
+    inverted = []
+
+    def counted(images):
+        inverted.append(images)
+        return inv_images(images)
+
+    monkeypatch.setattr(group, "inv_images", counted)
+    orbit, _ = orbit_stabilizer(G, frozenset({0, 1, 2}), _image_set)
+    assert len(inverted) < len(orbit) // 10
+    inverted.clear()
+    orbit, transversal, inverses, _ = point_set_orbit(G, {0, 1, 2})
+    assert len(inverses) == len(orbit)
+    assert all(mul_images(u, v) == identity_images(G.degree) for u, v in zip(transversal, inverses))
 
 
 def test_m22_pair_stabilizer_matches_parent_pointer_oracle():

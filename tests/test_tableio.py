@@ -91,6 +91,12 @@ PINNED_DIXON_TABLES = [
     ("psl2_13", "1a95085ad85bc8e1095cd02729f771ed0221eed073c571c18d177a59f4e47c4a"),
     ("psl3_2", "cc2748e3f462ecd42e6a4b597dae883d466bde36741513eb7fd60de714ffdd3b"),
 ]
+# Dixon tables with large primes beyond the sweep families: psl2_23 splits
+# with p = 3037 on 14 classes, a7 with p = 421
+PINNED_LARGER_DIXON_TABLES = [
+    ("psl2_23", "28fdce0fd7796a75f718a5d8a2d3046308baac4b701d9bd076cafdf51356bd50"),
+    ("a7", "f5aaa9f591f32f869b69fe7c9d5dea60d7efee7778f0e26de880691d61880ec6"),
+]
 PINNED_BUNDLED_TABLES = [
     ("s3", "a946bfcf79a1fdff37d0221f8afd0282c29024081cf3e1f982c0f646145dc92e"),
     ("s4", "1b4454d63ab78e99cf689d12bf29403c1a10014b630a337944e334caad403584"),
@@ -114,7 +120,7 @@ def test_table_pins_cover_the_sweep_families_and_bundled_tables():
     assert [name for name, _ in PINNED_BUNDLED_TABLES] == BUNDLED
 
 
-@pytest.mark.parametrize("family, digest", PINNED_DIXON_TABLES)
+@pytest.mark.parametrize("family, digest", PINNED_DIXON_TABLES + PINNED_LARGER_DIXON_TABLES)
 def test_dixon_table_serialization_is_pinned(family, digest):
     assert _digest(character_table(corpus.build(family).group, name=family)) == digest
 

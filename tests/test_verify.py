@@ -191,7 +191,17 @@ def test_theorem_D_refuses_groups_over_the_threshold():
 def test_simple_sylow_avoidance():
     for fam in ["a5", "psl3_2", "m11"]:
         r = verify.check_simple_sylow_avoidance(verify.context(fam))
+        assert r.hypotheses == {"nonabelian_simple": True}, fam
         assert r.passed, fam
+
+
+@pytest.mark.parametrize("family", ["c1", "c3", "c6", "s4", "s5", "sl23"])
+def test_simple_sylow_avoidance_holds_vacuously_off_simple_groups(family):
+    """The hypothesis is read off the table, so a group that is abelian,
+    or has a proper normal subgroup, passes whatever the conclusion."""
+    r = verify.check_simple_sylow_avoidance(verify.context(family))
+    assert r.hypotheses == {"nonabelian_simple": False}
+    assert r.passed
 
 
 def test_real_coverage_lemma():
