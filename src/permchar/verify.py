@@ -236,68 +236,67 @@ def clear_context_cache() -> None:
 
 
 # -- individual theorem checkers -------------------------------------------------------
+#
+# Each statement about a pair (G, H) is a core (ctx, pi, mults, name) that reads H
+# only through pi = 1_H^G and its multiplicities: the index [G:H] is pi(1), and H is
+# proper iff pi(1) > 1. The public check_X(ctx, H, subgroup_name=...) decomposes pi
+# and calls its core.
 
 
-def check_theorem_A(ctx: GroupContext, H: PermGroup, subgroup_name: str = "") -> VerificationReport:
-    """Unique real-valued orthogonal constituent of (1_H)^G iff the index
-    of the core of H is odd."""
-    pi, mults = ctx.decompose_perm_character(H)
-    table = ctx.table
+def _odd_real(table, mults) -> list:
+    """The real rows of odd multiplicity; the trivial row is always one."""
+    real = table.real_row_flags()
+    return [i for i, m in enumerate(mults) if m % 2 == 1 and real[i]]
+
+
+def _witnesses(table, mults, rows) -> list:
     indicators = table.fs_indicators()
-    plus_real = [
-        i
-        for i, m in enumerate(mults)
-        if m > 0 and indicators[i] == 1 and table.real_row_flags()[i]
-    ]
+    return [{"constituent": table.row_name(i), "multiplicity": mults[i],
+             "indicator": indicators[i]} for i in rows]
+
+
+def theorem_A(ctx: GroupContext, pi: ClassFunction, mults, name: str = "") -> VerificationReport:
+    """Unique real-valued orthogonal constituent of (1_H)^G iff the index
+    of the core of H is odd. An indicator of +1 implies a real row."""
+    indicators = ctx.table.fs_indicators()
+    plus_real = [i for i, m in enumerate(mults) if m > 0 and indicators[i] == 1]
     core_index = ctx.group.order() // ctx.core_order(pi)
     odd_core_index = core_index % 2 == 1
     unique = len(plus_real) == 1
     report = VerificationReport(
         statement="theorem-A",
         group=ctx.name,
-        subgroup=subgroup_name or None,
+        subgroup=name or None,
         hypotheses={"index_of_core_odd": odd_core_index},
         conclusion={
-            "plus_type_real_constituents": [table.row_name(i) for i in plus_real],
+            "plus_type_real_constituents": [ctx.table.row_name(i) for i in plus_real],
             "unique": unique,
             "core_index": core_index,
         },
-        witnesses=[
-            {
-                "constituent": table.row_name(i),
-                "multiplicity": mults[i],
-                "indicator": indicators[i],
-            }
-            for i in plus_real
-        ],
+        witnesses=_witnesses(ctx.table, mults, plus_real),
     )
     report.passed = unique == odd_core_index
     return report
 
 
-def check_theorem_B(
-    ctx: GroupContext, H: PermGroup, subgroup_name: str = "", seed: int = 0
-) -> VerificationReport:
+def check_theorem_A(ctx: GroupContext, H: PermGroup, subgroup_name: str = "") -> VerificationReport:
+    return theorem_A(ctx, *ctx.decompose_perm_character(H), subgroup_name)
+
+
+def theorem_B(ctx: GroupContext, pi: ClassFunction, mults, name: str = "") -> VerificationReport:
     """Under O^{2'}(G)H = G with H proper and not above O^{2'}(G), the
     permutation character has a nontrivial real constituent of odd
-    multiplicity. `seed` is unused: O^{2'}(G) comes from the table."""
-    G = ctx.group
-    pi, mults = ctx.decompose_perm_character(H)
+    multiplicity."""
     h1, inside = ctx.o2prime_hypotheses(pi)
     h2 = not inside
-    proper = H.order() < G.order()
-    table = ctx.table
+    proper = pi.degree.as_rational() > 1
     triv = ctx.trivial_row_index()
-    odd_real = [
-        i
-        for i, m in enumerate(mults)
-        if i != triv and m % 2 == 1 and table.real_row_flags()[i]
-    ]
+    odd_real = [i for i in _odd_real(ctx.table, mults) if i != triv]
     conclusion = bool(odd_real)
     report = VerificationReport(
         statement="theorem-B",
         group=ctx.name,
-        subgroup=subgroup_name or None,
+        subgroup=name or None,
         hypotheses={
             "H_proper": proper,
             "o2prime_times_H_covers_G": h1,
@@ -305,19 +304,19 @@ def check_theorem_B(
         },
         conclusion={
             "nontrivial_real_odd_multiplicity_exists": conclusion,
-            "decomposition": atlas_string(mults, table),
+            "decomposition": atlas_string(mults, ctx.table),
         },
-        witnesses=[
-            {
-                "constituent": table.row_name(i),
-                "multiplicity": mults[i],
-                "indicator": table.fs_indicators()[i],
-            }
-            for i in odd_real
-        ],
+        witnesses=_witnesses(ctx.table, mults, odd_real),
     )
     report.passed = (not (proper and h1 and h2)) or conclusion
     return report
+
+
+def check_theorem_B(
+    ctx: GroupContext, H: PermGroup, subgroup_name: str = "", seed: int = 0
+) -> VerificationReport:
+    """`seed` is unused: O^{2'}(G) comes from the table."""
+    return theorem_B(ctx, *ctx.decompose_perm_character(H), subgroup_name)
 
 
 def sylow2_conjugates(G: PermGroup, P: PermGroup) -> list:
@@ -411,17 +410,12 @@ def check_simple_sylow_avoidance(ctx: GroupContext, seed: int = 0) -> Verificati
     return report
 
 
-def check_real_coverage(ctx: GroupContext, H: PermGroup, subgroup_name: str = "") -> VerificationReport:
+def real_coverage(ctx: GroupContext, pi: ClassFunction, mults, name: str = "") -> VerificationReport:
     """If the trivial character is the unique real constituent of odd
     multiplicity, the index is odd and H meets every real class."""
-    pi, mults = ctx.decompose_perm_character(H)
-    table = ctx.table
-    odd_real = [
-        i for i, m in enumerate(mults) if m % 2 == 1 and table.real_row_flags()[i]
-    ]
-    hypothesis = len(odd_real) == 1
-    index = ctx.group.order() // H.order()
-    real_classes = table.real_class_indices()
+    hypothesis = len(_odd_real(ctx.table, mults)) == 1
+    index = int(pi.degree.as_rational())
+    real_classes = ctx.table.real_class_indices()
     missed = [k for k in real_classes if pi.values[k].is_zero()]
     parities = {
         str(k): int(pi.values[k].as_rational()) % 2 for k in real_classes
@@ -429,7 +423,7 @@ def check_real_coverage(ctx: GroupContext, H: PermGroup, subgroup_name: str = ""
     report = VerificationReport(
         statement="lemma-real-coverage",
         group=ctx.name,
-        subgroup=subgroup_name or None,
+        subgroup=name or None,
         hypotheses={"unique_odd_multiplicity_real_constituent": hypothesis},
         conclusion={
             "index_odd": index % 2 == 1,
@@ -442,26 +436,19 @@ def check_real_coverage(ctx: GroupContext, H: PermGroup, subgroup_name: str = ""
     return report
 
 
-def check_lemma_bob(ctx: GroupContext, H: PermGroup, subgroup_name: str = "") -> VerificationReport:
+def check_real_coverage(ctx: GroupContext, H: PermGroup, subgroup_name: str = "") -> VerificationReport:
+    return real_coverage(ctx, *ctx.decompose_perm_character(H), subgroup_name)
+
+
+def lemma_bob(ctx: GroupContext, pi: ClassFunction, mults, name: str = "") -> VerificationReport:
     """Real constituents of odd multiplicity in a permutation character
     must have indicator +1."""
-    pi, mults = ctx.decompose_perm_character(H)
-    table = ctx.table
-    indicators = table.fs_indicators()
-    triples = [
-        {
-            "constituent": table.row_name(i),
-            "multiplicity": m,
-            "indicator": indicators[i],
-        }
-        for i, m in enumerate(mults)
-        if m % 2 == 1 and table.real_row_flags()[i]
-    ]
+    triples = _witnesses(ctx.table, mults, _odd_real(ctx.table, mults))
     bad = [t for t in triples if t["indicator"] != 1]
     report = VerificationReport(
         statement="lemma-plus-type",
         group=ctx.name,
-        subgroup=subgroup_name or None,
+        subgroup=name or None,
         hypotheses={},
         conclusion={"violations": bad},
         witnesses=triples,
@@ -470,29 +457,21 @@ def check_lemma_bob(ctx: GroupContext, H: PermGroup, subgroup_name: str = "") ->
     return report
 
 
-def check_theorem_4_6(
-    ctx: GroupContext,
-    H: PermGroup,
-    subgroup_name: str = "",
-    maximal: bool | None = None,
-    seed: int = 0,
+def check_lemma_bob(ctx: GroupContext, H: PermGroup, subgroup_name: str = "") -> VerificationReport:
+    return lemma_bob(ctx, *ctx.decompose_perm_character(H), subgroup_name)
+
+
+def theorem_4_6(
+    ctx: GroupContext, pi: ClassFunction, mults, name: str = "", maximal: bool | None = None
 ) -> VerificationReport:
     """The five sufficient conditions for a nontrivial real odd-multiplicity
     constituent; every condition that holds must be matched by the
-    conclusion. Maximality is only asserted when the caller knows it.
-    `seed` is unused: O^{2'}(G) comes from the table."""
-    G = ctx.group
+    conclusion. Maximality is only asserted when the caller knows it."""
     table = ctx.table
-    pi, mults = ctx.decompose_perm_character(H)
     triv = ctx.trivial_row_index()
-    indicators = table.fs_indicators()
-    odd_real = [
-        i
-        for i, m in enumerate(mults)
-        if i != triv and m % 2 == 1 and table.real_row_flags()[i]
-    ]
+    odd_real = [i for i in _odd_real(table, mults) if i != triv]
     conclusion = bool(odd_real)
-    index = G.order() // H.order()
+    index = int(pi.degree.as_rational())
     real_classes = table.real_class_indices()
     h_i = index % 2 == 0
     h_ii = any(pi.values[k].is_zero() for k in real_classes)
@@ -504,15 +483,15 @@ def check_theorem_4_6(
     }
     if maximal is not None:
         hyps["iv_maximal_with_even_core_quotient"] = (
-            maximal and (G.order() // ctx.core_order(pi)) % 2 == 0
+            maximal and (ctx.group.order() // ctx.core_order(pi)) % 2 == 0
         )
     covers, inside = ctx.o2prime_hypotheses(pi)
-    hyps["v_o2prime_complement"] = H.order() < G.order() and covers and not inside
+    hyps["v_o2prime_complement"] = index > 1 and covers and not inside
     triggered = [k for k, v in hyps.items() if v]
     report = VerificationReport(
         statement="theorem-odd-multiplicity-hypotheses",
         group=ctx.name,
-        subgroup=subgroup_name or None,
+        subgroup=name or None,
         hypotheses=hyps,
         conclusion={
             "nontrivial_real_odd_multiplicity_exists": conclusion,
@@ -521,6 +500,17 @@ def check_theorem_4_6(
     )
     report.passed = (not triggered) or conclusion
     return report
+
+
+def check_theorem_4_6(
+    ctx: GroupContext,
+    H: PermGroup,
+    subgroup_name: str = "",
+    maximal: bool | None = None,
+    seed: int = 0,
+) -> VerificationReport:
+    """`seed` is unused: O^{2'}(G) comes from the table."""
+    return theorem_4_6(ctx, *ctx.decompose_perm_character(H), subgroup_name, maximal)
 
 
 def check_burnside(ctx: GroupContext) -> VerificationReport:
@@ -600,7 +590,7 @@ def check_c3q16_phenomenon(seed: int = 0) -> VerificationReport:
     witnesses = []
     for family in ("c3q16", "a4c4"):
         ctx = context(family, seed=seed)
-        H = sylow_2(ctx.group, seed=seed)
+        H = ctx.sylow2(seed=seed)
         index = ctx.group.order() // H.order()
         rows = induction_real_constituents(ctx, H)
         exhibited = any(
@@ -662,15 +652,7 @@ def reproduce_paper_tables(seed: int = 0, items=None) -> list:
                 "decomposition": got,
                 "expected": expect_string,
             },
-            witnesses=[
-                {
-                    "constituent": ctx.table.row_name(i),
-                    "multiplicity": m,
-                    "indicator": ctx.table.fs_indicators()[i],
-                }
-                for i, m in enumerate(mults)
-                if m
-            ],
+            witnesses=_witnesses(ctx.table, mults, [i for i, m in enumerate(mults) if m]),
             passed=ok,
         )
         if isinstance(ctx.classes, ClassMatching) and ctx.classes.ambiguity_groups:
@@ -753,10 +735,9 @@ def theorem_a_sweep(
         fam_i += 1
         ctx = context(family, seed=seed)
         for name, H in sample_subgroups(ctx.group, seed=round_seed, budget=per_group):
-            reports.append(check_theorem_A(ctx, H, subgroup_name=name))
-            reports.append(check_lemma_bob(ctx, H, subgroup_name=name))
-            reports.append(check_theorem_4_6(ctx, H, subgroup_name=name, seed=seed))
-            reports.append(check_real_coverage(ctx, H, subgroup_name=name))
+            pi, mults = ctx.decompose_perm_character(H)
+            reports += [core(ctx, pi, mults, name)
+                        for core in (theorem_A, lemma_bob, theorem_4_6, real_coverage)]
             pairs += 1
     failures = [r for r in reports if not r.passed]
     return {

@@ -1,7 +1,14 @@
 import pytest
 
 from permchar import corpus, verify
-from permchar.group import PermGroup, is_normal_in, is_subgroup, normalizer, sylow_2
+from permchar.group import (
+    PermGroup,
+    is_normal_in,
+    is_subgroup,
+    normalizer,
+    sylow_2,
+    trivial_group,
+)
 from permchar.perm import parse_permutation
 from permchar.tableio import ClassMatching
 
@@ -229,8 +236,6 @@ def test_lemma_bob_regular_character_case():
     """Trivial H: odd-degree real rows must be orthogonal type."""
     for fam in ["s4", "q8", "sl23", "a5"]:
         ctx = verify.context(fam)
-        from permchar.group import trivial_group
-
         r = verify.check_lemma_bob(ctx, trivial_group(ctx.group.degree), "trivial")
         assert r.passed, r.render()
 
@@ -268,13 +273,102 @@ def test_induction_refuses_class_data_with_ambiguity_groups():
         verify.induction_real_constituents(ctx, ctx.sylow2())
 
 
-def test_sweep_runner_small():
+def test_sweep_runner_small(monkeypatch):
+    calls = []
+    original = verify.GroupContext.decompose_perm_character
+
+    def counting(self, H):
+        calls.append(H)
+        return original(self, H)
+
+    monkeypatch.setattr(verify.GroupContext, "decompose_perm_character", counting)
     result = verify.theorem_a_sweep(families=["s3", "s4", "d10"], seed=0,
                                     min_pairs=5, per_group=4)
     assert result["pairs"] >= 5
+    assert len(calls) == result["pairs"]  # one decomposition per pair
     assert not result["failures"]
     statements = {r.statement for r in result["reports"]}
     assert "theorem-A" in statements and "lemma-plus-type" in statements
+
+
+def _first_round_theorem_B():
+    """Theorem B on the pairs of the sweep's first round."""
+    reports = []
+    for family in verify.SWEEP_FAMILIES:
+        ctx = verify.context(family)
+        for name, H in verify.sample_subgroups(ctx.group, seed=0, budget=14):
+            reports.append(verify.check_theorem_B(ctx, H, subgroup_name=name))
+    return reports
+
+
+def _paper_pair_reports():
+    """Every pair checker on the tabulated pairs of M11, M22 and M23."""
+    reports = []
+    for family, selector, _, _ in verify.PAPER_TABLE_ITEMS:
+        ctx = verify.context(family)
+        H = ctx.subgroup(selector)
+        for check in (verify.check_theorem_A, verify.check_theorem_B, verify.check_theorem_4_6,
+                      verify.check_lemma_bob, verify.check_real_coverage):
+            reports.append(check(ctx, H, subgroup_name=selector))
+    return reports
+
+
+# sha256 of reports_to_json over reports that neither CLI digest covers. A
+# change that alters them on purpose updates the pin and says so in CHANGES.md.
+@pytest.mark.parametrize("build,count,digest", [
+    (_first_round_theorem_B, 291,
+     "c997e04fd1d356b55cbe3de3ccb631fafc6822df45d24fa4ad0e601f68d05bd5"),
+    (_paper_pair_reports, 35,
+     "9410488a64ae337b642ae805269b240e2bb12f85ae0e0882314b52dc55785ab0"),
+], ids=["theorem-B-sweep", "paper-pairs"])
+def test_pair_reports_match_their_pinned_digests(build, count, digest):
+    import hashlib
+
+    reports = build()
+    assert len(reports) == count
+    assert hashlib.sha256(verify.reports_to_json(reports).encode()).hexdigest() == digest
+
+
+class _Opaque:
+    """A stand-in subgroup on which every attribute access raises."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"a pair checker read H.{name}")
+
+
+_PAIR_CHECKS = [
+    (verify.check_theorem_A, verify.theorem_A, {}),
+    (verify.check_theorem_B, verify.theorem_B, {}),
+    (verify.check_theorem_4_6, verify.theorem_4_6, {}),
+    (verify.check_theorem_4_6, verify.theorem_4_6, {"maximal": True}),
+    (verify.check_lemma_bob, verify.lemma_bob, {}),
+    (verify.check_real_coverage, verify.real_coverage, {}),
+]
+
+
+def _contract_pairs():
+    for family, selector, _, _ in verify.PAPER_TABLE_ITEMS:
+        ctx = verify.context(family)
+        yield ctx, selector, ctx.subgroup(selector)
+    ctx = verify.context("psl3_2")
+    yield ctx, "trivial", trivial_group(ctx.group.degree)
+    yield from ((ctx, name, H) for name, H in verify.sample_subgroups(ctx.group, budget=14))
+
+
+def test_pair_checkers_read_H_only_through_pi(monkeypatch):
+    """Each check_X reports the same given only (pi, mults) and an H that
+    cannot be read, and each pi-level core equals its check_X."""
+    names = []
+    for ctx, name, H in _contract_pairs():
+        names.append(name)
+        pi, mults = ctx.decompose_perm_character(H)
+        for check, core, kwargs in _PAIR_CHECKS:
+            expect = check(ctx, H, subgroup_name=name, **kwargs).to_json()
+            assert core(ctx, pi, mults, name, **kwargs).to_json() == expect
+            with monkeypatch.context() as m:
+                m.setattr(ctx, "decompose_perm_character", lambda _: (pi, mults))
+                assert check(ctx, _Opaque(), subgroup_name=name, **kwargs).to_json() == expect
+    assert {"trivial", "whole"} <= set(names)
 
 
 def test_report_json_shape():
