@@ -58,8 +58,11 @@ class ConjugacyClassSet:
     index, one lookup in the element map the enumeration builds and keeps)
     and elements (class index -> its members, kept as the tuple the
     enumeration walked). Class 0 is the identity class. The enumeration
-    stops as soon as the classes found hold |G| elements.
+    stops as soon as the classes found hold |G| elements. Its classify is
+    exact, so its `ambiguity_groups` (see `tableio.ClassMatching`) are none.
     """
+
+    ambiguity_groups = ()
 
     def __init__(self, group: PermGroup, threshold: int = DEFAULT_ENUMERATION_THRESHOLD):
         if group.order() > threshold:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from importlib import resources
-from math import gcd
+from math import factorial, gcd
 from pathlib import Path
 
 from .cyclo import divisors, prime_factors
@@ -132,11 +132,10 @@ class GF:
 class CorpusGroup:
     """A constructed group plus its named subgroups."""
 
-    def __init__(self, name: str, group: PermGroup, selectors=None, seed: int = 0):
+    def __init__(self, name: str, group: PermGroup, selectors=None):
         self.name = name
         self.group = group
         self._selectors = dict(selectors or {})
-        self._seed = seed
         self._subgroups: dict = {}
 
     def subgroup_names(self):
@@ -154,7 +153,7 @@ class CorpusGroup:
             out = self._selectors[selector]
             return out() if callable(out) else out
         if selector == "sylow2":
-            return sylow_2(self.group, seed=self._seed)
+            return sylow_2(self.group)
         if selector == "trivial":
             return trivial_group(self.group.degree)
         if selector == "whole":
@@ -185,8 +184,6 @@ def _assert_order(g: PermGroup, expected: int, name: str) -> PermGroup:
 def cyclic(n: int) -> CorpusGroup:
     if n < 1:
         raise ValueError("cyclic group order must be positive")
-    if n == 1:
-        return CorpusGroup("c1", trivial_group(1))
     g = Permutation(tuple(range(1, n)) + (0,))
     G = _assert_order(PermGroup([g], n), n, f"c{n}")
     return CorpusGroup(f"c{n}", G)
@@ -238,10 +235,7 @@ def symmetric(n: int) -> CorpusGroup:
     gens = [Permutation((1, 0) + tuple(range(2, n)))]
     if n > 2:
         gens.append(Permutation(tuple(range(1, n)) + (0,)))
-    fact = 1
-    for k in range(2, n + 1):
-        fact *= k
-    G = _assert_order(PermGroup(gens, n), fact, f"s{n}")
+    G = _assert_order(PermGroup(gens, n), factorial(n), f"s{n}")
     return CorpusGroup(f"s{n}", G)
 
 
@@ -255,10 +249,7 @@ def alternating(n: int) -> CorpusGroup:
         gens = [three, Permutation(tuple(range(1, n)) + (0,))]
     else:
         gens = [three, Permutation((0,) + tuple(range(2, n)) + (1,))]
-    fact = 1
-    for k in range(2, n + 1):
-        fact *= k
-    G = _assert_order(PermGroup(gens, n), fact // 2, f"a{n}")
+    G = _assert_order(PermGroup(gens, n), factorial(n) // 2, f"a{n}")
     return CorpusGroup(f"a{n}", G)
 
 
@@ -266,50 +257,46 @@ def frobenius(p: int, m: int) -> CorpusGroup:
     """C_p : C_m inside AGL(1,p), with p prime and m dividing p-1."""
     if _prime_power(p)[1] != 1:
         raise ValueError(f"f{p}_{m}: {p} is not a prime")
-    field = GF(p)
-    if (p - 1) % m:
-        raise ValueError("complement order must divide p-1")
-    t = Permutation([field.add(x, field.one) for x in range(p)])
-    s = field.power(field.generator, (p - 1) // m)
-    mul = Permutation([field.mul(s, x) for x in range(p)])
-    G = _assert_order(PermGroup([t, mul], p), p * m, f"f{p}_{m}")
+    G = _assert_order(_affine(GF(p), m), p * m, f"f{p}_{m}")
     return CorpusGroup(f"f{p}_{m}", G)
+
+
+def _translations(field: GF) -> list:
+    """x -> x + e for e in the polynomial basis of the field, 1 first."""
+    q, a = field.q, field.a
+    basis = [field.tuples.index((0,) * k + (1,) + (0,) * (a - 1 - k)) for k in range(a)]
+    return [Permutation([field.add(x, e) for x in range(q)]) for e in basis]
+
+
+def _scaling(field: GF, m: int) -> Permutation:
+    """x -> s x for the element s = g^((q-1)/m) of order m, g the field's
+    generator."""
+    q = field.q
+    if (q - 1) % m:
+        raise ValueError(f"complement order {m} does not divide {q - 1}")
+    s = field.power(field.generator, (q - 1) // m)
+    return Permutation([field.mul(s, x) for x in range(q)])
+
+
+def _affine(field: GF, m: int) -> PermGroup:
+    """GF(q) : C_m in AGL(1,q): the translations, then the scaling of order m."""
+    return PermGroup(_translations(field) + [_scaling(field, m)], field.q)
 
 
 def agl1(q: int) -> CorpusGroup:
     """AGL(1,q) = GF(q) : GF(q)^x on the q field elements."""
     field = GF(q)
-    t = Permutation([field.add(x, field.one) for x in range(q)])
-    mul = Permutation([field.mul(field.generator, x) for x in range(q)])
-    G = _assert_order(PermGroup([t, mul], q), q * (q - 1), f"agl1_{q}")
-
-    def mult_subgroup(m: int) -> PermGroup:
-        if (q - 1) % m:
-            raise ValueError(f"no multiplicative subgroup of order {m} in GF({q})^x")
-        s = field.power(field.generator, (q - 1) // m)
-        return PermGroup([Permutation([field.mul(s, x) for x in range(q)])], q)
-
-    def translations() -> PermGroup:
-        gens = []
-        # translations by a polynomial basis of the field
-        for k in range(field.a):
-            e = field.tuples.index((0,) * k + (1,) + (0,) * (field.a - 1 - k))
-            gens.append(Permutation([field.add(x, e) for x in range(q)]))
-        return PermGroup(gens, q)
-
-    def f_extended(m: int) -> PermGroup:
-        sub = translations()
-        mg = mult_subgroup(m)
-        return PermGroup(sub.generators + mg.generators, q)
-
+    shifts = _translations(field)
+    t = shifts[0]
+    G = _assert_order(PermGroup([t, _scaling(field, q - 1)], q), q * (q - 1), f"agl1_{q}")
     selectors = {
-        "f": translations,
+        "f": lambda: PermGroup(shifts, q),
         "h2p": lambda: _agl_h2p(field, t),
     }
     for m in divisors(q - 1):
         if m > 1:
-            selectors[f"c{m}"] = (lambda mm: lambda: mult_subgroup(mm))(m)
-            selectors[f"fc{m}"] = (lambda mm: lambda: f_extended(mm))(m)
+            selectors[f"c{m}"] = lambda m=m: PermGroup([_scaling(field, m)], q)
+            selectors[f"fc{m}"] = lambda m=m: _affine(field, m)
     return CorpusGroup(f"agl1_{q}", G, selectors)
 
 
@@ -456,33 +443,13 @@ def c3_q16() -> CorpusGroup:
     """C3 : Q16 of order 48, the x-generator of Q16 inverting C3.
 
     Faithful degree-19 action: affine action on 3 points plus the regular
-    action of the Q16 quotient-complement on 16 points.
+    action of the Q16 quotient-complement on 16 points, the latter taken
+    from `quaternion(16)`.
     """
-    # Q16 element encoding as in quaternion(): i + 8j for a^i b^j
-    def q16_rmul(k, by_a, by_b):
-        i, j = k % 8, k // 8
-        if by_a:
-            k = (i + (1 if j == 0 else -1)) % 8 + 8 * j
-            i, j = k % 8, k // 8
-        if by_b:
-            if j == 0:
-                k = i + 8
-            else:
-                k = (i + 4) % 8
-        return k
-
-    def gen(by_a=False, by_b=False, shift=0, flip=False):
-        images = []
-        for p in range(3):  # affine part: C3 : <x acts by inversion>
-            v = (-p if flip else p) + shift
-            images.append(v % 3)
-        for k in range(16):
-            images.append(3 + q16_rmul(k, by_a, by_b))
-        return Permutation(images)
-
-    t = gen(shift=1)
-    a = gen(by_a=True, flip=True)
-    b = gen(by_b=True)
+    qa, qb = (tuple(3 + k for k in g.images) for g in quaternion(16).group.generators)
+    t = Permutation((1, 2, 0) + tuple(range(3, 19)))
+    a = Permutation((0, 2, 1) + qa)
+    b = Permutation((0, 1, 2) + qb)
     G = _assert_order(PermGroup([t, a, b], 19), 48, "c3q16")
     return CorpusGroup("c3q16", G)
 

@@ -24,8 +24,6 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm, prod
 
-_ONE = Fraction(1)
-
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
@@ -254,28 +252,27 @@ class Cyclotomic:
 
 
 def render_cyclotomic(v: Cyclotomic) -> str:
-    """Canonical rendering: rationals plainly, otherwise E(n)^k terms."""
+    """Canonical rendering: rationals plainly, otherwise the nonzero
+    coordinates as terms q, E(n), E(n)^k or q*E(n)^k joined by their signs."""
     if v.conductor == 1:
         return str(v.coords[0])
     n = v.conductor
-    parts = []
+    out = ""
     for i, c in enumerate(v.coords):
         if not c:
             continue
-        if i == 0:
-            parts.append((str(abs(c)), c < 0))
-            continue
-        mono = f"E({n})" if i == 1 else f"E({n})^{i}"
+        if c < 0:
+            out += "-"
+        elif out:
+            out += "+"
         mag = abs(c)
-        body = mono if mag == 1 else f"{mag}*{mono}"
-        parts.append((body, c < 0))
-    out = []
-    for idx, (body, neg) in enumerate(parts):
-        if idx == 0:
-            out.append(("-" if neg else "") + body)
-        else:
-            out.append(("-" if neg else "+") + body)
-    return "".join(out)
+        if i == 0:
+            out += str(mag)
+            continue
+        if mag != 1:
+            out += f"{mag}*"
+        out += f"E({n})" if i == 1 else f"E({n})^{i}"
+    return out
 
 
 # The largest conductor parse_cyclotomic accepts, for one E(n) and for the
@@ -285,91 +282,48 @@ def render_cyclotomic(v: Cyclotomic) -> str:
 # this package builds or bundles stays far below the bound.
 MAX_CONDUCTOR = 10000
 
+# One signed term of the value grammar: q*E(n)^k, with q* and ^k optional,
+# or a rational q (p, p/q or a decimal). n and k are ASCII digits, since
+# int() alone would also read a sign, `_` separators and non-ASCII digits;
+# q has no exponent (Fraction('1e999999999') builds a billion-digit int).
+_Q = r"[0-9./]+"
+_TERM = re.compile(rf"([+-])(?:(?:({_Q})\*)?E\(([0-9]+)\)(?:\^([0-9]+))?|({_Q}))")
+
 
 def parse_cyclotomic(text: str) -> Cyclotomic:
-    """Parse the rendering grammar: rationals, E(n)^k terms joined by +/-."""
+    """Parse the rendering grammar: `_TERM`s from the first character to the
+    last, the sign of the first one optional. Spaces are ignored."""
     s = text.strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty cyclotomic expression")
-    i = 0
-    sign = 1
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        i = 1
-    term_start = i
-    depth = 0
+    if not s.startswith(("+", "-")):
+        s = "+" + s
     terms = []
-    while i <= len(s):
-        if i == len(s) or (s[i] in "+-" and depth == 0):
-            terms.append((sign, s[term_start:i]))
-            if i < len(s):
-                sign = -1 if s[i] == "-" else 1
-                term_start = i + 1
-            i += 1
+    m, pos = 1, 0
+    while pos < len(s):
+        term = _TERM.match(s, pos)
+        if term is None:
+            raise ValueError(f"malformed cyclotomic expression {text!r}")
+        sign, coeff, n, k, q = term.groups()
+        if q is not None:
+            coeff, n, k = _fraction(q), 1, 0
         else:
-            if s[i] == "(":
-                depth += 1
-            elif s[i] == ")":
-                depth -= 1
-            i += 1
-    parsed = []
-    m = 1
-    for sg, term in terms:
-        if not term:
-            raise ValueError(f"malformed term in {text!r}")
-        coeff, n, k = _parse_term(term)
+            coeff = _fraction(coeff) if coeff else 1
+            n, k = int(n), int(k or 1)
+            if not 1 <= n <= MAX_CONDUCTOR:
+                raise ValueError(f"E({n}): n must be in 1..{MAX_CONDUCTOR}")
         m = lcm(m, n)
         if m > MAX_CONDUCTOR:
             raise ValueError(f"conductor {m} of {text!r} exceeds {MAX_CONDUCTOR}")
-        parsed.append((sg * coeff, n, k))
+        terms.append((-coeff if sign == "-" else coeff, n, k))
+        pos = term.end()
     # all terms as one element of Q[C_m], canonicalized once
     vec = [0] * m
-    for coeff, n, k in parsed:
+    for coeff, n, k in terms:
         vec[k % n * (m // n)] += coeff
     return Cyclotomic(m, vec)
 
 
-_RATIONAL = re.compile(r"[0-9./]+")
-
-
-def _rational(text: str) -> Fraction:
-    """A rational in the rendering grammar: p, p/q or a decimal. Exponents
-    are not part of it (Fraction('1e999999999') builds a billion-digit int)."""
-    if not _RATIONAL.fullmatch(text):
-        raise ValueError(f"malformed rational {text!r}")
+def _fraction(q: str) -> Fraction:
     try:
-        return Fraction(text)
+        return Fraction(q)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
-
-
-def _parse_term(term: str) -> tuple:
-    """(coeff, n, k) for the term coeff*E(n)^k; a rational q is (q, 1, 0)."""
-    if "E(" not in term:
-        return _rational(term), 1, 0
-    coeff = _ONE
-    if "*" in term:
-        coeff_s, term = term.split("*", 1)
-        coeff = _rational(coeff_s)
-    if not term.startswith("E("):
-        raise ValueError(f"malformed cyclotomic term {term!r}")
-    close = term.index(")")
-    n = _digits(term[2:close], term)
-    if not 1 <= n <= MAX_CONDUCTOR:
-        raise ValueError(f"E({n}): n must be in 1..{MAX_CONDUCTOR}")
-    rest = term[close + 1 :]
-    k = 1
-    if rest:
-        if not rest.startswith("^"):
-            raise ValueError(f"malformed cyclotomic term {term!r}")
-        k = _digits(rest[1:], term)
-    return coeff, n, k
-
-
-def _digits(text: str, term: str) -> int:
-    """The natural number spelled by `text` in ASCII digits; int() alone
-    would also read a sign, `_` separators and non-ASCII digits."""
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"malformed cyclotomic term {term!r}")
-    return int(text)
-
+        raise ValueError(f"zero denominator in {q!r}") from None

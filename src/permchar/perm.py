@@ -134,8 +134,8 @@ class Permutation:
     def order(self) -> int:
         return order_of_images(self.images)
 
-    def cycles(self, include_fixed: bool = False) -> list:
-        """Disjoint cycles, each rotated to start at its least point."""
+    def cycles(self) -> list:
+        """Disjoint cycles of length > 1, each rotated to start at its least point."""
         out = []
         seen = [False] * self.degree
         for start in range(self.degree):
@@ -148,7 +148,7 @@ class Permutation:
                 seen[j] = True
                 cycle.append(j)
                 j = self.images[j]
-            if len(cycle) > 1 or include_fixed:
+            if len(cycle) > 1:
                 out.append(tuple(cycle))
         return out
 

@@ -30,7 +30,7 @@ from .group import (
     sylow_2,
 )
 from .perm import conjugator
-from .tableio import ClassMatching, bundled_table, find_representatives
+from .tableio import bundled_table, find_representatives
 
 
 class VerificationReport:
@@ -89,8 +89,9 @@ _BUNDLED_TABLES = {"m11", "m22", "m23"}
 class GroupContext:
     """A group together with its character table and its class data
     `classes`: an enumerated `ConjugacyClassSet`, or a `ClassMatching` of
-    the table to sampled classes. Both have group, reps, sizes, orders and
-    classify; a matched classify is exact only up to the ambiguity groups.
+    the table to sampled classes. Both have group, reps, sizes, orders,
+    classify and ambiguity_groups: a classify is exact only up to its
+    ambiguity groups, which an enumeration does not have.
     Built by `for_group` (or `for_family`)."""
 
     def __init__(self, name, group, table, classes, threshold, corpus_group):
@@ -542,7 +543,7 @@ def induction_real_constituents(ctx: GroupContext, H: PermGroup):
     map (no induction operator needed). The fusion map restricts
     non-rational characters too, so it needs exact class data: a matching
     with ambiguity groups raises ValueError."""
-    if isinstance(ctx.classes, ClassMatching) and ctx.classes.ambiguity_groups:
+    if ctx.classes.ambiguity_groups:
         raise ValueError(f"{ctx.name}: class fusion needs exact class data, and the"
                          f" matching has ambiguity groups {ctx.classes.ambiguity_groups}")
     h_classes = conjugacy_classes(H)
@@ -655,7 +656,7 @@ def reproduce_paper_tables(seed: int = 0, items=None) -> list:
             witnesses=_witnesses(ctx.table, mults, [i for i, m in enumerate(mults) if m]),
             passed=ok,
         )
-        if isinstance(ctx.classes, ClassMatching) and ctx.classes.ambiguity_groups:
+        if ctx.classes.ambiguity_groups:
             report.notes.append(
                 f"class-matching ambiguity groups: {ctx.classes.ambiguity_groups}"
             )

@@ -1,3 +1,6 @@
+import hashlib
+import re
+
 import pytest
 
 from permchar import corpus
@@ -186,3 +189,31 @@ def test_generic_selectors():
         cg.subgroup("point5")
     assert cg.subgroup("sylow2").order() == 4
     assert "sylow2" in cg.subgroup_names()
+
+
+GENERATOR_FAMILIES = ["a4c4", "a7", "psl2_23", "m11", "m22", "m23", "c1", "f5_2", "f7_6", "f7_1"]
+
+
+def _generator_images(family: str) -> list:
+    """The generator images of a family's group, then of each agl1 field
+    selector (translations, C_m and F : C_m), in order."""
+    cg = corpus.build(family)
+    out = [family, [g.images for g in cg.group.generators]]
+    if family.startswith("agl1_"):
+        for name in cg.subgroup_names():
+            if name == "f" or re.fullmatch(r"f?c[0-9]+", name):
+                out.append((name, [g.images for g in cg.subgroup(name).generators]))
+    return out
+
+
+# A change that moves a generator on purpose updates the pin: seeded streams
+# (samples, Sylow subgroups, class matchings) read the generators.
+GENERATORS_DIGEST = "e128667686fe10f6692eefa3678a6e6a3c6399fb0b0e3634d7a8b67a63906637"
+
+
+def test_generators_match_their_pinned_digest():
+    """Every family is built one way; its generators are pinned by sha256."""
+    from permchar.verify import SWEEP_FAMILIES
+
+    images = [_generator_images(f) for f in SWEEP_FAMILIES + GENERATOR_FAMILIES]
+    assert hashlib.sha256(repr(images).encode()).hexdigest() == GENERATORS_DIGEST

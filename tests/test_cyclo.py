@@ -8,6 +8,7 @@ invariance under the Galois kernel and rewrites the value by inverting a
 pivot block of the lifted Q(zeta_(n/p)) basis.
 """
 
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -377,3 +378,41 @@ def test_canonical_form_matches_oracle_on_bundled_tables(name):
     for tok in entries:
         v = parse_cyclotomic(tok)
         assert (v.conductor, v.coords) == _oracle_parse(tok), tok
+
+
+_GRAMMAR_PIECES = ["E(", ")", "^", "2*", "1/2", "0.5", "E(0)", "E(10000)", "E(10001)", "3/0",
+                   "+", "-", "*", "/", "3", "0", "7", " ", "E(4)", "E(5)", "E(3)^2",
+                   "E(12)^7", "E(9)^3", "E(+3)", "E(1_0)", "٣", "e9"]
+
+
+def _grammar_strings(count: int = 20000):
+    """Seeded inputs for the value grammar: half drawn from the fuzz
+    alphabet, half joined from term pieces so that many parse."""
+    rng = random.Random(0)
+    alphabet = "E()^*/+-_0123456789٣e. "
+    out = []
+    for _ in range(count // 2):
+        out.append("".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12))))
+        out.append("".join(rng.choice(_GRAMMAR_PIECES) for _ in range(rng.randint(1, 5))))
+    return out
+
+
+def _grammar_outcome(text: str) -> str:
+    try:
+        return render_cyclotomic(parse_cyclotomic(text))
+    except Exception as exc:
+        return type(exc).__name__
+
+
+# A change that alters the grammar on purpose updates both pins.
+GRAMMAR_ACCEPTED = 2060
+GRAMMAR_DIGEST = "718771b7c87efdf9b9bec28bbc135e131f811fda732a9ea7911564f55be5ca72"
+
+
+def test_value_grammar_matches_its_pinned_digest():
+    """Accept/reject and the rendered value of 20,000 seeded strings,
+    pinned by sha256 (an error counts as its class name, not its message)."""
+    outcomes = [_grammar_outcome(s) for s in _grammar_strings()]
+    assert sum(o != "ValueError" for o in outcomes) == GRAMMAR_ACCEPTED
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == GRAMMAR_DIGEST

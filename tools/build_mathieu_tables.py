@@ -13,6 +13,7 @@ it is written.
 Run from the repository root:  python3 tools/build_mathieu_tables.py
 """
 
+import resource
 import sys
 import time
 from pathlib import Path
@@ -38,17 +39,23 @@ HEADERS = {
 }
 
 
+def peak_rss() -> str:
+    """This process's peak resident set size so far (ru_maxrss is in KiB on Linux)."""
+    return f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MB"
+
+
 def build(tables_dir, name, class_data):
     print(f"{name.upper()}: classes ...")
     t0 = time.time()
     G = corpus.build(name).group
     C = class_data(G)
-    print(f"  {len(C.reps)} classes in {time.time()-t0:.0f}s")
+    print(f"  {len(C.reps)} classes in {time.time()-t0:.0f}s; {peak_rss()}")
     print(f"  orders {C.orders}")
     print(f"  sizes  {C.sizes}")
     t0 = time.time()
     T = character_table(G, C, name=name)
-    print(f"  table computed and validated in {time.time()-t0:.0f}s; degrees {T.degrees}")
+    print(f"  table computed and validated in {time.time()-t0:.0f}s; {peak_rss()};"
+          f" degrees {T.degrees}")
     save_table(tables_dir / f"{name}.ctbl", T, header=HEADERS[name])
 
 
