@@ -220,7 +220,7 @@ def check_class_data(order: int, sizes, orders, power_maps) -> None:
     CharacterTableError naming the first violated relation."""
     if sum(sizes) != order:
         raise CharacterTableError("class sizes do not sum to the group order")
-    if sizes[0] != 1 or orders[0] != 1:
+    if not sizes or sizes[0] != 1 or orders[0] != 1:
         raise CharacterTableError("class 0 must be the identity class")
     if any(s < 1 or order % s for s in sizes):
         raise CharacterTableError("class size does not divide the group order")

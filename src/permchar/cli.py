@@ -109,6 +109,16 @@ _WHOLE_GROUP_CHECKS = {
     "simple-avoidance": lambda ctx, seed: verify.check_simple_sylow_avoidance(ctx, seed=seed),
 }
 
+# The `verify` statements about one subgroup H, called as
+# check(ctx, H, subgroup_name=...).
+_PAIR_CHECKS = {
+    "theorem-a": verify.check_theorem_A,
+    "theorem-b": verify.check_theorem_B,
+    "real-coverage": verify.check_real_coverage,
+    "lemma-bob": verify.check_lemma_bob,
+    "theorem-46": verify.check_theorem_4_6,
+}
+
 
 def _subgroup_from_args(ctx, args) -> PermGroup:
     if not getattr(args, "subgroup", None):
@@ -244,22 +254,10 @@ def _dispatch(args) -> int:
 
 
 def _run_verify(ctx, args) -> verify.VerificationReport:
-    statement = args.statement
-    if statement in _WHOLE_GROUP_CHECKS:
-        return _WHOLE_GROUP_CHECKS[statement](ctx, args.seed)
+    if args.statement in _WHOLE_GROUP_CHECKS:
+        return _WHOLE_GROUP_CHECKS[args.statement](ctx, args.seed)
     H = _subgroup_from_args(ctx, args)
-    name = args.subgroup
-    if statement == "theorem-a":
-        return verify.check_theorem_A(ctx, H, subgroup_name=name)
-    if statement == "theorem-b":
-        return verify.check_theorem_B(ctx, H, subgroup_name=name, seed=args.seed)
-    if statement == "real-coverage":
-        return verify.check_real_coverage(ctx, H, subgroup_name=name)
-    if statement == "lemma-bob":
-        return verify.check_lemma_bob(ctx, H, subgroup_name=name)
-    if statement == "theorem-46":
-        return verify.check_theorem_4_6(ctx, H, subgroup_name=name, seed=args.seed)
-    raise SystemExit2(f"unknown statement {statement!r}")
+    return _PAIR_CHECKS[args.statement](ctx, H, subgroup_name=args.subgroup)
 
 
 def _table_json(table) -> dict:

@@ -256,53 +256,6 @@ def class_matrix(C, i: int, rows=None) -> list:
 # -- eigenspace splitting -----------------------------------------------------------
 
 
-class _Solver:
-    """Expresses vectors of a fixed subspace in its basis (mod p).
-
-    A vector of the subspace is determined by its entries at the d pivot
-    coordinates of the echelon form, so `coords_of` reads only those.
-    `check`, one coordinate off the pivots chosen by the caller (None when
-    d = k), is where `_resplit` tests that an image lies in the subspace.
-    """
-
-    def __init__(self, basis, p):
-        self.p = p
-        k = len(basis[0])
-        rows = []  # (pivot, reduced row, coord row)
-        for i, b in enumerate(basis):
-            row = list(b)
-            coords = [0] * len(basis)
-            coords[i] = 1
-            for piv, rrow, crow in rows:
-                f = row[piv]
-                if f:
-                    row = [(x - f * y) % p for x, y in zip(row, rrow)]
-                    coords = [(x - f * y) % p for x, y in zip(coords, crow)]
-            piv = next((c for c in range(k) if row[c]), None)
-            if piv is None:
-                raise ArithmeticError("basis is dependent")
-            inv = pow(row[piv], p - 2, p)
-            row = [x * inv % p for x in row]
-            coords = [x * inv % p for x in coords]
-            rows.append((piv, row, coords))
-        self.pivots = [piv for piv, _, _ in rows]
-        self.steps = [([row[q] for q in self.pivots], crow) for _, row, crow in rows]
-        self.check = None
-
-    def coords_of(self, vals):
-        """Basis coordinates of the subspace vector whose entries at the
-        pivots are `vals`."""
-        p = self.p
-        v = list(vals)
-        out = [0] * len(v)
-        for t, (prow, crow) in enumerate(self.steps):
-            f = v[t] % p
-            if f:
-                v = [(x - f * y) % p for x, y in zip(v, prow)]
-                out = [(x + f * y) % p for x, y in zip(out, crow)]
-        return out
-
-
 def _charpoly_mod(mat, p):
     """det(xI - mat) over F_p via Hessenberg reduction (works for any p,
     unlike point interpolation, which needs p > dim)."""
@@ -345,32 +298,39 @@ def _charpoly_mod(mat, p):
     return polys[d]
 
 
-def _kernel_mod(mat, p):
-    """Basis of the kernel of mat (d x d) over F_p."""
-    d = len(mat)
-    m = [[x % p for x in row] for row in mat]
-    pivots = {}
-    row = 0
-    for col in range(d):
-        piv = next((r for r in range(row, d) if m[r][col]), None)
+def _rref(mat, p):
+    """Reduced row echelon form of mat over F_p, as (pivots, rows): the
+    nonzero rows, row t 1 at column pivots[t] and 0 at the other pivots.
+    The pivots ascend: they are the columns where the rank of the leading
+    columns rises."""
+    rows = [[x % p for x in row] for row in mat]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = pow(m[row][col], p - 2, p)
-        m[row] = [x * inv % p for x in m[row]]
-        for r in range(d):
-            if r != row and m[r][col]:
-                f = m[r][col]
-                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[row])]
-        pivots[col] = row
-        row += 1
-    free = [c for c in range(d) if c not in pivots]
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][col], p - 2, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != r:
+                rows[i] = [(x - f * y) % p for x, y in zip(row, rows[r])]
+        pivots.append(col)
+    return pivots, rows[:len(pivots)]
+
+
+def _kernel_mod(mat, p):
+    """Basis of the kernel of mat (d x d) over F_p: one vector per column
+    off the pivots of its RREF."""
+    pivots, rows = _rref(mat, p)
     basis = []
-    for fc in free:
-        v = [0] * d
-        v[fc] = 1
-        for col, r in pivots.items():
-            v[col] = (-m[r][fc]) % p
+    for f in (c for c in range(len(mat)) if c not in pivots):
+        v = [0] * len(mat)
+        v[f] = 1
+        for col, row in zip(pivots, rows):
+            v[col] = -row[f] % p
         basis.append(v)
     return basis
 
@@ -424,35 +384,32 @@ def character_table(G: PermGroup, C=None, name: str = "") -> CharacterTable:
     unlikely = {t for t in range(1, k) if coprime[t] <= {t}}
 
     # split common eigenspaces of the class matrices over F_p, stopping
-    # once every space is one-dimensional; each matrix is computed only at
-    # the rows the unsplit spaces read: their pivots and one check row each
-    spaces = [[[1 if i == j else 0 for j in range(k)] for i in range(k)]]
+    # once every space is one-dimensional. Each space is (pivots, rows) in
+    # RREF, so each matrix is computed only at the rows the unsplit spaces
+    # read: their pivots and one check row each
+    spaces = [(list(range(k)), [[int(i == j) for j in range(k)] for i in range(k)])]
     pending = sorted(range(1, k), key=lambda c: (C.sizes[c], c))
     stalled = False
-    while pending and not all(len(b) == 1 for b in spaces):
+    while pending and any(len(piv) > 1 for piv, _ in spaces):
         i = _next_class(pending, unlikely if stalled else ())
         pending.remove(i)
-        solvers = [_Solver(b, p) if len(b) > 1 else None for b in spaces]
-        live = [s for s in solvers if s is not None]
-        rows = {r for s in live for r in s.pivots}
-        for s in live:
-            # a row another space reads anyway makes a check row for free
-            off = rows.difference(s.pivots) or set(range(k)).difference(s.pivots)
-            s.check = min(off, default=None)
-            if s.check is not None:
-                rows.add(s.check)
-        A = class_matrix(C, i, rows)
-        split = _resplit(spaces, solvers, A, p)
+        rows = {r for piv, _ in spaces if len(piv) > 1 for r in piv}
+        checks = [None] * len(spaces)
+        for t, (piv, _) in enumerate(spaces):
+            if 1 < len(piv) < k:
+                # a row another space reads anyway makes a check row for free
+                checks[t] = min(rows.difference(piv) or set(range(k)).difference(piv))
+                rows.add(checks[t])
+        split = _resplit(spaces, checks, class_matrix(C, i, rows), p)
         stalled = stalled or len(split) == len(spaces)
         spaces = split
         unlikely |= coprime[i]
-    if not all(len(b) == 1 for b in spaces):
+    if any(len(piv) > 1 for piv, _ in spaces):
         raise AssertionError("eigenspace splitting failed to reach dimension one")
 
     # assemble omega vectors, normalized so the identity coordinate is 1
     omegas = []
-    for basis in spaces:
-        v = basis[0]
+    for _, (v,) in spaces:
         if v[0] == 0:
             raise AssertionError("eigenvector with zero identity coordinate")
         inv = pow(v[0], p - 2, p)
@@ -527,39 +484,35 @@ def _next_class(pending, skip):
     return next((c for c in pending if c not in skip), pending[0])
 
 
-def _resplit(spaces, solvers, A, p):
-    """Split each current subspace by the eigenvalues of A restricted to it.
-    Each unsplit space reads A only at its solver's pivot and check rows."""
+def _resplit(spaces, checks, A, p):
+    """Split each space (pivots, rows) by the eigenvalues of A restricted
+    to it. The rows are in RREF, so the basis coordinates of A*v are its
+    entries at the pivots: an unsplit space reads A only at its pivot rows
+    and at its check row checks[t] (None when the pivots are every row),
+    where A*v must agree with the combination those coordinates give."""
     out = []
-    for basis, solver in zip(spaces, solvers):
-        if solver is None:
-            out.append(basis)
+    for space, q in zip(spaces, checks):
+        pivots, basis = space
+        if len(pivots) == 1:
+            out.append(space)
             continue
-        d = len(basis)
-        q = solver.check
-        R = [[0] * d for _ in range(d)]
-        for m_i, v in enumerate(basis):
-            coords = solver.coords_of([sum(map(mul, A[r], v)) % p for r in solver.pivots])
-            if q is not None and (
-                sum(map(mul, A[q], v)) - sum(c * b[q] for c, b in zip(coords, basis))
-            ) % p:
-                raise ArithmeticError("vector escapes the subspace (not invariant?)")
-            for t, c in enumerate(coords):
-                R[t][m_i] = c
+        # R[t][m] is coordinate t of A * basis[m]
+        R = [[sum(map(mul, A[r], v)) % p for v in basis] for r in pivots]
+        if q is not None:
+            for m, v in enumerate(basis):
+                if (sum(map(mul, A[q], v)) - sum(c[m] * b[q] for c, b in zip(R, basis))) % p:
+                    raise ArithmeticError("vector escapes the subspace (not invariant?)")
         # the space is spanned by eigenvectors omega_chi, so A has one
         # eigenvalue on it exactly when R is scalar: then nothing splits
         # and the space keeps its basis
         lam = R[0][0]
         if all(x == (lam if a == b else 0) for a, row in enumerate(R) for b, x in enumerate(row)):
-            out.append(basis)
+            out.append(space)
             continue
-        roots = poly_roots_mod(_charpoly_mod(R, p), p)
         cols = list(zip(*basis))
-        for lam in roots:
-            shifted = [list(row) for row in R]
-            for a in range(d):
-                shifted[a][a] -= lam
-            sub = [[sum(map(mul, kv, col)) % p for col in cols] for kv in _kernel_mod(shifted, p)]
+        for lam in poly_roots_mod(_charpoly_mod(R, p), p):
+            shifted = [[x - lam * (a == b) for b, x in enumerate(row)] for a, row in enumerate(R)]
+            sub = [[sum(map(mul, kv, col)) for col in cols] for kv in _kernel_mod(shifted, p)]
             if sub:
-                out.append(sub)
+                out.append(_rref(sub, p))
     return out

@@ -104,7 +104,6 @@ class GroupContext:
         self._sylow2: dict = {}  # seed -> P
         self._sylow2_normalizer: dict = {}  # seed -> N_G(P)
         self._trivial_row = None
-        self._perm_characters: dict = {}
         self._decompositions: dict = {}
 
     @classmethod
@@ -144,24 +143,16 @@ class GroupContext:
     def subgroup(self, selector: str) -> PermGroup:
         return self.corpus_group.subgroup(selector)
 
-    def perm_character(self, H: PermGroup) -> ClassFunction:
-        """pi = 1_H^G at the class representatives, kept per generating set
-        of H, so every checker on the same subgroup shares one computation.
-        `perm_character` picks class fusion or the coset action from the
-        sizes alone."""
-        key = tuple(g.images for g in H.generators)
-        pi = self._perm_characters.get(key)
-        if pi is None:
-            pi = self._perm_characters[key] = perm_character(self.group, H, self.classes)
-        return pi
-
     def decompose_perm_character(self, H: PermGroup):
-        """(pi, multiplicities) of 1_H^G over the table rows, kept per
-        generating set of H. Callers must not mutate the returned list."""
+        """(pi, multiplicities) of pi = 1_H^G over the table rows, kept per
+        generating set of H, so every checker on the same subgroup shares
+        one computation. `perm_character` picks class fusion or the coset
+        action from the sizes alone. Callers must not mutate the returned
+        list."""
         key = tuple(g.images for g in H.generators)
         hit = self._decompositions.get(key)
         if hit is None:
-            pi = self.perm_character(H)
+            pi = perm_character(self.group, H, self.classes)
             hit = self._decompositions[key] = (pi, decompose(pi, self.table))
         return hit
 
@@ -346,7 +337,7 @@ def check_theorem_D(ctx: GroupContext, seed: int = 0) -> VerificationReport:
     number; the real odd-order classes come from the table."""
     table = ctx.table
     N = ctx.sylow2_normalizer(seed=seed)
-    pi = ctx.perm_character(N)
+    pi, _ = ctx.decompose_perm_character(N)
     counts = [int(v.as_rational()) for v in pi.values]
     real_odd = [k for k in table.real_class_indices()
                 if table.orders[k] % 2 == 1 and table.orders[k] > 1]

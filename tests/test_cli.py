@@ -145,17 +145,21 @@ def _bad_s3_table(tmp_path, name, old, new):
     ["fsind", "--family", "s3", "--table-file", "{invalid}"],
     ["fsind", "--family", "s4", "--table-file", "{s3}"],
     ["fsind", "--group-file", "{group}"],
+    ["table", "--family", "s3", "--table-file", "{empty}"],
 ])
 def test_input_errors_exit_2(tmp_path, capsys, argv):
     from permchar.corpus import data_dir
 
     group = tmp_path / "g.grp"
     group.write_text("# order: 999\ndegree 4\n(1,2)\n")
+    empty = tmp_path / "empty.ctbl"
+    empty.write_text("name x\norder 0\nclasses 0\nsizes\norders\n")
     files = {
         "syntax": _bad_s3_table(tmp_path, "syntax", "power 2 ", "power 0 "),
         "invalid": _bad_s3_table(tmp_path, "invalid", "chi 2 0 -1", "chi 2 0 1"),
         "s3": str(data_dir() / "tables" / "s3.ctbl"),
         "group": str(group),
+        "empty": str(empty),
     }
     code, _, err = run(capsys, *[a.format(**files) for a in argv])
     assert code == 2

@@ -1,5 +1,6 @@
+import itertools
 import random
-from math import lcm
+from math import lcm, prod
 
 import pytest
 
@@ -174,38 +175,92 @@ def test_a_misfiled_product_makes_the_table_fail(family, call):
     assert calls[0] >= call
 
 
+def _minor_rank(mat, p):
+    """Rank of mat over F_p by brute force: the largest r with a nonzero
+    r x r minor, each determinant a Leibniz sum over permutations."""
+    def det(rows, cols):
+        total = 0
+        for perm in itertools.permutations(cols):
+            sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+            total += sign * prod(mat[r][c] for r, c in zip(rows, perm))
+        return total % p
+
+    rank = 0
+    n_cols = len(mat[0]) if mat else 0
+    for r in range(1, min(len(mat), n_cols) + 1):
+        if not any(det(rows, cols) for rows in itertools.combinations(range(len(mat)), r)
+                   for cols in itertools.combinations(range(n_cols), r)):
+            break
+        rank = r
+    return rank
+
+
+def _random_matrix(rng, p):
+    """A matrix of 1-4 rows and 1-5 columns, often rank-deficient: a
+    product of random factors through a narrower middle, or random entries
+    (some outside 0..p-1) with a column sometimes zeroed."""
+    m, n = rng.randint(1, 4), rng.randint(1, 5)
+    if rng.random() < 0.5:
+        inner = rng.randint(0, min(m, n))
+        left = [[rng.randrange(p) for _ in range(inner)] for _ in range(m)]
+        right = [[rng.randrange(p) for _ in range(n)] for _ in range(inner)]
+        return [[sum(a * right[t][c] for t, a in enumerate(row)) for c in range(n)] for row in left]
+    mat = [[rng.randrange(-p, 2 * p) for _ in range(n)] for _ in range(m)]
+    if rng.random() < 0.5:
+        j = rng.randrange(n)
+        for row in mat:
+            row[j] = 0
+    return mat
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 101])
+def test_rref_matches_brute_force(p):
+    """Row t is 1 at pivots[t] and 0 at the other pivots; the row space is
+    unchanged (stacking both rows sets adds no rank); the pivots are the
+    columns where the rank of the leading columns rises."""
+    rng = random.Random(p)
+    for _ in range(40):
+        mat = _random_matrix(rng, p)
+        pivots, rows = dixon._rref(mat, p)
+        assert len(pivots) == len(rows)
+        for t, row in enumerate(rows):
+            assert all(0 <= x < p for x in row)
+            assert [row[c] for c in pivots] == [int(s == t) for s in range(len(pivots))]
+        rank = _minor_rank(mat, p)
+        assert len(rows) == rank == _minor_rank(mat + rows, p), mat
+        leading = [_minor_rank([row[:c] for row in mat], p) for c in range(len(mat[0]) + 1)]
+        assert pivots == [c for c in range(len(mat[0])) if leading[c + 1] > leading[c]], mat
+
+
 def test_resplit_rejects_an_image_that_escapes_the_subspace():
     p = 7
-    basis = [[1, 0, 0], [0, 1, 0]]
-    solver = dixon._Solver(basis, p)
-    assert solver.pivots == [0, 1]
-    solver.check = 2
+    space = ([0, 1], [[1, 0, 0], [0, 1, 0]])
     diagonal = [[1, 0, 0], [0, 2, 0], [0, 0, 3]]
-    assert dixon._resplit([basis], [solver], diagonal, p) == [[[1, 0, 0]], [[0, 1, 0]]]
+    assert dixon._resplit([space], [2], diagonal, p) == [([0], [[1, 0, 0]]), ([1], [[0, 1, 0]])]
     # A * e_0 leaves the span of e_0, e_1 only in the check coordinate
     escaping = [[1, 0, 0], [0, 2, 0], [1, 0, 3]]
     with pytest.raises(ArithmeticError):
-        dixon._resplit([basis], [solver], escaping, p)
+        dixon._resplit([space], [2], escaping, p)
 
 
 def test_resplit_keeps_a_space_on_which_a_is_scalar(monkeypatch):
     p = 7
-    basis = [[1, 0, 0], [0, 1, 0]]
-    solver = dixon._Solver(basis, p)
-    solver.check = 2
+    space = ([0, 1], [[1, 0, 0], [0, 1, 0]])
 
     def unused(*args):
         raise AssertionError("a scalar restriction needs no eigenvalues")
 
-    monkeypatch.setattr(dixon, "_charpoly_mod", unused)
-    monkeypatch.setattr(dixon, "_kernel_mod", unused)
-    out = dixon._resplit([basis], [solver], [[5, 0, 0], [0, 5, 0], [0, 0, 3]], p)
-    assert out == [basis] and out[0] is basis
+    for helper in ("_charpoly_mod", "_kernel_mod", "_rref"):
+        monkeypatch.setattr(dixon, helper, unused)
+    out = dixon._resplit([space], [2], [[5, 0, 0], [0, 5, 0], [0, 0, 3]], p)
+    assert out == [space] and out[0] is space
     monkeypatch.undo()
     # equal diagonal entries, not scalar: [[2, 1], [1, 2]] has the
-    # eigenvalues 1 and 3 (mod 7), with eigenvectors (6, 1) and (1, 1)
+    # eigenvalues 1 and 3 (mod 7), with eigenvectors (6, 1) and (1, 1);
+    # in RREF the first is (1, 6) = 6 * (6, 1)
     A = [[2, 1, 0], [1, 2, 0], [0, 0, 3]]
-    assert dixon._resplit([basis], [solver], A, p) == [[[6, 1, 0]], [[1, 1, 0]]]
+    assert dixon._resplit([space], [2], A, p) == [([0], [[1, 6, 0]]), ([0], [[1, 1, 0]])]
+    assert dixon._rref([[6, 1, 0]], p) == ([0], [[1, 6, 0]])
 
 
 @pytest.mark.parametrize("family", ["s4", "sl23", "psl2_11", "m11"])
@@ -215,18 +270,52 @@ def test_every_unsplit_space_reads_a_check_row(family, monkeypatch):
     resplit = dixon._resplit
     seen = []
 
-    def checked(spaces, solvers, A, p):
-        for basis, s in zip(spaces, solvers):
-            if s is not None and len(basis) < len(A):
-                assert s.check is not None and s.check not in s.pivots
-                assert A[s.check] is not None
-                assert all(A[r] is not None for r in s.pivots)
-                seen.append(s.check)
-        return resplit(spaces, solvers, A, p)
+    def checked(spaces, checks, A, p):
+        for (pivots, rows), q in zip(spaces, checks):
+            if 1 < len(rows) < len(A):
+                assert q is not None and q not in pivots
+                assert A[q] is not None
+                assert all(A[r] is not None for r in pivots)
+                seen.append(q)
+        return resplit(spaces, checks, A, p)
 
     monkeypatch.setattr(dixon, "_resplit", checked)
     character_table(corpus.build(family).group, name=family)
     assert seen
+
+
+# (acting class, sorted requested rows) of each class_matrix call
+_CLASS_MATRIX_CALLS = {
+    "s4": [(1, [0, 1, 2, 3, 4]), (2, [0, 1, 2, 3])],
+    "sl23": [(1, [0, 1, 2, 3, 4, 5, 6]), (2, [0, 1, 2, 3, 4])],
+    "psl2_11": [
+        (1, [0, 1, 2, 3, 4, 5, 6, 7]), (6, [0, 2, 3, 6]), (7, [0, 1, 3]), (3, [0, 1, 3]),
+    ],
+    "m11": [
+        (1, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]), (2, [0, 6, 8]), (8, [0, 6, 8]), (6, [0, 1, 6]),
+    ],
+    "psl2_23": [
+        (1, list(range(14))), (12, [0, 2, 3, 5, 6, 7, 8, 10, 12]), (13, [0, 2, 3, 5, 6, 7, 8, 10]),
+        (10, [0, 2, 3, 5, 6, 7, 8, 10]), (5, [0, 1, 5, 6, 7, 8]),
+    ],
+}
+
+
+@pytest.mark.parametrize("family", sorted(_CLASS_MATRIX_CALLS))
+def test_class_matrix_calls_are_pinned(family, monkeypatch):
+    """The splitting consumes the same classes and reads the same rows of
+    each: the rows are set by the pivots of the unsplit spaces and their
+    check rows, so this pins those too."""
+    calls = []
+    matrix = dixon.class_matrix
+
+    def recording(C, i, rows=None):
+        calls.append((i, sorted(rows)))
+        return matrix(C, i, rows)
+
+    monkeypatch.setattr(dixon, "class_matrix", recording)
+    character_table(corpus.build(family).group, name=family)
+    assert calls == _CLASS_MATRIX_CALLS[family]
 
 
 def _relabelled(G, seed):

@@ -26,6 +26,7 @@ from permchar.charfun import (
     fs_indicator,
     fs_indicator_brute,
     inner_product,
+    perm_character,
 )
 from permchar.classes import conjugacy_classes
 from permchar.corpus import build
@@ -313,7 +314,7 @@ def test_kernel_matches_oracle_on_sweep_table_and_subgroups(family):
     assert_table_agrees(T)
     for seed in (0, 1):
         for name, H in verify.sample_subgroups(ctx.group, seed=seed):
-            pi = ctx.perm_character(H)
+            pi = perm_character(ctx.group, H, ctx.classes)
             assert outcome(decompose, pi, T) == outcome(oracle_decompose, pi, T), (seed, name)
 
 

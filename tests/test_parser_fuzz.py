@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 ADDRESS_SPACE = 1 << 30
 EXAMPLES = 300
@@ -128,6 +128,7 @@ def _documented_only(fn, arg) -> None:
 
 @FUZZ
 @given(table_texts())
+@example("name x\norder 0\nclasses 0\nsizes\norders\n")
 def fuzz_parse_table(text):
     from permchar.tableio import parse_table
 
