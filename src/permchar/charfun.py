@@ -77,7 +77,7 @@ class ClassFunction:
         return all(v.is_rational() for v in self.values)
 
     def __repr__(self):
-        return f"ClassFunction([{', '.join(str(v) for v in self.values)}])"
+        return f"ClassFunction({list(self.values)!r})"
 
 
 class CharacterTableError(ValueError):

@@ -14,8 +14,8 @@ from array import array
 from math import gcd, lcm
 
 from .cyclo import divisors
-from .group import PermGroup, point_set_orbit
-from .perm import Permutation, conjugator, cycle_type, mul_images, order_of_images, power_images
+from .group import PermGroup, conjugators, on_sets, orbit_closure, orbit_stabilizer, point_maps
+from .perm import Permutation, cycle_type, inv_images, mul_images, order_of_images, power_images
 
 DEFAULT_ENUMERATION_THRESHOLD = 2_000_000
 
@@ -32,22 +32,9 @@ def fingerprint(images: tuple) -> tuple:
 
 
 def conjugation_orbit(group: PermGroup, images: tuple, key=tuple) -> set:
-    """The conjugacy class of an element of `group`: the closure of {images}
-    under conjugation by the generators, as the set of key(element), image
-    tuples by default. `SampledClassSet` keys by packed bytes, which holds
-    a class of a million elements in a fraction of the memory."""
-    conjugates = [conjugator(g.images) for g in group.generators]
-    orbit = {key(images)}
-    queue = [images]
-    while queue:
-        y = queue.pop()
-        for conj in conjugates:
-            z = conj(y)
-            zk = key(z)
-            if zk not in orbit:
-                orbit.add(zk)
-                queue.append(z)
-    return orbit
+    """The conjugacy class of an element of `group`, as the set of
+    key(element): image tuples by default, packed bytes in `SampledClassSet`."""
+    return orbit_closure(images, conjugators(group), key)
 
 
 class ConjugacyClassSet:
@@ -192,7 +179,9 @@ class _SetOrbit:
             self.stabilizer = group
             self.key = pack
             return
-        orbit, self.transversal, self.inverses, self.stabilizer = point_set_orbit(group, base)
+        orbit, self.transversal, self.stabilizer = orbit_stabilizer(
+            group, base, on_sets(point_maps(group)))
+        self.inverses = [inv_images(u) for u in self.transversal]
         self.index = {points: i for i, points in enumerate(orbit)}
         self.key = tuple
 

@@ -533,7 +533,7 @@ def _steiner_block(G: PermGroup, points: set) -> frozenset:
     their pointwise stabilizer has a unique 3-point orbit off them, which
     completes the block."""
     stab = G.pointwise_stabilizer(sorted(points))
-    three = [o for o in map(set, _point_orbits(stab)) if len(o) == 3 and not o & points]
+    three = [o for o in _point_orbits(stab) if len(o) == 3 and not o & points]
     if len(three) != 1:
         raise AssertionError("Steiner block construction: expected a unique 3-orbit")
     return frozenset(points | three[0])

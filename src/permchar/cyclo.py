@@ -242,7 +242,7 @@ class Cyclotomic:
         return hash((self.conductor, self.coords))
 
     def __repr__(self):
-        return f"Cyclotomic({render_cyclotomic(self)!r})"
+        return f"parse_cyclotomic({render_cyclotomic(self)!r})"
 
     def __str__(self):
         return render_cyclotomic(self)

@@ -287,9 +287,18 @@ def _gens_fixing(gens, degree: int, points) -> list:
     """Generators, as image tuples, of the subgroup of <gens> that fixes
     every listed point: the strong generators below a chain whose base
     starts with `points`."""
-    points = list(points)
+    points = _checked_points(points, degree)
     chain = PermGroup(gens, degree, base_hint=points)
     return [g for lv in chain._levels[len(points):] for g in lv.gens]
+
+
+def _checked_points(points, degree: int) -> list:
+    """`points` as a list; ValueError for a point outside 0..degree-1."""
+    points = list(points)
+    for p in points:
+        if not 0 <= p < degree:
+            raise ValueError(f"point {p} is outside 0..{degree - 1} (degree {degree})")
+    return points
 
 
 def trivial_group(degree: int) -> PermGroup:
@@ -324,46 +333,70 @@ def check_subgroup(G: PermGroup, H: PermGroup) -> None:
 
 
 def is_normal_in(H: PermGroup, G: PermGroup) -> bool:
-    for g in G.generators:
-        conj = conjugator(g.images)
-        for h in H.generators:
-            if not H.contains_images(conj(h.images)):
-                return False
-    return True
+    return all(H.contains_images(conj(h.images)) for conj in conjugators(G) for h in H.generators)
 
 
 def normal_closure(G: PermGroup, seeds) -> PermGroup:
     """Smallest normal subgroup of G containing the seed permutations."""
     gens = [s if isinstance(s, Permutation) else Permutation(s) for s in seeds]
     closure = PermGroup(gens, G.degree)
-    conjugates = [conjugator(g.images) for g in G.generators]
-    changed = True
-    while changed:
-        changed = False
-        new = []
-        for conj in conjugates:
-            for h in closure.generators:
-                c = conj(h.images)
-                if not closure.contains_images(c):
-                    new.append(Permutation(c))
-        if new:
-            closure = PermGroup(closure.generators + new, G.degree)
-            changed = True
-    return closure
+    conjugates = conjugators(G)
+    while True:
+        images = (conj(h.images) for conj in conjugates for h in closure.generators)
+        new = [Permutation(c) for c in images if not closure.contains_images(c)]
+        if not new:
+            return closure
+        closure = PermGroup(closure.generators + new, G.degree)
 
 
-# -- generic orbit / stabilizer machinery -----------------------------------
+# -- orbits --------------------------------------------------------------------
+#
+# An action is given as one map per generator: maps[i](x) is the image of x
+# under the i-th generator.
 
 
-def _orbit(seed, gens: list, act, degree: int):
-    """Breadth-first orbit of `seed` under `act(obj, gen_images)`.
+def point_maps(G: PermGroup) -> list:
+    """The action of each generator of G on points."""
+    return [g.images.__getitem__ for g in G.generators]
+
+
+def conjugators(G: PermGroup) -> list:
+    """The conjugation y -> g^-1 * y * g by each generator g of G, on image
+    tuples."""
+    return [conjugator(g.images) for g in G.generators]
+
+
+def on_sets(maps: list) -> list:
+    """The actions that `maps` induce on frozensets of their objects."""
+    return [lambda objs, f=f: frozenset(map(f, objs)) for f in maps]
+
+
+def orbit_closure(seed, maps: list, key) -> set:
+    """The orbit of `seed` as the set of key(x) over its members, walked
+    with no transversal. A compact key, such as packed bytes, holds an
+    orbit of a million elements in a fraction of the memory."""
+    orbit = {key(seed)}
+    queue = [seed]
+    while queue:
+        x = queue.pop()
+        for f in maps:
+            y = f(x)
+            k = key(y)
+            if k not in orbit:
+                orbit.add(k)
+                queue.append(y)
+    return orbit
+
+
+def _orbit(seed, gens: list, maps: list, degree: int):
+    """Breadth-first orbit of `seed`, maps[gi] acting as gens[gi].
 
     Returns (orbit, transversal, images). orbit[0] is the seed, and points
     are listed in the order first reached, generators taken in order.
     transversal[i] is the product of generators along the path that first
     reached orbit[i], so acting on the seed by it gives orbit[i].
-    images[gi][i] is the index of act(orbit[i], gens[gi]): the action
-    table, with `act` called once per (point, generator) pair.
+    images[gi][i] is the index of maps[gi](orbit[i]): the action table,
+    with one map call per (point, generator) pair.
     """
     index = {seed: 0}
     orbit = [seed]
@@ -372,8 +405,8 @@ def _orbit(seed, gens: list, act, degree: int):
     i = 0
     while i < len(orbit):
         x = orbit[i]
-        for g, row in zip(gens, images):
-            y = act(x, g)
+        for g, f, row in zip(gens, maps, images):
+            y = f(x)
             j = index.get(y)
             if j is None:
                 j = index[y] = len(orbit)
@@ -384,29 +417,20 @@ def _orbit(seed, gens: list, act, degree: int):
     return orbit, transversal, images
 
 
-def orbit_stabilizer(G: PermGroup, seed, act):
-    """Orbit of `seed` under `act(obj, gen_images)` plus its stabilizer.
+def orbit_stabilizer(G: PermGroup, seed, maps: list):
+    """Orbit of a hashable `seed` under one map per generator of G, as
+    (orbit, transversal, stabilizer), the first two from `_orbit`.
 
-    Objects must be hashable. Returns (orbit list, stabilizer PermGroup).
     The Schreier generators u_i * g * u_j^-1 are read off the action table
     and sifted incrementally, so the stabilizer generating set stays
-    small. Deterministic for a fixed generator order.
-    """
-    orbit, _, stab = _orbit_transversal_stabilizer(G, seed, act)
-    return orbit, stab
-
-
-def _orbit_transversal_stabilizer(G: PermGroup, seed, act):
-    """`orbit_stabilizer` that also returns the transversal of `_orbit`:
-    (orbit, transversal, stabilizer).
-
-    The sifting stops once the stabilizer has order |G|/|orbit|: every
-    later Schreier generator lies in it already and would add nothing, so
-    the generator list is the one the full loop would build. A generator
-    u_i * g with u_i * g = u_j is the identity and is skipped; each other
-    u_j is inverted when a generator first needs it."""
+    small. The sifting stops once the stabilizer has order |G|/|orbit|:
+    every later Schreier generator lies in it already and would add
+    nothing, so the generator list is the one the full loop would build.
+    A generator u_i * g with u_i * g = u_j is the identity and is skipped;
+    each other u_j is inverted when a generator first needs it.
+    Deterministic for a fixed generator order."""
     gens = [g.images for g in G.generators]
-    orbit, transversal, images = _orbit(seed, gens, act, G.degree)
+    orbit, transversal, images = _orbit(seed, gens, maps, G.degree)
     inverses: dict = {}
     order = G.order() // len(orbit)
     stab_gens: list[Permutation] = []
@@ -427,41 +451,21 @@ def _orbit_transversal_stabilizer(G: PermGroup, seed, act):
     return orbit, transversal, stab
 
 
-def _conjugators(G: PermGroup) -> dict:
-    """Generator images -> its `conjugator`, built once per generator."""
-    return {g.images: conjugator(g.images) for g in G.generators}
-
-
 def centralizer(G: PermGroup, x: Permutation) -> PermGroup:
     """C_G(x) via the conjugation orbit of x (the class of x)."""
-    conj = _conjugators(G)
-    _, stab = orbit_stabilizer(G, x.images, lambda y, g: conj[g](y))
-    return stab
+    return orbit_stabilizer(G, x.images, conjugators(G))[2]
 
 
 def normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
     """N_G(H) via the conjugation orbit of H's element set."""
-    conj = _conjugators(G)
     elems = frozenset(H.element_images_iter())
-    _, stab = orbit_stabilizer(G, elems, lambda obj, g: frozenset(map(conj[g], obj)))
-    return stab
-
-
-def point_set_orbit(G: PermGroup, points):
-    """The G-orbit of a point set F0, as (orbit, transversal, inverses,
-    stabilizer): orbit[0] is F0, transversal[i] maps F0 onto orbit[i],
-    inverses[i] is its inverse, and the stabilizer is Stab_G(F0)."""
-    orbit, transversal, stab = _orbit_transversal_stabilizer(G, frozenset(points), _image_set)
-    return orbit, transversal, [inv_images(u) for u in transversal], stab
-
-
-def _image_set(points: frozenset, g: tuple) -> frozenset:
-    return frozenset(map(g.__getitem__, points))
+    return orbit_stabilizer(G, elems, on_sets(conjugators(G)))[2]
 
 
 def setwise_stabilizer(G: PermGroup, points) -> PermGroup:
     """Stabilizer of a point set, via the orbit on point sets."""
-    return orbit_stabilizer(G, frozenset(points), _image_set)[1]
+    seed = frozenset(_checked_points(points, G.degree))
+    return orbit_stabilizer(G, seed, on_sets(point_maps(G)))[2]
 
 
 # -- coset actions -----------------------------------------------------------
@@ -483,10 +487,11 @@ class CosetAction:
         self.H = H
         # the orbit of the coset keys; key_i lies in H*reps[i], so key_i*g
         # and reps[i]*g lie in one coset and share its key
+        gens = [g.images for g in G.generators]
         _, self.reps, images = _orbit(
             _coset_key(H, identity_images(G.degree)),
-            [g.images for g in G.generators],
-            lambda key, g: _coset_key(H, mul_images(key, g)),
+            gens,
+            [lambda key, g=g: _coset_key(H, mul_images(key, g)) for g in gens],
             G.degree,
         )
         self.degree = len(self.reps)
@@ -501,7 +506,7 @@ class CosetAction:
         """(a, O): a point a of a smallest H-orbit O, and O as a set. Every
         element of H maps a into O."""
         orbit = min(_point_orbits(self.H), key=len)
-        return orbit[0], frozenset(orbit)
+        return min(orbit), orbit
 
     def fixed_cosets(self, p: Permutation) -> int:
         """Number of cosets fixed by p: #{i : reps[i] * p * reps[i]^-1 in H}.
@@ -539,20 +544,14 @@ def _coset_key(H: PermGroup, y: tuple) -> tuple:
 
 
 def _point_orbits(H: PermGroup) -> list:
-    seen = [False] * H.degree
-    orbits = []
+    """The orbits of H on its points, as frozensets, in order of least point."""
+    maps = point_maps(H)
+    orbits: list = []
+    seen: set = set()
     for start in range(H.degree):
-        if seen[start]:
-            continue
-        orb = [start]
-        seen[start] = True
-        for a in orb:  # breadth-first, walking the growing list by index
-            for g in H.generators:
-                b = g[a]
-                if not seen[b]:
-                    seen[b] = True
-                    orb.append(b)
-        orbits.append(tuple(orb))
+        if start not in seen:
+            orbits.append(frozenset(orbit_closure(start, maps, int)))
+            seen |= orbits[-1]
     return orbits
 
 

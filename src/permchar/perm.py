@@ -160,7 +160,7 @@ class Permutation:
         return sum(1 for i, j in enumerate(self.images) if i == j)
 
     def __repr__(self) -> str:
-        return f"Permutation.parse({cycle_string(self)!r}, degree={self.degree})"
+        return f"parse_permutation({cycle_string(self)!r}, {self.degree})"
 
     def __str__(self) -> str:
         return cycle_string(self)

@@ -24,12 +24,15 @@ from .dixon import character_table
 from .group import (
     PermGroup,
     _point_orbits,
+    conjugators,
     normalizer,
+    on_sets,
+    orbit_closure,
     orbit_stabilizer,
+    point_maps,
     proper_subgroup,
     sylow_2,
 )
-from .perm import conjugator
 from .tableio import bundled_table, find_representatives
 
 
@@ -191,8 +194,9 @@ class GroupContext:
                 raise EnumerationThresholdError(f"group order {self.group.order()} exceeds"
                                                 f" enumeration threshold {self.threshold}")
             P = self.sylow2(seed=seed)
-            partition = frozenset(frozenset(orbit) for orbit in _point_orbits(P))
-            _, S = orbit_stabilizer(self.group, partition, _image_partition)
+            partition = frozenset(_point_orbits(P))
+            maps = on_sets(on_sets(point_maps(self.group)))
+            S = orbit_stabilizer(self.group, partition, maps)[2]
             N = self._sylow2_normalizer[seed] = normalizer(S, P)
         return N
 
@@ -207,10 +211,6 @@ class GroupContext:
             else:
                 raise AssertionError("table has no trivial row")
         return self._trivial_row
-
-
-def _image_partition(partition: frozenset, g: tuple) -> frozenset:
-    return frozenset(frozenset(map(g.__getitem__, block)) for block in partition)
 
 
 _context_cache: dict = {}
@@ -314,17 +314,7 @@ def check_theorem_B(
 def sylow2_conjugates(G: PermGroup, P: PermGroup) -> list:
     """All G-conjugates of P, each as a frozenset of element image tuples."""
     base = frozenset(P.element_images_iter())
-    conjugates = [conjugator(g.images) for g in G.generators]
-    orbit = {base}
-    queue = [base]
-    while queue:
-        Q = queue.pop()
-        for conj in conjugates:
-            R = frozenset(map(conj, Q))
-            if R not in orbit:
-                orbit.add(R)
-                queue.append(R)
-    return list(orbit)
+    return list(orbit_closure(base, on_sets(conjugators(G)), frozenset))
 
 
 def check_theorem_D(ctx: GroupContext, seed: int = 0) -> VerificationReport:

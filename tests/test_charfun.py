@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,10 +16,10 @@ from permchar.charfun import (
     perm_character_values,
 )
 from permchar.classes import conjugacy_classes
-from permchar.cyclo import Cyclotomic
+from permchar.cyclo import Cyclotomic, parse_cyclotomic
 from permchar.dixon import character_table
 from permchar.group import PermGroup, coset_action, sylow_2, trivial_group
-from permchar.perm import inv_images, parse_permutation
+from permchar.perm import Permutation, inv_images, parse_permutation
 from permchar.tableio import ClassMatching, bundled_table
 
 from helpers import regular_character, trivial_character
@@ -34,6 +35,24 @@ def _ctx(family):
     C = conjugacy_classes(G)
     T = character_table(G, C, name=family)
     return G, C, T
+
+
+def test_reprs_evaluate_to_equal_values():
+    """repr(x) is a call that rebuilds x: for seeded permutations (the
+    identity and degree 0 included), and for every value and row of a
+    Dixon table."""
+    rng = random.Random(0)
+    perms = [Permutation(()), Permutation((0,)), Permutation.identity(5)]
+    for n in range(2, 12):
+        images = list(range(n))
+        rng.shuffle(images)
+        perms.append(Permutation(images))
+    _, _, T = _ctx("psl2_7")
+    values = [v for row in T.rows for v in row.values]
+    scope = {"parse_permutation": parse_permutation, "parse_cyclotomic": parse_cyclotomic,
+             "ClassFunction": ClassFunction}
+    for x in [*perms, *values, *T.rows]:
+        assert eval(repr(x), scope) == x
 
 
 def test_perm_character_spec_examples():

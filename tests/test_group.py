@@ -1,15 +1,15 @@
+import hashlib
 import random
 from types import SimpleNamespace
 
 import pytest
 
 from permchar import corpus, verify
-from permchar.classes import conjugacy_classes
+from permchar.classes import _SetOrbit, conjugacy_classes
 from permchar.group import (
     PermGroup,
     _coset_key,
     _Level,
-    _orbit_transversal_stabilizer,
     _point_orbits,
     centralizer,
     core,
@@ -20,7 +20,6 @@ from permchar.group import (
     normalizer,
     o_2prime,
     orbit_stabilizer,
-    point_set_orbit,
     proper_subgroup,
     setwise_stabilizer,
     sylow_2,
@@ -246,8 +245,7 @@ def test_coset_action_spec_examples():
 
 def _coset_zero_stabilizer(act):
     """Stabilizer in G of coset 0, computed from `gen_images` alone."""
-    induced = {g.images: img for g, img in zip(act.G.generators, act.gen_images)}
-    orbit, stab = orbit_stabilizer(act.G, 0, lambda j, g: induced[g][j])
+    orbit, _, stab = orbit_stabilizer(act.G, 0, [img.__getitem__ for img in act.gen_images])
     assert len(orbit) == act.degree
     return stab
 
@@ -444,12 +442,17 @@ def test_centralizer_and_normalizer_against_brute_force():
     assert N.order() == count
 
 
-def _parent_pointer_orbit_stabilizer(G, seed, act):
+def _per_generator(G, act):
+    """The action `act(obj, gen_images)` as one map per generator of G."""
+    return [lambda obj, g=g.images: act(obj, g) for g in G.generators]
+
+
+def _parent_pointer_orbit_stabilizer(G, seed, maps):
     """The orbit_stabilizer that the shared breadth-first orbit replaced,
     kept as the oracle: parent pointers, each transversal word rebuilt from
-    them, and a second `act` pass for the Schreier generators, every one
-    of them sifted (no stop at |G|/|orbit|). Returns (orbit, transversal,
-    stabilizer)."""
+    them, and a second pass of the maps for the Schreier generators, every
+    one of them sifted (no stop at |G|/|orbit|). Returns (orbit,
+    transversal, stabilizer)."""
     gens = [g.images for g in G.generators]
     orbit_index = {seed: 0}
     orbit = [seed]
@@ -457,8 +460,8 @@ def _parent_pointer_orbit_stabilizer(G, seed, act):
     queue = [0]
     while queue:
         i = queue.pop(0)
-        for gi, g in enumerate(gens):
-            img = act(orbit[i], g)
+        for gi, f in enumerate(maps):
+            img = f(orbit[i])
             if img not in orbit_index:
                 orbit_index[img] = len(orbit)
                 orbit.append(img)
@@ -479,8 +482,8 @@ def _parent_pointer_orbit_stabilizer(G, seed, act):
     stab_gens = []
     stab = trivial_group(G.degree)
     for i in range(len(orbit)):
-        for g in gens:
-            j = orbit_index[act(orbit[i], g)]
+        for g, f in zip(gens, maps):
+            j = orbit_index[f(orbit[i])]
             s = mul_images(mul_images(words[i], g), inv_images(words[j]))
             if not stab.contains_images(s):
                 stab_gens.append(Permutation(s))
@@ -507,8 +510,9 @@ def _assert_matches_parent_pointer_oracle(G, seed, act, stab):
         calls += 1
         return act(obj, g)
 
-    orbit, transversal, new = _orbit_transversal_stabilizer(G, seed, counted)
-    old_orbit, old_transversal, old = _parent_pointer_orbit_stabilizer(G, seed, act)
+    orbit, transversal, new = orbit_stabilizer(G, seed, _per_generator(G, counted))
+    old_orbit, old_transversal, old = _parent_pointer_orbit_stabilizer(
+        G, seed, _per_generator(G, act))
     assert orbit == old_orbit
     assert transversal == old_transversal
     old_gens = [g.images for g in old.generators]
@@ -542,17 +546,18 @@ def test_m23_setwise_stabilizer_matches_parent_pointer_oracle(points):
     G = corpus.build("m23").group
     seed = frozenset(points)
     _assert_matches_parent_pointer_oracle(G, seed, _image_set, setwise_stabilizer(G, points))
-    orbit, transversal, inverses, stab = point_set_orbit(G, points)
-    old_orbit, old_transversal, old = _parent_pointer_orbit_stabilizer(G, seed, _image_set)
-    assert (orbit, transversal) == (old_orbit, old_transversal)
-    assert inverses == [inv_images(u) for u in old_transversal]
-    assert [g.images for g in stab.generators] == [g.images for g in old.generators]
+    frame = _SetOrbit(G, seed, None)
+    old_orbit, old_transversal, old = _parent_pointer_orbit_stabilizer(
+        G, seed, _per_generator(G, _image_set))
+    assert (list(frame.index), frame.transversal) == (old_orbit, old_transversal)
+    assert frame.inverses == [inv_images(u) for u in old_transversal]
+    assert [g.images for g in frame.stabilizer.generators] == [g.images for g in old.generators]
 
 
 def test_stabilizers_invert_only_the_transversal_elements_they_read(monkeypatch):
     """The Schreier loop stops at |G|/|orbit| and skips the identity
     generators of the tree edges, so most transversal elements are never
-    inverted; `point_set_orbit` still returns every inverse."""
+    inverted; `classes._SetOrbit` still holds every inverse."""
     from permchar import group
 
     G = corpus.build("m23").group
@@ -563,12 +568,12 @@ def test_stabilizers_invert_only_the_transversal_elements_they_read(monkeypatch)
         return inv_images(images)
 
     monkeypatch.setattr(group, "inv_images", counted)
-    orbit, _ = orbit_stabilizer(G, frozenset({0, 1, 2}), _image_set)
+    orbit, _, _ = orbit_stabilizer(G, frozenset({0, 1, 2}), _per_generator(G, _image_set))
     assert len(inverted) < len(orbit) // 10
-    inverted.clear()
-    orbit, transversal, inverses, _ = point_set_orbit(G, {0, 1, 2})
-    assert len(inverses) == len(orbit)
-    assert all(mul_images(u, v) == identity_images(G.degree) for u, v in zip(transversal, inverses))
+    frame = _SetOrbit(G, frozenset({0, 1, 2}), None)
+    assert len(frame.inverses) == len(frame.index)
+    assert all(mul_images(u, v) == identity_images(G.degree)
+               for u, v in zip(frame.transversal, frame.inverses))
 
 
 def test_m22_pair_stabilizer_matches_parent_pointer_oracle():
@@ -638,6 +643,17 @@ def test_pointwise_and_setwise_stabilizers():
     assert setwise_stabilizer(a5, {0, 1}).order() == 6
 
 
+@pytest.mark.parametrize("point", [-1, 4])
+def test_stabilizers_reject_points_outside_the_degree(point):
+    """A negative point would read from the end of an image tuple, and one
+    at the degree past it; both are refused before any orbit is built."""
+    s4 = corpus.build("s4").group
+    with pytest.raises(ValueError, match=f"point {point} .*degree 4"):
+        setwise_stabilizer(s4, {0, point})
+    with pytest.raises(ValueError, match=f"point {point} .*degree 4"):
+        s4.pointwise_stabilizer([0, point])
+
+
 def test_lemma_reality_in_normal_subgroup_property():
     """x in N normal in G, x real in G, [G : N C_G(x)] odd => x real in N.
 
@@ -686,17 +702,52 @@ def _conj_class_within(N, x):
 
 def test_breadth_first_orbit_of_a_20000_point_cycle():
     """The one orbit of x -> x + 7 (mod 20,000) is 0, 7, 14, ... in
-    breadth-first order, from `_point_orbits` and from a Schreier-vector
-    chain level. `_point_orbits` reads only the generators and the degree;
-    a whole chain of this degree takes seconds, for one transversal walk
-    of 19,999 steps."""
+    breadth-first order from a Schreier-vector chain level, and every point
+    from `_point_orbits`, which reads only the generators and the degree; a
+    whole chain of this degree takes seconds, for one transversal walk of
+    19,999 steps."""
     n = 20_000
     step = tuple((x + 7) % n for x in range(n))
     bfs = tuple(7 * i % n for i in range(n))
     H = SimpleNamespace(degree=n, generators=[Permutation(step)])
-    assert _point_orbits(H) == [bfs]
+    assert _point_orbits(H) == [frozenset(bfs)]
     level = _Level(0, n)
     assert not level.full
     level.recompute_orbit([step], n)
     assert tuple(level.orbit) == bfs
     assert all(level.orbit[b] == (a, 0) for a, b in zip(bfs, bfs[1:]))
+
+
+# sha256 of the orbit routines' outputs, written before they were merged:
+# every stabilizer generator list, coset transversal and point-orbit
+# partition below is pinned, so no seeded stream that reads them can move.
+ORBIT_OUTPUTS_DIGEST = "a58fee8b1e51e551a8cd1c7854a8323878f35a98e619d7c305ecef3db89840ce"
+
+
+def test_orbit_outputs_match_their_pinned_digest():
+    def images(K):
+        return [g.images for g in K.generators]
+
+    out = []
+    for family in [*verify.SWEEP_FAMILIES, "m11"]:
+        G = corpus.build(family).group
+        P = sylow_2(G)
+        act = coset_action(G, P)
+        ctx = verify.GroupContext(family, G, None, None, G.order(), None)
+        out.append([
+            family,
+            images(setwise_stabilizer(G, {0, 1})),
+            [images(centralizer(G, r)) for r in conjugacy_classes(G).reps],
+            images(normalizer(G, P)),
+            images(ctx.sylow2_normalizer()),
+            act.reps,
+            act.gen_images,
+            [[tuple(sorted(o)) for o in _point_orbits(H)]
+             for _, H in verify.sample_subgroups(G, seed=0, budget=14)],
+        ])
+    for family in ("m22", "m23"):
+        G = corpus.build(family).group
+        out.append([family, images(setwise_stabilizer(G, {0, 1})),
+                    images(setwise_stabilizer(G, {0, 1, 2}))])
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == ORBIT_OUTPUTS_DIGEST

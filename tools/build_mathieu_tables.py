@@ -10,9 +10,13 @@ included) through the stabilizer of an invariant point set, and
 completeness proven by the class sizes summing to the group order. Each table must pass the full orthogonality validation before
 it is written.
 
+For each file it prints the sha256 it wrote and whether that file is
+byte-identical to the one it replaced.
+
 Run from the repository root:  python3 tools/build_mathieu_tables.py
 """
 
+import hashlib
 import resource
 import sys
 import time
@@ -56,7 +60,13 @@ def build(tables_dir, name, class_data):
     T = character_table(G, C, name=name)
     print(f"  table computed and validated in {time.time()-t0:.0f}s; {peak_rss()};"
           f" degrees {T.degrees}")
-    save_table(tables_dir / f"{name}.ctbl", T, header=HEADERS[name])
+    path = tables_dir / f"{name}.ctbl"
+    before = path.read_bytes() if path.exists() else None
+    save_table(path, T, header=HEADERS[name])
+    after = path.read_bytes()
+    verdict = "byte-identical to" if after == before else "DIFFERENT from"
+    print(f"  wrote {path.name}: sha256 {hashlib.sha256(after).hexdigest()},"
+          f" {verdict} the file it replaced")
 
 
 def main():
