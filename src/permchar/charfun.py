@@ -203,10 +203,6 @@ class CharacterTable:
         if 2 in self.power_maps:
             real = self.real_row_flags()
             for i, nu in enumerate(self.fs_indicators()):
-                if nu not in (-1, 0, 1):
-                    raise CharacterTableError(
-                        f"indicator of row {i} is {nu}, outside {{0,+1,-1}}"
-                    )
                 if (nu != 0) != real[i]:
                     raise CharacterTableError(
                         f"indicator of row {i} disagrees with real-valuedness"

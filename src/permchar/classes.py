@@ -15,7 +15,15 @@ from math import gcd, lcm
 
 from .cyclo import divisors
 from .group import PermGroup, conjugators, on_sets, orbit_closure, orbit_stabilizer, point_maps
-from .perm import Permutation, cycle_type, inv_images, mul_images, order_of_images, power_images
+from .perm import (
+    Permutation,
+    cycle_type,
+    cycles_of_images,
+    inv_images,
+    mul_images,
+    order_of_images,
+    power_images,
+)
 
 DEFAULT_ENUMERATION_THRESHOLD = 2_000_000
 
@@ -148,21 +156,7 @@ def _invariant_set(images: tuple, ct: tuple) -> frozenset:
     length = min(covered, key=lambda k: (covered[k], k))
     if length == 1:
         return frozenset([p for p, q in enumerate(images) if p == q])
-    seen = [False] * len(images)
-    points = []
-    for start in range(len(images)):
-        if seen[start]:
-            continue
-        cycle = [start]
-        seen[start] = True
-        j = images[start]
-        while j != start:
-            seen[j] = True
-            cycle.append(j)
-            j = images[j]
-        if len(cycle) == length:
-            points.extend(cycle)
-    return frozenset(points)
+    return frozenset(x for c in cycles_of_images(images) if len(c) == length for x in c)
 
 
 class _SetOrbit:

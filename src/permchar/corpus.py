@@ -10,6 +10,7 @@ closed-form order of the family.
 
 from __future__ import annotations
 
+import itertools
 import re
 from importlib import resources
 from math import factorial, gcd
@@ -19,25 +20,6 @@ from .cyclo import divisors, prime_factors
 from .dixon import primitive_root
 from .group import PermGroup, _point_orbits, setwise_stabilizer, sylow_2, trivial_group
 from .perm import Permutation, parse_permutation
-
-# Lexicographically least primitive polynomial per (p, a), coefficients low
-# to high, monic; validated at field construction (the residue of x must
-# have multiplicative order q-1).
-_FIELD_POLYS = {
-    (2, 2): (1, 1, 1),
-    (2, 3): (1, 0, 1, 1),
-    (2, 4): (1, 0, 0, 1, 1),
-    (2, 5): (1, 0, 0, 1, 0, 1),
-    (2, 6): (1, 0, 0, 0, 0, 1, 1),
-    (2, 7): (1, 0, 0, 0, 0, 0, 1, 1),
-    (3, 2): (2, 1, 1),
-    (3, 3): (1, 0, 2, 1),
-    (3, 4): (2, 0, 0, 1, 1),
-    (5, 2): (2, 1, 1),
-    (5, 3): (2, 0, 1, 1),
-    (7, 2): (3, 1, 1),
-    (11, 2): (2, 4, 1),
-}
 
 MAX_FIELD_SIZE = 128
 
@@ -53,80 +35,68 @@ def _prime_power(q: int) -> tuple:
     return p, a
 
 
+def _powers_of_x(p: int, a: int) -> list:
+    """x^0 .. x^(q-2) as coefficient tuples, low degree first, modulo the
+    lexicographically least monic degree-a polynomial (coefficients low to
+    high) modulo which x has order q-1: such a polynomial is primitive."""
+    q = p ** a
+    one = (1,) + (0,) * (a - 1)
+    # a constant term 0 would make x a zero divisor
+    for low in itertools.product(range(1, p), *[range(p)] * (a - 1)):
+        powers, y = [], one
+        while len(powers) < q - 1:
+            powers.append(y)
+            # y * x: shift up, then reduce x^a = -(low part)
+            top = y[-1]
+            y = tuple((c - top * m) % p for c, m in zip((0,) + y[:-1], low))
+            if y == one:
+                break
+        if y == one and len(powers) == q - 1:
+            return powers
+    raise AssertionError(f"no primitive polynomial of degree {a} over GF({p})")
+
+
 class GF:
     """GF(p^a) for q <= 128, elements indexed 0..q-1 in lex order of their
-    coefficient tuples (so 0 is the zero element and 1 is the unit)."""
+    coefficient tuples (so 0 is the zero element and 1 is the unit).
+
+    The generator is the least primitive root mod p when a = 1 (1 for
+    p = 2), and otherwise the residue of x modulo the lexicographically
+    least primitive polynomial (`_powers_of_x`). Products and powers are
+    read off the list of generator powers and its log dict."""
 
     def __init__(self, q: int):
-        p, a = _prime_power(q)
         if q > MAX_FIELD_SIZE:
             raise ValueError(f"field size {q} exceeds supported bound {MAX_FIELD_SIZE}")
+        p, a = _prime_power(q)
         self.q, self.p, self.a = q, p, a
-        if a == 1:
-            tuples = [(i,) for i in range(p)]
-            mul_tuples = lambda x, y: ((x[0] * y[0]) % p,)
-        else:
-            poly = _FIELD_POLYS[(p, a)]
-
-            def mul_tuples(x, y):
-                out = [0] * (2 * a - 1)
-                for i, xi in enumerate(x):
-                    if xi:
-                        for j, yj in enumerate(y):
-                            out[i + j] = (out[i + j] + xi * yj) % p
-                for i in range(len(out) - 1, a - 1, -1):
-                    c = out[i]
-                    if c:
-                        out[i] = 0
-                        for j in range(a):
-                            out[i - a + j] = (out[i - a + j] - c * poly[j]) % p
-                return tuple(out[:a])
-
-            import itertools
-
-            # coefficient tuples, low degree first
-            tuples = sorted(itertools.product(range(p), repeat=a))
-        self.tuples = tuples
-        index = {t: i for i, t in enumerate(tuples)}
+        # coefficient tuples, low degree first
+        self.tuples = list(itertools.product(range(p), repeat=a))
+        self._index = index = {t: i for i, t in enumerate(self.tuples)}
         self.zero = index[(0,) * a]
         self.one = index[(1,) + (0,) * (a - 1)]
-        gen_t = self._find_generator(tuples, mul_tuples, index)
-        self.generator = index[gen_t]
-        self.add_table = [
-            [index[tuple((xi + yi) % p for xi, yi in zip(x, y))] for y in tuples]
-            for x in tuples
-        ]
-        self.mul_table = [[index[mul_tuples(x, y)] for y in tuples] for x in tuples]
-        self.neg = [index[tuple(-xi % p for xi in x)] for x in tuples]
-
-    def _find_generator(self, tuples, mul_tuples, index):
-        if self.a == 1:
-            return (1,) if self.p == 2 else (primitive_root(self.p),)
-        # residue class of x; primitivity of the shipped polynomial is
-        # what makes this a generator, asserted here
-        xt = (0, 1) + (0,) * (self.a - 2)
-        o, y = 1, xt
-        one = tuples[self.one]
-        while y != one:
-            y = mul_tuples(y, xt)
-            o += 1
-            if o > self.q:
-                raise AssertionError("shipped field polynomial is not primitive")
-        if o != self.q - 1:
-            raise AssertionError("shipped field polynomial is not primitive")
-        return xt
+        if a == 1:
+            g = 1 if p == 2 else primitive_root(p)
+            self.exp = [pow(g, k, p) for k in range(q - 1)]
+        else:
+            self.exp = [index[t] for t in _powers_of_x(p, a)]
+        self.log = {x: k for k, x in enumerate(self.exp)}
+        self.generator = self.exp[1 % (q - 1)]  # GF(2)'s generator is 1
+        self.neg = [index[tuple(-c % p for c in t)] for t in self.tuples]
 
     def add(self, i, j):
-        return self.add_table[i][j]
+        x, y = self.tuples[i], self.tuples[j]
+        return self._index[tuple((c + d) % self.p for c, d in zip(x, y))]
 
     def mul(self, i, j):
-        return self.mul_table[i][j]
+        if i == self.zero or j == self.zero:
+            return self.zero
+        return self.exp[(self.log[i] + self.log[j]) % (self.q - 1)]
 
     def power(self, i, k):
-        out = self.one
-        for _ in range(k):
-            out = self.mul(out, i)
-        return out
+        if i == self.zero:
+            return self.one if k == 0 else self.zero
+        return self.exp[self.log[i] * k % (self.q - 1)]
 
 
 class CorpusGroup:
@@ -315,70 +285,53 @@ def _agl_h2p(field: GF, t: Permutation) -> PermGroup:
 # -- linear families -------------------------------------------------------------
 
 
+def _matrix_action(field: GF, points: list, projective: bool):
+    """M -> the permutation v -> vM of `points`, row vectors of field
+    elements, with M a list of rows; each image is scaled to first nonzero
+    coordinate 1 when `projective`."""
+    index = {v: i for i, v in enumerate(points)}
+
+    def image(v, M):
+        w = []
+        for column in zip(*M):
+            s = field.zero
+            for x, m in zip(v, column):
+                s = field.add(s, field.mul(x, m))
+            w.append(s)
+        if projective:
+            inv = field.power(next(c for c in w if c != field.zero), field.q - 2)
+            w = [field.mul(inv, c) for c in w]
+        return index[tuple(w)]
+
+    return lambda M: Permutation([image(v, M) for v in points])
+
+
 def psl2(q: int) -> CorpusGroup:
-    """PSL(2,q) on the projective line (q+1 points: infinity then GF(q))."""
+    """PSL(2,q) on the projective line: point 0 is infinity (0:1), and the
+    field element x is point 1 + x, (1:x)."""
     field = GF(q)
-    INF = 0  # point 0 is infinity; field element x sits at index 1+x
-
-    def moebius_t(pt):  # x -> x+1
-        return pt if pt == INF else 1 + field.add(pt - 1, field.one)
-
-    def moebius_s(pt):  # x -> g^2 x (odd q), x -> g x (even q)
-        s = field.mul(field.generator, field.generator) if q % 2 else field.generator
-        return pt if pt == INF else 1 + field.mul(s, pt - 1)
-
-    def moebius_w(pt):  # x -> -1/x
-        if pt == INF:
-            return 1 + field.zero
-        x = pt - 1
-        if x == field.zero:
-            return INF
-        inv = field.power(x, q - 2)
-        return 1 + field.neg[inv]
-
+    zero, one = field.zero, field.one
+    act = _matrix_action(field, [(zero, one)] + [(one, x) for x in range(q)], True)
+    s = field.power(field.generator, 2 if q % 2 else 1)
     gens = [
-        Permutation([moebius_t(i) for i in range(q + 1)]),
-        Permutation([moebius_s(i) for i in range(q + 1)]),
-        Permutation([moebius_w(i) for i in range(q + 1)]),
+        act([[one, one], [zero, one]]),  # x -> x + 1
+        act([[one, zero], [zero, s]]),  # x -> g^2 x (odd q), g x (even q)
+        act([[zero, field.neg[one]], [one, zero]]),  # x -> -1/x
     ]
     expected = q * (q * q - 1) // gcd(2, q - 1)
     G = _assert_order(PermGroup(gens, q + 1), expected, f"psl2_{q}")
-    return CorpusGroup(f"psl2_{q}", G, {"borel": lambda: G.pointwise_stabilizer([INF])})
+    return CorpusGroup(f"psl2_{q}", G, {"borel": lambda: G.pointwise_stabilizer([0])})
 
 
 def psl3(q: int) -> CorpusGroup:
-    """PSL(3,q) on the q^2+q+1 projective points."""
+    """PSL(3,q) on the q^2+q+1 projective points, in lex order of their
+    coordinate triples with first nonzero coordinate 1."""
     field = GF(q)
-    pts = []
-    for x in range(q):
-        for y in range(q):
-            for z in range(q):
-                v = (x, y, z)
-                if v == (field.zero,) * 3:
-                    continue
-                first = next(c for c in v if c != field.zero)
-                if first == field.one:
-                    pts.append(v)
-    pts.sort()
-    index = {v: i for i, v in enumerate(pts)}
-
-    def normalize(v):
-        first = next(c for c in v if c != field.zero)
-        inv = field.power(first, q - 2)
-        return tuple(field.mul(inv, c) for c in v)
-
-    def act(matrix):
-        # row vector times matrix; matrix entries are field indices
-        out = []
-        for v in pts:
-            w = []
-            for j in range(3):
-                s = field.zero
-                for i in range(3):
-                    s = field.add(s, field.mul(v[i], matrix[i][j]))
-                w.append(s)
-            out.append(index[normalize(tuple(w))])
-        return Permutation(out)
+    pts = [
+        v for v in itertools.product(range(q), repeat=3)
+        if next((c for c in v if c != field.zero), None) == field.one
+    ]
+    act = _matrix_action(field, pts, True)
 
     def elementary(i, j, c):
         m = [[field.one if a == b else field.zero for b in range(3)] for a in range(3)]
@@ -413,19 +366,9 @@ def psl3(q: int) -> CorpusGroup:
 
 def sl23() -> CorpusGroup:
     """SL(2,3) on the 8 nonzero vectors of GF(3)^2."""
-    vecs = [(x, y) for x in range(3) for y in range(3) if (x, y) != (0, 0)]
-    index = {v: i for i, v in enumerate(vecs)}
-
-    def act(m):
-        out = []
-        for (x, y) in vecs:
-            w = ((x * m[0][0] + y * m[1][0]) % 3, (x * m[0][1] + y * m[1][1]) % 3)
-            out.append(index[w])
-        return Permutation(out)
-
-    a = act([[1, 1], [0, 1]])
-    b = act([[0, 2], [1, 0]])
-    G = _assert_order(PermGroup([a, b], 8), 24, "sl23")
+    vecs = [v for v in itertools.product(range(3), repeat=2) if v != (0, 0)]
+    act = _matrix_action(GF(3), vecs, False)
+    G = _assert_order(PermGroup([act([[1, 1], [0, 1]]), act([[0, 2], [1, 0]])], 8), 24, "sl23")
     return CorpusGroup("sl23", G)
 
 
@@ -603,18 +546,24 @@ def build(family: str) -> CorpusGroup:
     }
     if name in fixed:
         return fixed[name]()
-    for pattern, builder in [
-        (r"c([0-9]+)", lambda m: cyclic(int(m.group(1)))),
-        (r"d([0-9]+)", lambda m: dihedral(int(m.group(1)))),
-        (r"q([0-9]+)", lambda m: quaternion(int(m.group(1)))),
-        (r"s([0-9]+)", lambda m: symmetric(int(m.group(1)))),
-        (r"a([0-9]+)", lambda m: alternating(int(m.group(1)))),
-        (r"f([0-9]+)_([0-9]+)", lambda m: frobenius(int(m.group(1)), int(m.group(2)))),
-        (r"agl1_([0-9]+)", lambda m: agl1(int(m.group(1)))),
-        (r"psl2_([0-9]+)", lambda m: psl2(int(m.group(1)))),
-        (r"psl3_([0-9]+)", lambda m: psl3(int(m.group(1)))),
+    # each family with the degree it acts on, bounded like a group file's
+    # before anything is built
+    for pattern, builder, degree in [
+        (r"c([0-9]+)", cyclic, lambda n: n),
+        (r"d([0-9]+)", dihedral, lambda order: order // 2),
+        (r"q([0-9]+)", quaternion, lambda order: order),
+        (r"s([0-9]+)", symmetric, lambda n: n),
+        (r"a([0-9]+)", alternating, lambda n: n),
+        (r"f([0-9]+)_([0-9]+)", frobenius, lambda p, m: p),
+        (r"agl1_([0-9]+)", agl1, lambda q: q),
+        (r"psl2_([0-9]+)", psl2, lambda q: q + 1),
+        (r"psl3_([0-9]+)", psl3, lambda q: q * q + q + 1),
     ]:
         m = re.fullmatch(pattern, name)
         if m:
-            return builder(m)
+            args = [int(x) for x in m.groups()]
+            if degree(*args) > MAX_GROUP_FILE_DEGREE:
+                raise ValueError(f"{family}: degree {degree(*args)} exceeds the supported"
+                                 f" maximum {MAX_GROUP_FILE_DEGREE}")
+            return builder(*args)
     raise ValueError(f"unknown family {family!r}")

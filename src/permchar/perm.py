@@ -74,6 +74,25 @@ def order_of_images(p: tuple) -> int:
     return lcm(*cycle_type(p))
 
 
+def cycles_of_images(p: tuple) -> list:
+    """The cycles of an image tuple, fixed points included, in order of
+    least point; each is a list that starts at its least point."""
+    seen = [False] * len(p)
+    out = []
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        cycle = [start]
+        seen[start] = True
+        j = p[start]
+        while j != start:
+            seen[j] = True
+            cycle.append(j)
+            j = p[j]
+        out.append(cycle)
+    return out
+
+
 class Permutation:
     """Immutable permutation; equality and hashing by image tuple."""
 
@@ -136,21 +155,7 @@ class Permutation:
 
     def cycles(self) -> list:
         """Disjoint cycles of length > 1, each rotated to start at its least point."""
-        out = []
-        seen = [False] * self.degree
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            cycle = [start]
-            seen[start] = True
-            j = self.images[start]
-            while j != start:
-                seen[j] = True
-                cycle.append(j)
-                j = self.images[j]
-            if len(cycle) > 1:
-                out.append(tuple(cycle))
-        return out
+        return [tuple(c) for c in cycles_of_images(self.images) if len(c) > 1]
 
     def cycle_type(self) -> tuple:
         """Sorted cycle lengths including fixed points."""

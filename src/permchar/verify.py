@@ -8,7 +8,6 @@ products, indicators from the squaring power map, parities from integers.
 from __future__ import annotations
 
 import random
-from math import lcm
 
 from . import corpus
 from .charfun import (
@@ -19,7 +18,12 @@ from .charfun import (
     perm_character,
     restriction_values,
 )
-from .classes import DEFAULT_ENUMERATION_THRESHOLD, EnumerationThresholdError, conjugacy_classes
+from .classes import (
+    DEFAULT_ENUMERATION_THRESHOLD,
+    EnumerationThresholdError,
+    conjugacy_classes,
+    fingerprint,
+)
 from .dixon import character_table
 from .group import (
     PermGroup,
@@ -685,10 +689,10 @@ def sample_subgroups(G: PermGroup, seed: int = 0, budget: int = 12) -> list:
         tries += 1
         g = G.random_element(rng)
         if tries % 2:
-            # <g> has order lcm(ct) and the cycles of g as its orbits, so a
-            # cyclic sample is skipped before its group is built
-            ct = g.cycle_type()
-            if (lcm(*ct), ct) not in seen_orders:
+            # <g> has the order of g and the cycles of g as its orbits, so
+            # g's fingerprint is <g>'s key and a cyclic sample is skipped
+            # before its group is built
+            if fingerprint(g.images) not in seen_orders:
                 H = PermGroup([g], G.degree)
                 push(f"cyclic{H.order()}", H)
         else:

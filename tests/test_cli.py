@@ -146,6 +146,7 @@ def _bad_s3_table(tmp_path, name, old, new):
     ["fsind", "--family", "s4", "--table-file", "{s3}"],
     ["fsind", "--group-file", "{group}"],
     ["table", "--family", "s3", "--table-file", "{empty}"],
+    ["table", "--family", "c2000000000"],
 ])
 def test_input_errors_exit_2(tmp_path, capsys, argv):
     from permchar.corpus import data_dir

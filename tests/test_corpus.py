@@ -4,6 +4,7 @@ import re
 import pytest
 
 from permchar import corpus
+from permchar.cyclo import prime_factors
 from permchar.group import is_subgroup
 
 from helpers import save_group_file
@@ -40,6 +41,11 @@ def test_invalid_parameters_rejected():
     for family in ["f4_3", "f9_4"]:  # C_p : C_m needs p prime, not a prime power
         with pytest.raises(ValueError, match="not a prime"):
             corpus.build(family)
+    # a family's degree is bounded like a group file's, before it is built
+    bound = f"exceeds the supported maximum {corpus.MAX_GROUP_FILE_DEGREE}"
+    for family in ["c2000000000", "d131074", "q65540", "s65537", "f65537_2", "psl3_256"]:
+        with pytest.raises(ValueError, match=bound):
+            corpus.build(family)
 
 
 def test_unknown_selector_message():
@@ -49,7 +55,10 @@ def test_unknown_selector_message():
     assert "sylow2" in str(err.value)
 
 
-@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49])
+PRIME_POWERS = [q for q in range(2, corpus.MAX_FIELD_SIZE + 1) if len(prime_factors(q)) == 1]
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
 def test_field_arithmetic(q):
     F = corpus.GF(q)
     els = range(q)
@@ -59,6 +68,11 @@ def test_field_arithmetic(q):
         y = F.mul(y, F.generator)
         o += 1
     assert o == q - 1
+    if F.a == 1:  # the least primitive root, 1 in GF(2)
+        roots = [g for g in range(1, q) if len({pow(g, k, q) for k in range(o)}) == o]
+        assert F.generator == roots[0]
+    else:  # the residue of x
+        assert F.tuples[F.generator] == (0, 1) + (0,) * (F.a - 2)
     # sampled associativity and distributivity
     import random
 
@@ -194,15 +208,18 @@ def test_generic_selectors():
 GENERATOR_FAMILIES = ["a4c4", "a7", "psl2_23", "m11", "m22", "m23", "c1", "f5_2", "f7_6", "f7_1"]
 
 
-def _generator_images(family: str) -> list:
+def _generator_images(family: str, selectors=()) -> list:
     """The generator images of a family's group, then of each agl1 field
-    selector (translations, C_m and F : C_m), in order."""
+    selector (translations, C_m and F : C_m), in order, then of each of
+    `selectors`."""
     cg = corpus.build(family)
     out = [family, [g.images for g in cg.group.generators]]
     if family.startswith("agl1_"):
         for name in cg.subgroup_names():
             if name == "f" or re.fullmatch(r"f?c[0-9]+", name):
                 out.append((name, [g.images for g in cg.subgroup(name).generators]))
+    for name in selectors:
+        out.append((name, [g.images for g in cg.subgroup(name).generators]))
     return out
 
 
@@ -217,3 +234,33 @@ def test_generators_match_their_pinned_digest():
 
     images = [_generator_images(f) for f in SWEEP_FAMILIES + GENERATOR_FAMILIES]
     assert hashlib.sha256(repr(images).encode()).hexdigest() == GENERATORS_DIGEST
+
+
+def _field_data(q: int) -> list:
+    F = corpus.GF(q)
+    return [
+        q, F.zero, F.one, F.generator, F.neg, F.tuples,
+        [[F.add(i, j) for j in range(q)] for i in range(q)],
+        [[F.mul(i, j) for j in range(q)] for i in range(q)],
+        [[F.power(i, k) for k in (0, 1, q - 2)] for i in range(q)],
+    ]
+
+
+FIELDS_AND_LINEAR_DIGEST = "67c01dde88f9b41bc420895add13e00b76ab912febaa00b1e2bac48346eddd65"
+
+
+def test_fields_and_linear_families_match_their_pinned_digest():
+    """GF(q) for every prime power q <= 128 (elements, addition,
+    multiplication and powers), and the generators of agl1_q and psl2_q
+    for every such q, of psl3_q for q <= 5 and of sl23, with their named
+    subgroups, are pinned by sha256."""
+    digest = hashlib.sha256()
+    for q in PRIME_POWERS:
+        digest.update(repr(_field_data(q)).encode())
+        h2p = ["h2p"] if q % 2 else []
+        digest.update(repr(_generator_images(f"agl1_{q}", h2p)).encode())
+        digest.update(repr(_generator_images(f"psl2_{q}", ["borel"])).encode())
+    for q in (2, 3, 4, 5):
+        digest.update(repr(_generator_images(f"psl3_{q}", ["point", "line"])).encode())
+    digest.update(repr(_generator_images("sl23", [])).encode())
+    assert digest.hexdigest() == FIELDS_AND_LINEAR_DIGEST
