@@ -356,9 +356,9 @@ def perm_character_by_fusion(G: PermGroup, H: PermGroup, classes) -> ClassFuncti
     The counts and class sizes are pooled per value b = classify(rep_k),
     so pi(k) = |G| count[b] / (|H| sum of the sizes in b). For exact class
     data b = k and this is the formula above. A matched classify returns
-    one column for a whole ambiguity group; its classes are Galois
-    conjugate, so they have equal sizes and the rational pi is constant on
-    them, and the pooled ratio is that constant.
+    one column for the columns that share a bucket key; their classes are
+    Galois conjugate, so they have equal sizes and the rational pi is
+    constant on them, and the pooled ratio is that constant.
     """
     check_subgroup(G, H)
     counts = [0] * len(classes.sizes)

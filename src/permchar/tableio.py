@@ -12,10 +12,13 @@ table columns to sampled group elements by invariant fingerprints (element
 order and cycle type in the group's own action), drawing `SAMPLE_ROUND`
 elements into a `classes.SampledClassSet` between matching attempts and
 propagating reps through the table's power maps and Galois conjugation.
-Columns that only algebraic conjugacy distinguishes are reported as
-ambiguity groups; rational class functions cannot see the difference.
-The matching keeps its `SampledClassSet` and classifies elements by their
-bucket key, which is exact up to the ambiguity groups.
+Ambiguity groups are of two kinds. Columns that share a bucket key were
+Galois conjugate on every matching checked (about 50 groups), so no
+rational class function sees which is which. Columns where two
+power-consistent assignments differ have keys of their own; swapping
+their reps can change a rational class function (the natural character
+of d8 or s6). The matching keeps its `SampledClassSet` and classifies
+elements by their bucket key, which is exact up to the shared keys.
 """
 
 from __future__ import annotations
@@ -246,17 +249,20 @@ class ClassMatching:
     """Class data of a live group matched to its table: group, reps,
     sizes and orders (the table's), and classify.
 
-    `reps[c]` lies in the class of column c for every resolution of the
-    declared `ambiguity_groups` (tuples of column indices that only
-    algebraic conjugacy separates; any rational class function is constant
-    on each group). `classify` maps an element to the first column assigned
-    its `SampledClassSet` bucket key, so it is exact only up to the
-    ambiguity groups: Galois-conjugate columns share a bucket. Where the
-    key holds a class size, the element is moved onto a base invariant
-    point set and looked up in a class of that set's stabilizer, not in a
-    walked class of G. Every other key is fixed by the element's
-    fingerprint alone, so its column is memoized by fingerprint: such an
-    element costs one walk of its cycles and one dict probe.
+    `ambiguity_groups` are tuples of column indices of two kinds (see
+    the module docstring): columns that share a bucket key, Galois
+    conjugate on every matching checked, and columns where two
+    power-consistent assignments differ, which have keys of their own and
+    on which a rational class function need not be constant. `reps[c]`
+    lies in the class of column c for the assignment the matching chose.
+    `classify` maps an element to the first column assigned its
+    `SampledClassSet` bucket key, so it is exact only up to the columns
+    that share a key. Where the key holds a class size, the element is
+    moved onto a base invariant point set and looked up in a class of that
+    set's stabilizer, not in a walked class of G. Every other key is fixed
+    by the element's fingerprint alone, so its column is memoized by
+    fingerprint: such an element costs one walk of its cycles and one dict
+    probe.
     """
 
     def __init__(self, table: CharacterTable, group: PermGroup, reps: list,
@@ -277,7 +283,7 @@ class ClassMatching:
 
     def classify(self, images: tuple) -> int:
         """The column of an element (image tuple) of the group, up to the
-        ambiguity groups."""
+        columns that share a bucket key."""
         fp = classes.fingerprint(images)
         column = self._memo.get(fp)
         if column is None:
@@ -303,9 +309,9 @@ def find_representatives(
     action, refined by the exact class size where the table demands it
     (`SampledClassSet` sizes a class through a point-set stabilizer).
     Power harvesting (all powers of each sample) reaches small classes
-    quickly. The assignment search is deterministic;
-    ambiguity groups come out as the column sets that only algebraic
-    conjugacy separates.
+    quickly. The assignment search is deterministic. The ambiguity groups
+    are the columns that share a bucket key, and the columns where two
+    power-consistent assignments differ.
     """
     if G.order() != table.order:
         raise MatchingError(
@@ -340,21 +346,14 @@ def _assign(
     primes = sorted(table.power_maps)
     buckets = sampled.buckets
 
-    # close the bucket set under p-th powers so search domains are complete
-    queue = list(buckets)
+    # the key of each bucket's p-th power. `sample` adds g^d for every d
+    # dividing o(g), and (g^d)^p is a coprime power of g^gcd(dp, o(g)), with
+    # its cycle type and class size: its key is a bucket already
     power_bucket: dict = {}
-    processed: set = set()
-    while queue:
-        key = queue.pop()
-        if key in processed:
-            continue
-        processed.add(key)
+    for key, images in list(buckets.items()):
         for p in primes:
-            h = power_images(buckets[key], p)
-            key2 = sampled.add(h, classes.fingerprint(h))
-            power_bucket[(key, p)] = key2
-            if key2 not in processed:
-                queue.append(key2)
+            h = power_images(images, p)
+            power_bucket[(key, p)] = sampled.add(h, classes.fingerprint(h))
 
     by_order: dict = {}
     for key in buckets:

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +123,17 @@ def _exit_code(argv) -> int:
 def test_options_a_verb_does_not_read_are_usage_errors(capsys, argv):
     assert _exit_code(argv) == 2
     assert capsys.readouterr().err
+
+
+def test_family_and_group_file_together_are_a_usage_error(tmp_path, capsys):
+    from permchar import corpus
+
+    path = tmp_path / "g.grp"
+    save_group_file(path, corpus.build("s4").group, "s4copy")
+    code, out, err = run(capsys, "decompose", "--group-file", str(path), "--family", "a5",
+                         "--subgroup", "sylow2")
+    assert (code, out) == (2, "")
+    assert "--family" in err and "--group-file" in err
 
 
 def test_unknown_family_is_an_error(capsys):
@@ -281,6 +294,8 @@ def test_verify_c3q16_needs_no_family(capsys):
     code, out, _ = run(capsys, "verify", "c3q16", "--json")
     assert code == 0
     assert run(capsys, "verify", "c3q16", "--family", "c3q16", "--json") == (0, out, "")
+    # family names are read without regard to case, as corpus.build reads them
+    assert run(capsys, "verify", "c3q16", "--family", "C3Q16", "--json") == (0, out, "")
 
 
 # sha256 of stdout. A change that alters one of these outputs on purpose
@@ -298,3 +313,80 @@ def test_outputs_match_their_pinned_digests(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# (argv, exit status, sha256 of stdout) for every verb, in text and --json
+# mode; the same contract as PINNED_OUTPUTS.
+PINNED_VERB_OUTPUTS = [
+    (("table", "--family", "s4"), 0,
+     "88e782e95a29bbb6cc6a356a70e07645f13f924f329d0cf6ea1a6b079405085d"),
+    (("table", "--family", "s4", "--json"), 0,
+     "45bdd8c0ca2d5acf0758aec223bd1822a8da725a8ff75106df76443471b268d9"),
+    (("fsind", "--family", "q8"), 0,
+     "a364c738d3abbe34e12307bd1a292139fc8a5e126af43e117ce12ba3616aac95"),
+    (("fsind", "--family", "q8", "--json"), 0,
+     "18b2cd4f7dca114d94874f0ddec1e5f7f7aecb18622c0265512575b715fccc9b"),
+    (("real-classes", "--family", "agl1_27"), 0,
+     "4478ea02b3745282217542e266b75f36427bf659a5f29d17007a13bcdee9a2b3"),
+    (("real-classes", "--family", "agl1_27", "--json"), 0,
+     "fff32bd6f80c0fe4ada703f3a125f61feee328485ddef9023da11e755c07c1e1"),
+    (("decompose", "--family", "m11", "--subgroup", "s5"), 0,
+     "f38dabacc5c8d341c3df466ff434748a789deb182408ddca27b7400a0eae6a14"),
+    (("decompose", "--family", "m11", "--subgroup", "s5", "--json"), 0,
+     "90576c643b852b09b6cdca4c498282cd66dba48609b0b7f9908864c72ea661bb"),
+    (("verify", "theorem-a", "--family", "s4", "--subgroup", "sylow2"), 0,
+     "b728d9cf5b588f4d90460063afd13774c379142a0634c3c0f05808e9064705bd"),
+    (("verify", "theorem-a", "--family", "s4", "--subgroup", "sylow2", "--json"), 0,
+     "9f755f8244b00ac82b9961e4558bc149dc4bcad859cfae1c1201a1a72a888a14"),
+    (("verify", "theorem-d", "--family", "m11"), 0,
+     "415080c5aa605dd74a04ed278b5380f53b5edeffa50b7f2a781059d06435f67d"),
+    (("verify", "theorem-d", "--family", "m11", "--json"), 0,
+     "dd865645efb9a05149bfea6e9287e50d77fc577f78e2683d3d811653ea9dd3cd"),
+    (("verify", "c3q16"), 0,
+     "ce869ab3d6f50f02d4190cce719b8cba2f35452fda95bf1b19bc4b3a2b6fe418"),
+    (("verify", "c3q16", "--json"), 0,
+     "bf915fd6ccae6bd263af23a2d388ba998f0d120f3dcee4b63b29d2eccc650759"),
+    (("reproduce",), 0,
+     "16065f1c117a1b602ee7e5376112c5b0e0b706228d5605bcd52d0afa9c590927"),
+    (("reproduce", "--json"), 0,
+     "f86bfb4d9f1e813bc8396b74e2d1243223fe72b408b63fba571421f8dc6e7236"),
+    (("sweep", "--min-pairs", "1"), 0,
+     "d051468c397dbc84db3c4483eaa9b516a89af408c8b16605a7b7efa423e7d835"),
+    (("sweep", "--min-pairs", "1", "--json"), 0,
+     "57b9c29d2bff2aa01d236b62b9ee2f78de2b78f36d91819f8395c01e5b56e345"),
+]
+
+
+@pytest.mark.parametrize("argv,status,digest", PINNED_VERB_OUTPUTS,
+                         ids=[" ".join(argv) for argv, _, _ in PINNED_VERB_OUTPUTS])
+def test_every_verb_output_matches_its_pin(capsys, argv, status, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == status
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _readme_examples() -> list:
+    """The `permchar ...` lines of the README's "Command line" block, as
+    (argv, the output after `# ->` or None)."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    out = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        if command.startswith("permchar "):
+            comment = comment.strip()
+            expected = comment[3:] if comment.startswith("-> ") else None
+            out.append((tuple(shlex.split(command)[1:]), expected))
+    return out
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize("argv,expected", README_EXAMPLES,
+                         ids=[" ".join(argv) for argv, _ in README_EXAMPLES])
+def test_readme_examples_run_as_documented(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    if expected is not None:
+        assert out.strip() == expected

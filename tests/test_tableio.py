@@ -1,4 +1,5 @@
 import hashlib
+from math import gcd
 
 import pytest
 
@@ -317,6 +318,41 @@ PINNED_MATCHINGS = [
     ("m23", 3, "443f8a14e70afb94c5f234c204e85a221df0191416d6bace4e818d1288167516",
      [(6, 7), (9, 10), (11, 12), (13, 14), (15, 16)], 200),
 ]
+
+
+@pytest.mark.parametrize("family, shared_key, own_keys, rotated", [
+    ("d8", [], [(2, 3)], [1, 0, 1, 0, 1]),
+    ("a6", [(5, 6)], [(2, 3)], [1, 1, 0, 0, 0, 0, 0]),
+    ("s6", [], [(1, 2), (4, 5), (6, 7), (9, 10)], None),
+])
+def test_ambiguity_groups_come_in_two_kinds(family, shared_key, own_keys, rotated):
+    """Columns that share a bucket key are Galois conjugate, so swapping
+    their reps leaves a rational class function as it was. The other
+    groups are where two power-consistent assignments differ. Their
+    columns have keys of their own, each rep classifies to its own column,
+    and rotating the reps changes the natural character's decomposition
+    (on s6 it is no character at all)."""
+    G = corpus.build(family).group
+    T = character_table(G, name=family)
+    m = find_representatives(G, T, seed=0)
+    assert m.ambiguity_groups == sorted(shared_key + own_keys)
+    pi = decompose(ClassFunction([r.fixed_points() for r in m.reps]), T)
+    for a, b in shared_key:
+        assert m.classify(m.reps[a].images) == m.classify(m.reps[b].images) == a
+        o = T.orders[a]
+        assert any(all(row.values[b] == row.values[a].galois(e) for row in T.rows)
+                   for e in range(2, o) if gcd(e, o) == 1)
+        swapped = list(m.reps)
+        swapped[a], swapped[b] = m.reps[b], m.reps[a]
+        assert decompose(ClassFunction([r.fixed_points() for r in swapped]), T) == pi
+    for grp in own_keys:
+        assert [m.classify(m.reps[c].images) for c in grp] == list(grp)
+    alt = ClassFunction([r.fixed_points() for r in alternate_reps(m)])
+    if rotated is None:
+        with pytest.raises(ValueError, match="not a nonnegative integer"):
+            decompose(alt, T)
+    else:
+        assert pi != rotated == decompose(alt, T)
 
 
 @pytest.mark.parametrize("name, seed, digest, ambiguity, used", PINNED_MATCHINGS)
