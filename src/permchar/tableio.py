@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 from math import gcd, lcm
 from pathlib import Path
 
@@ -167,71 +168,63 @@ def bundled_table(name: str) -> CharacterTable:
 
 
 def tables_match(A: CharacterTable, B: CharacterTable) -> bool:
-    """Exact equality up to a row and column permutation.
+    """Exact equality up to a row and column permutation that keeps the
+    sizes, the orders and every shared power map.
 
-    Columns are matched respecting sizes, orders and the shared power
-    maps (every one of them commutes with the finished bijection); rows
-    must then coincide as multisets of value tuples.
+    A's rows are matched in order to unused rows of B. Each column's cell
+    (its size, order and values on the rows matched so far, interned as a
+    small int) refines with every match, and a branch is cut as soon as
+    A's cells differ from B's as multisets. Columns of a character table
+    are distinct, so once the cells are all distinct they force the column
+    bijection: the match holds when it commutes with the shared power maps
+    and carries A's rows onto B's as a multiset. A table with two equal
+    columns (built without `validate`) raises ValueError.
     """
     k = A.n_classes
     if A.order != B.order or k != B.n_classes:
         return False
-    if sorted(A.degrees) != sorted(B.degrees):
-        return False
-    candidates = [
-        [
-            c
-            for c in range(k)
-            if B.sizes[c] == A.sizes[a] and B.orders[c] == A.orders[a]
-        ]
-        for a in range(k)
-    ]
-    shared_primes = sorted(set(A.power_maps) & set(B.power_maps))
-    sigma: list = [None] * k
+    value_ids: dict = {}
+    cell_ids: dict = {}  # (cell, value id) -> cell
+
+    def matrix(T) -> list:
+        M = [[value_ids.setdefault(v, len(value_ids)) for v in row.values] for row in T.rows]
+        if len(set(zip(T.sizes, T.orders, *M))) < k:
+            raise ValueError(f"table {T.name!r} has two equal columns, so its rows"
+                             " force no column bijection: validate it first")
+        return M
+
+    def refine(cells, row) -> list:
+        return [cell_ids.setdefault(pair, len(cell_ids)) for pair in zip(cells, row)]
+
+    MA, MB = matrix(A), matrix(B)
+    start_a, start_b = refine(A.sizes, A.orders), refine(B.sizes, B.orders)
+    # each row's multiset of (size, order, value): a row only matches its like
+    kind_a = [Counter(zip(start_a, row)) for row in MA]
+    kind_b = [Counter(zip(start_b, row)) for row in MB]
+    primes = set(A.power_maps) & set(B.power_maps)
+    rows_a = Counter(map(tuple, MA))
     used = [False] * k
 
-    def power_consistent(a: int, c: int) -> bool:
-        # prunes on targets assigned already; `commutes` checks the rest
-        for p in shared_primes:
-            ta, tb = A.power_maps[p][a], B.power_maps[p][c]
-            if sigma[ta] is not None and sigma[ta] != tb:
-                return False
-        return True
-
-    def commutes() -> bool:
-        return all(
-            sigma[A.power_maps[p][a]] == B.power_maps[p][sigma[a]]
-            for p in shared_primes
-            for a in range(k)
-        )
-
-    def rows_agree() -> bool:
-        inv = [0] * k
-        for a, c in enumerate(sigma):
-            inv[c] = a
-        def keyed(rows):
-            return sorted(
-                (tuple(vals) for vals in rows),
-                key=lambda t: [v.sort_key() for v in t],
-            )
-        a_rows = keyed(tuple(r.values[inv[c]] for c in range(k)) for r in A.rows)
-        b_rows = keyed(tuple(r.values) for r in B.rows)
-        return a_rows == b_rows
-
-    def backtrack(a: int) -> bool:
-        if a == k:
-            return commutes() and rows_agree()
-        for c in candidates[a]:
-            if not used[c] and power_consistent(a, c):
-                sigma[a] = c
-                used[c] = True
-                if backtrack(a + 1):
+    def search(i: int, cells_a: list, cells_b: list) -> bool:
+        if Counter(cells_a) != Counter(cells_b):
+            return False
+        if len(set(cells_b)) == k:
+            where = {cell: c for c, cell in enumerate(cells_b)}
+            sigma = [where[cell] for cell in cells_a]
+            return all(
+                sigma[A.power_maps[p][a]] == B.power_maps[p][sigma[a]]
+                for p in primes for a in range(k)
+            ) and rows_a == Counter(tuple(row[c] for c in sigma) for row in MB)
+        cells_a = refine(cells_a, MA[i])
+        for j, row in enumerate(MB):
+            if not used[j] and kind_b[j] == kind_a[i]:
+                used[j] = True
+                if search(i + 1, cells_a, refine(cells_b, row)):
                     return True
-                sigma[a] = None
-                used[c] = False
+                used[j] = False
         return False
 
-    return backtrack(0)
+    return search(0, start_a, start_b)
 
 
 # -- matching table columns to group classes --------------------------------------

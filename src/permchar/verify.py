@@ -731,9 +731,3 @@ def theorem_a_sweep(
         "reports": reports,
         "failures": failures,
     }
-
-
-def reports_to_json(reports) -> str:
-    import json  # imported here, so that importing this module does not load json
-
-    return json.dumps([r.to_json() for r in reports], indent=2)

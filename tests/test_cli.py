@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from permchar.cli import main
+from permchar.cli import MAX_MIN_PAIRS, main
 
 from helpers import save_group_file
 
@@ -160,6 +160,9 @@ def _bad_s3_table(tmp_path, name, old, new):
     ["fsind", "--group-file", "{group}"],
     ["table", "--family", "s3", "--table-file", "{empty}"],
     ["table", "--family", "c2000000000"],
+    # refused before any context is built
+    ["sweep", "--min-pairs", "-1"],
+    ["sweep", "--min-pairs", str(MAX_MIN_PAIRS + 1)],
 ])
 def test_input_errors_exit_2(tmp_path, capsys, argv):
     from permchar.corpus import data_dir

@@ -79,9 +79,9 @@ def test_no_unused_imports(path):
 
 
 def test_importing_verify_loads_no_dataclasses_inspect_or_json():
-    """`dataclasses` pulls in `inspect` (about 7.5 ms a process) and `json`
-    is read only by `reports_to_json`; a fresh interpreter that imports
-    `permchar.verify` must load none of the three."""
+    """`dataclasses` pulls in `inspect` (about 7.5 ms a process), and the
+    library never serializes reports itself; a fresh interpreter that
+    imports `permchar.verify` must load none of the three."""
     code = (
         "import sys; before = set(sys.modules); import permchar.verify; "
         "print(sorted(set(sys.modules) - before))"

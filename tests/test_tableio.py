@@ -1,10 +1,13 @@
 import hashlib
+import random
+from functools import cache
+from itertools import combinations
 from math import gcd
 
 import pytest
 
 from permchar import classes, corpus, verify
-from permchar.charfun import CharacterTableError, ClassFunction, decompose
+from permchar.charfun import CharacterTable, CharacterTableError, ClassFunction, decompose
 from permchar.classes import conjugacy_classes
 from permchar.cyclo import divisors
 from permchar.dixon import character_table
@@ -164,6 +167,186 @@ def test_tables_match_checks_every_shared_power_map():
     assert tables_match(T, bundled_table("m11"))
     assert not tables_match(T, swapped)
     assert not tables_match(swapped, T)
+
+
+# the Dixon tables that the `tables_match` tests permute, and compare with
+# the Dixon tables that the sampled class data give
+MATCH_FAMILIES = verify.SWEEP_FAMILIES + ["psl2_23", "a7"]
+
+
+@cache
+def _dixon_table(family: str) -> CharacterTable:
+    return character_table(corpus.build(family).group, name=family)
+
+
+def _with(T, sizes=None, orders=None, power_maps=None, rows=None) -> CharacterTable:
+    """T with some of its class data or rows replaced, not validated."""
+    return CharacterTable(
+        T.name, T.order, T.sizes if sizes is None else sizes,
+        T.orders if orders is None else orders,
+        T.power_maps if power_maps is None else power_maps,
+        [row.values for row in T.rows] if rows is None else rows)
+
+
+def _permuted(T, seed: int) -> CharacterTable:
+    """T under seeded row and column permutations, the identity class kept
+    first and the power maps relabelled."""
+    rng = random.Random(seed)
+    k = T.n_classes
+    cols = [0] + rng.sample(range(1, k), k - 1)  # new column j is T's column cols[j]
+    new = {c: j for j, c in enumerate(cols)}
+    return _with(
+        T, sizes=[T.sizes[c] for c in cols], orders=[T.orders[c] for c in cols],
+        power_maps={p: [new[pm[c]] for c in cols] for p, pm in T.power_maps.items()},
+        rows=[[row.values[c] for c in cols] for row in rng.sample(T.rows, k)])
+
+
+def _changed_entry(T, seed: int) -> CharacterTable:
+    """T with one seeded entry set to |G|, which no character value of a
+    nontrivial group equals: the multiset of entries changes."""
+    rng = random.Random(seed)
+    rows = [list(row.values) for row in T.rows]
+    rows[rng.randrange(T.n_classes)][rng.randrange(T.n_classes)] = T.order
+    return _with(T, rows=rows)
+
+
+def _swapped_power_image(T):
+    """T with the images of two columns a, b swapped in one power map, or
+    None. a and b differ in (size, order), and so do their images, so the
+    multiset of (class, image class) kinds changes and no table matches."""
+    kind = list(zip(T.sizes, T.orders))
+    for p, pm in sorted(T.power_maps.items()):
+        for a, b in combinations(range(T.n_classes), 2):
+            if kind[a] != kind[b] and kind[pm[a]] != kind[pm[b]]:
+                swapped = list(pm)
+                swapped[a], swapped[b] = pm[b], pm[a]
+                return _with(T, power_maps={**T.power_maps, p: swapped})
+    return None
+
+
+class _OutOfBudget(Exception):
+    pass
+
+
+def _backtracking_match(A, B, budget: int) -> bool:
+    """The column-bijection backtracker that `tables_match` replaced, as an
+    oracle: it compares rows only at a leaf, and raises _OutOfBudget after
+    `budget` nodes."""
+    k = A.n_classes
+    if A.order != B.order or k != B.n_classes:
+        return False
+    if sorted(A.degrees) != sorted(B.degrees):
+        return False
+    candidates = [
+        [c for c in range(k) if B.sizes[c] == A.sizes[a] and B.orders[c] == A.orders[a]]
+        for a in range(k)
+    ]
+    shared_primes = sorted(set(A.power_maps) & set(B.power_maps))
+    sigma: list = [None] * k
+    used = [False] * k
+    nodes = 0
+
+    def power_consistent(a: int, c: int) -> bool:
+        for p in shared_primes:
+            ta, tb = A.power_maps[p][a], B.power_maps[p][c]
+            if sigma[ta] is not None and sigma[ta] != tb:
+                return False
+        return True
+
+    def commutes() -> bool:
+        return all(sigma[A.power_maps[p][a]] == B.power_maps[p][sigma[a]]
+                   for p in shared_primes for a in range(k))
+
+    def rows_agree() -> bool:
+        inv = [0] * k
+        for a, c in enumerate(sigma):
+            inv[c] = a
+
+        def keyed(rows):
+            return sorted((tuple(vals) for vals in rows),
+                          key=lambda t: [v.sort_key() for v in t])
+
+        return (keyed(tuple(r.values[inv[c]] for c in range(k)) for r in A.rows)
+                == keyed(tuple(r.values) for r in B.rows))
+
+    def backtrack(a: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise _OutOfBudget
+        if a == k:
+            return commutes() and rows_agree()
+        for c in candidates[a]:
+            if not used[c] and power_consistent(a, c):
+                sigma[a] = c
+                used[c] = True
+                if backtrack(a + 1):
+                    return True
+                sigma[a] = None
+                used[c] = False
+        return False
+
+    return backtrack(0)
+
+
+def _match_cases(T) -> list:
+    """(A, B) pairs built from T: permuted, with a changed entry, with a
+    swapped power-map image, and T against those."""
+    P = _permuted(T, seed=1)
+    cases = [(T, T), (T, P), (P, T), (T, _changed_entry(P, seed=2)),
+             (_changed_entry(T, seed=3), T)]
+    swapped = _swapped_power_image(P)
+    if swapped is not None:
+        cases += [(T, swapped), (swapped, T)]
+    return cases
+
+
+@pytest.mark.parametrize("name", BUNDLED + MATCH_FAMILIES)
+def test_tables_match_agrees_with_the_backtracker_it_replaced(name):
+    T = bundled_table(name) if name in BUNDLED else _dixon_table(name)
+    finished = 0
+    for A, B in _match_cases(T):
+        try:
+            expected = _backtracking_match(A, B, budget=20_000)
+        except _OutOfBudget:
+            continue
+        finished += 1
+        assert tables_match(A, B) == expected
+    assert finished
+
+
+@pytest.mark.parametrize("name", BUNDLED + MATCH_FAMILIES + ["agl1_64"])
+def test_permuted_tables_match_and_perturbed_ones_do_not(name):
+    T = bundled_table(name) if name in BUNDLED else _dixon_table(name)
+    for seed in (1, 2):
+        P = _permuted(T, seed)
+        assert tables_match(T, P) and tables_match(P, T)
+        assert not tables_match(T, _changed_entry(P, seed))
+        assert not tables_match(_changed_entry(T, seed), P)
+    swapped = _swapped_power_image(P)
+    # only an elementary abelian group's one power map sends every column to 1
+    assert swapped is not None or name in ("c2", "c3")
+    if swapped is not None:
+        assert not tables_match(T, swapped) and not tables_match(swapped, T)
+
+
+@pytest.mark.parametrize("family", MATCH_FAMILIES)
+def test_enumerated_and_sampled_dixon_tables_match(family):
+    """The two class data give tables in different class orders (agl1_32's
+    order-31 classes are tied by the 2-power map into six 5-cycles)."""
+    T = _dixon_table(family)
+    G = corpus.build(family).group
+    assert tables_match(T, character_table(G, classes.SampledClassSet(G, seed=0), name=family))
+
+
+def test_tables_match_refuses_equal_columns():
+    """Only a table built without `validate` can have two equal columns;
+    its rows would force no column bijection."""
+    T = _dixon_table("c2")
+    twin = _with(T, orders=[1, 1], power_maps={}, rows=[[1, 1], [1, 1]])
+    for A, B in ((T, twin), (twin, T)):
+        with pytest.raises(ValueError, match="two equal columns"):
+            tables_match(A, B)
 
 
 def test_perturbed_value_fails_validation():

@@ -11,7 +11,9 @@ completeness proven by the class sizes summing to the group order. Each table mu
 it is written.
 
 For each file it prints the sha256 it wrote and whether that file is
-byte-identical to the one it replaced.
+byte-identical to the one it replaced. When it is not, it also prints
+whether the new table `tables_match`es the old one, so a rebuild that only
+reorders classes or rows says so.
 
 Run from the repository root:  python3 tools/build_mathieu_tables.py
 """
@@ -27,7 +29,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from permchar import corpus
 from permchar.classes import SampledClassSet, conjugacy_classes
 from permchar.dixon import character_table
-from permchar.tableio import save_table
+from permchar.tableio import parse_table, save_table, tables_match
 
 HEADERS = {
     "m22": (
@@ -67,6 +69,10 @@ def build(tables_dir, name, class_data):
     verdict = "byte-identical to" if after == before else "DIFFERENT from"
     print(f"  wrote {path.name}: sha256 {hashlib.sha256(after).hexdigest()},"
           f" {verdict} the file it replaced")
+    if before is not None and after != before:
+        same = tables_match(T, parse_table(before.decode()))
+        print(f"  the new table {'matches' if same else 'does NOT match'} the replaced one"
+              " up to row and column order")
 
 
 def main():
