@@ -10,7 +10,7 @@ was generated or in what order elements are visited.
 from __future__ import annotations
 
 import random
-from array import array
+from itertools import repeat
 from math import gcd, lcm
 
 from .cyclo import divisors
@@ -22,6 +22,8 @@ from .perm import (
     inv_images,
     mul_images,
     order_of_images,
+    packed_conjugator,
+    packer,
     power_images,
 )
 
@@ -40,21 +42,40 @@ def fingerprint(images: tuple) -> tuple:
 
 
 def conjugation_orbit(group: PermGroup, images: tuple, key=tuple) -> set:
-    """The conjugacy class of an element of `group`, as the set of
-    key(element): image tuples by default, packed bytes in `SampledClassSet`."""
-    return orbit_closure(images, conjugators(group), key)
+    """The conjugacy class of an element of `group` (an image tuple or its
+    packed form), as a set of image tuples, or with key =
+    `perm.packer(group.degree)` of packed elements, walked packed."""
+    if key is tuple:
+        return orbit_closure(tuple(images), conjugators(group))
+    return orbit_closure(key(images), [packed_conjugator(g.images) for g in group.generators])
+
+
+class _PackedKeys(dict):
+    """A dict keyed by packed bytes that also answers an image-tuple key,
+    by packing it."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        if type(key) is bytes:
+            raise KeyError(key)
+        return self[bytes(key)]
 
 
 class ConjugacyClassSet:
     """Classes of an enumerable group.
 
     The class data `dixon.character_table` reads: group, reps (lex-least
-    Permutation per class), sizes, orders, classify (image tuple -> class
+    Permutation per class), sizes, orders, classify (element -> class
     index, one lookup in the element map the enumeration builds and keeps)
-    and elements (class index -> its members, kept as the tuple the
-    enumeration walked). Class 0 is the identity class. The enumeration
-    stops as soon as the classes found hold |G| elements. Its classify is
-    exact, so its `ambiguity_groups` (see `tableio.ClassMatching`) are none.
+    and elements (class index -> its members). The enumeration walks,
+    keys and keeps every element packed (`perm.packer`): as bytes up to
+    degree 256, as the image tuple above. `classify` takes an image tuple
+    or a packed element; packed, it is one dict probe on a cached hash.
+    `elements(i)` returns the members packed. Class 0 is the identity
+    class. The enumeration stops as soon as the classes found hold |G|
+    elements. Its classify is exact, so its `ambiguity_groups` (see
+    `tableio.ClassMatching`) are none.
     """
 
     ambiguity_groups = ()
@@ -67,17 +88,17 @@ class ConjugacyClassSet:
             )
         self.group = group
 
-        element_class: dict = {}
-        raw: list[tuple] = []  # (rep images, members)
+        pack = packer(group.degree)
+        element_class = _PackedKeys() if pack is bytes else {}
+        raw: list[tuple] = []  # (packed rep, packed members)
         n = group.order()
         for x in group.element_images_iter():
+            x = pack(x)
             if x in element_class:
                 continue
-            orbit = conjugation_orbit(group, x)
-            idx = len(raw)
+            orbit = conjugation_orbit(group, x, pack)
+            element_class.update(zip(orbit, repeat(len(raw))))
             raw.append((min(orbit), tuple(orbit)))
-            for y in orbit:
-                element_class[y] = idx
             if len(element_class) == n:
                 break
 
@@ -103,11 +124,12 @@ class ConjugacyClassSet:
         return len(self.reps)
 
     def element_class_map(self) -> dict:
-        """images tuple -> class index: the map `classify` reads."""
+        """Packed element -> class index: the map `classify` reads. It
+        also answers an image-tuple key."""
         return self._element_class
 
     def elements(self, i: int) -> tuple:
-        """The members of class i, as image tuples."""
+        """The members of class i, packed."""
         return self._members[i]
 
 
@@ -165,7 +187,8 @@ class _SetOrbit:
     set and `inverses[i]` is its inverse, so `move` conjugates an element
     whose invariant set is the i-th onto one whose invariant set is F0.
     When F0 is every point, S is G, nothing moves, and the S-classes are
-    kept as `pack`ed byte records; `key` is the form of their members."""
+    walked and kept packed (`perm.packer`); `key` is the form of their
+    members."""
 
     def __init__(self, group: PermGroup, base: frozenset, pack):
         if len(base) == group.degree:
@@ -197,7 +220,8 @@ class _WalkedClass:
     S the stabilizer of F0, and n = |F0^G| * |members| is the size of the
     G-class. Two elements are G-conjugate exactly when their moved copies
     are S-conjugate. Where F0 is every point (one cycle length), S is G and
-    the members are the whole class, packed."""
+    the members are the whole class, packed: a sorted buffer of byte
+    records up to degree 256, a set of image tuples above."""
 
     __slots__ = ("rep", "frame", "members", "n")
 
@@ -242,7 +266,10 @@ class SampledClassSet:
     S has order 1,920 and the two order-4 classes are walked as S-classes
     of 60 and 120 elements instead of 13,860 and 27,720. Only an element
     with one cycle length, whose invariant set is every point, has its
-    whole class walked, and that class is kept as packed byte records.
+    whole class walked, packed (`perm.packer`), and up to degree 256 that
+    class is kept as a sorted buffer of byte records. `classify` takes an
+    image tuple or a packed element, and `elements(i)` returns packed
+    members.
     """
 
     def __init__(self, group: PermGroup, table=None, seed: int = 0, budget: int = 100_000):
@@ -251,7 +278,7 @@ class SampledClassSet:
         self._frames: dict = {}  # size of the invariant set -> [_SetOrbit]
         self._walked: dict = {}  # cycle type -> [_WalkedClass]
         self._total = 0
-        self._pack = bytes if group.degree <= 256 else lambda x: array("H", x).tobytes()
+        self._pack = packer(group.degree)
         self._walk_orders = None if table is None else {
             o for o in table.orders
             if len({s for o2, s in zip(table.orders, table.sizes) if o2 == o}) > 1
@@ -338,7 +365,7 @@ class SampledClassSet:
         del self._walked, self._frames
 
     def classify(self, images: tuple) -> int:
-        """Class index of an element (image tuple) of the group."""
+        """Class index of an element (image tuple or packed) of the group."""
         ct = cycle_type(images)
         candidates = self._by_type[ct]
         if len(candidates) > 1:
@@ -349,6 +376,6 @@ class SampledClassSet:
         return candidates[-1][0]
 
     def elements(self, i: int) -> set:
-        """The members of class i, as image tuples, walked afresh: a
-        complete set keeps no class whole."""
-        return conjugation_orbit(self.group, self.reps[i].images)
+        """The members of class i, packed, walked afresh: a complete set
+        keeps no class whole."""
+        return conjugation_orbit(self.group, self.reps[i].images, self._pack)

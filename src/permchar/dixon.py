@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import itemgetter, mul
+from operator import mul
 
 from .charfun import CharacterTable
 from .classes import conjugacy_classes
 from .cyclo import Cyclotomic, prime_factors
 from .group import PermGroup
-from .perm import mul_images
+from .perm import packed_multiplier, packer
 
 # -- modular number theory helpers ---------------------------------------------
 
@@ -224,7 +224,9 @@ def class_matrix(C, i: int, rows=None) -> list:
         entries[r][c] = |C_r| * #{x in C_i : x * z_r in C_c} / |C_c|,
 
     classifying each product with `C.classify`; class i is read from
-    `C.elements(i)`."""
+    `C.elements(i)`, whose members are packed (`perm.packer`), and each
+    product x * z_r is formed packed by `perm.packed_multiplier`: one
+    `bytes.translate` up to degree 256."""
     k = len(C.reps)
     rows = range(k) if rows is None else sorted(rows)
     entries = [None] * k
@@ -234,15 +236,12 @@ def class_matrix(C, i: int, rows=None) -> list:
         rows = rows[1:]
     classify = C.classify
     sizes = C.sizes
-    reps = [r.images for r in C.reps]
-    zs = [reps[r] for r in rows]
+    times = [packed_multiplier(C.reps[r].images) for r in rows]
     counts = [[0] * k for _ in rows]
     if rows:
-        # k > 1, so the degree is > 1 and itemgetter returns tuples
         for x in C.elements(i):
-            x_times = itemgetter(*x)
-            for count, z in zip(counts, zs):
-                count[classify(x_times(z))] += 1
+            for count, times_z in zip(counts, times):
+                count[classify(times_z(x))] += 1
     for r, count in zip(rows, counts):
         row = entries[r] = []
         for c in range(k):
@@ -343,9 +342,10 @@ def character_table(G: PermGroup, C=None, name: str = "") -> CharacterTable:
 
     Deterministic: classes in their canonical order, rows sorted by degree
     and then by value tuples. `C`, the class data (enumerated when None),
-    is `group`, `reps`, `sizes`, `orders`, `classify` (image tuple ->
-    class index; class 0 is the identity) and `elements` (class index ->
-    its members): the exponent, inverse map and power maps are derived
+    is `group`, `reps`, `sizes`, `orders`, `classify` (element, as an
+    image tuple or packed by `perm.packer`, -> class index; class 0 is the
+    identity) and `elements` (class index -> its members, packed): the
+    exponent, inverse map and power maps are derived
     here. Class matrices are consumed smallest first until one splits no
     space; from then on a class that is rational (its coprime powers lie
     in it) or a coprime power of a consumed class goes last, as it rarely
@@ -372,11 +372,13 @@ def character_table(G: PermGroup, C=None, name: str = "") -> CharacterTable:
     # reads these, and they hold the inverse map (s = orders[t] - 1) and the
     # prime power maps (s = p mod orders[t])
     powers = []
+    pack = packer(G.degree)
     for r, m in zip(C.reps, orders):
-        x, row = r.images, [0]
+        times_r, row = packed_multiplier(r.images), [0]
+        x = pack(r.images)
         for _ in range(1, m):
             row.append(C.classify(x))
-            x = mul_images(x, r.images)
+            x = times_r(x)
         powers.append(row)
     coprime = [{row[s] for s in range(1, m) if gcd(s, m) == 1} for row, m in zip(powers, orders)]
     # classes that rarely split anything: the rational ones, joined below

@@ -371,19 +371,19 @@ def on_sets(maps: list) -> list:
     return [lambda objs, f=f: frozenset(map(f, objs)) for f in maps]
 
 
-def orbit_closure(seed, maps: list, key) -> set:
-    """The orbit of `seed` as the set of key(x) over its members, walked
-    with no transversal. A compact key, such as packed bytes, holds an
-    orbit of a million elements in a fraction of the memory."""
-    orbit = {key(seed)}
+def orbit_closure(seed, maps: list) -> set:
+    """The orbit of `seed` as the set of its members, walked with no
+    transversal. Members are stored in the form the maps act on, so maps
+    on packed elements (`perm.packed_conjugator`) hold an orbit of a
+    million elements in a fraction of the memory of image tuples."""
+    orbit = {seed}
     queue = [seed]
     while queue:
         x = queue.pop()
         for f in maps:
             y = f(x)
-            k = key(y)
-            if k not in orbit:
-                orbit.add(k)
+            if y not in orbit:
+                orbit.add(y)
                 queue.append(y)
     return orbit
 
@@ -550,7 +550,7 @@ def _point_orbits(H: PermGroup) -> list:
     seen: set = set()
     for start in range(H.degree):
         if start not in seen:
-            orbits.append(frozenset(orbit_closure(start, maps, int)))
+            orbits.append(frozenset(orbit_closure(start, maps)))
             seen |= orbits[-1]
     return orbits
 

@@ -3,13 +3,21 @@
 Composition is left-to-right: (p * q)(x) = q(p(x)), matching the usual
 convention for permutation group algorithms. Raw image tuples are used in
 hot loops; the helpers below work on either form.
+
+Class enumeration and the Dixon class matrices hold elements packed
+(`packer`): up to degree 256 as `bytes`, one byte per point, above it as
+the image tuple itself. Packed bytes hash once and order like their image
+tuples; `packed_conjugator` and `packed_multiplier` act on them with
+`bytes.translate`, a C call that reads a 256-byte table.
 """
 
 from __future__ import annotations
 
 import re
 from math import lcm
-from operator import itemgetter
+from operator import itemgetter, methodcaller
+
+PACKED_MAX_DEGREE = 256
 
 
 def mul_images(p: tuple, q: tuple) -> tuple:
@@ -33,6 +41,33 @@ def conjugator(g: tuple):
     and y * g is g read at the points of g^-1 * y."""
     take = itemgetter(*inv_images(g))
     return lambda y: itemgetter(*take(y))(g)
+
+
+def packer(degree: int):
+    """The packed form of elements of this degree: `bytes` up to degree
+    256, `tuple` above. Either one, applied to an image tuple or a packed
+    element, gives the packed element, and `tuple` unpacks."""
+    return bytes if degree <= PACKED_MAX_DEGREE else tuple
+
+
+def packed_conjugator(g: tuple):
+    """y -> g^-1 * y * g on packed elements of g's degree: two translates,
+    by y (padded to 256 bytes) and by g. Above degree 256, `conjugator`."""
+    n = len(g)
+    if n > PACKED_MAX_DEGREE:
+        return conjugator(g)
+    pad = bytes(PACKED_MAX_DEGREE - n)
+    g_inv, g_table = bytes(inv_images(g)), bytes(g) + pad
+    return lambda y: g_inv.translate(y + pad).translate(g_table)
+
+
+def packed_multiplier(z: tuple):
+    """x -> x * z on packed elements of z's degree: x translated by z.
+    Above degree 256, `mul_images(x, z)`."""
+    n = len(z)
+    if n > PACKED_MAX_DEGREE:
+        return lambda x: mul_images(x, z)
+    return methodcaller("translate", bytes(z) + bytes(PACKED_MAX_DEGREE - n))
 
 
 def identity_images(degree: int) -> tuple:

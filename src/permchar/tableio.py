@@ -171,10 +171,15 @@ def tables_match(A: CharacterTable, B: CharacterTable) -> bool:
     """Exact equality up to a row and column permutation that keeps the
     sizes, the orders and every shared power map.
 
+    A row only matches a row with the same multiset of (size, order,
+    value), so the tables must have equal multisets of these row kinds.
     A's rows are matched in order to unused rows of B. Each column's cell
     (its size, order and values on the rows matched so far, interned as a
-    small int) refines with every match, and a branch is cut as soon as
-    A's cells differ from B's as multisets. Columns of a character table
+    small int) refines with every match, and then by the cells of its
+    p-th power columns for every shared prime p until that splits no cell.
+    A branch is cut as soon as A's cells differ from B's as multisets.
+    Both sides are interned in one table, so the refinement is the same
+    function of the cells on both sides. Columns of a character table
     are distinct, so once the cells are all distinct they force the column
     bijection: the match holds when it commutes with the shared power maps
     and carries A's rows onto B's as a multiset. A table with two equal
@@ -196,12 +201,28 @@ def tables_match(A: CharacterTable, B: CharacterTable) -> bool:
     def refine(cells, row) -> list:
         return [cell_ids.setdefault(pair, len(cell_ids)) for pair in zip(cells, row)]
 
+    primes = sorted(set(A.power_maps) & set(B.power_maps))
+    maps_a = [A.power_maps[p] for p in primes]
+    maps_b = [B.power_maps[p] for p in primes]
+
+    def split(cells, maps) -> list:
+        # a tuple of power cells never equals a value id, so these keys
+        # stay apart from the row refinement's (cell, value id) pairs
+        while maps:
+            finer = refine(cells, zip(*([cells[x] for x in m] for m in maps)))
+            if len(set(finer)) == len(set(cells)):
+                break
+            cells = finer
+        return cells
+
     MA, MB = matrix(A), matrix(B)
     start_a, start_b = refine(A.sizes, A.orders), refine(B.sizes, B.orders)
-    # each row's multiset of (size, order, value): a row only matches its like
+    # each row's kind, its multiset of (size, order, value)
     kind_a = [Counter(zip(start_a, row)) for row in MA]
     kind_b = [Counter(zip(start_b, row)) for row in MB]
-    primes = set(A.power_maps) & set(B.power_maps)
+    if Counter(frozenset(c.items()) for c in kind_a) != Counter(
+            frozenset(c.items()) for c in kind_b):
+        return False
     rows_a = Counter(map(tuple, MA))
     used = [False] * k
 
@@ -212,19 +233,18 @@ def tables_match(A: CharacterTable, B: CharacterTable) -> bool:
             where = {cell: c for c, cell in enumerate(cells_b)}
             sigma = [where[cell] for cell in cells_a]
             return all(
-                sigma[A.power_maps[p][a]] == B.power_maps[p][sigma[a]]
-                for p in primes for a in range(k)
+                sigma[ma[a]] == mb[sigma[a]] for ma, mb in zip(maps_a, maps_b) for a in range(k)
             ) and rows_a == Counter(tuple(row[c] for c in sigma) for row in MB)
-        cells_a = refine(cells_a, MA[i])
+        cells_a = split(refine(cells_a, MA[i]), maps_a)
         for j, row in enumerate(MB):
             if not used[j] and kind_b[j] == kind_a[i]:
                 used[j] = True
-                if search(i + 1, cells_a, refine(cells_b, row)):
+                if search(i + 1, cells_a, split(refine(cells_b, row), maps_b)):
                     return True
                 used[j] = False
         return False
 
-    return search(0, start_a, start_b)
+    return search(0, split(start_a, maps_a), split(start_b, maps_b))
 
 
 # -- matching table columns to group classes --------------------------------------

@@ -318,7 +318,7 @@ def check_theorem_B(
 def sylow2_conjugates(G: PermGroup, P: PermGroup) -> list:
     """All G-conjugates of P, each as a frozenset of element image tuples."""
     base = frozenset(P.element_images_iter())
-    return list(orbit_closure(base, on_sets(conjugators(G)), frozenset))
+    return list(orbit_closure(base, on_sets(conjugators(G))))
 
 
 def check_theorem_D(ctx: GroupContext, seed: int = 0) -> VerificationReport:

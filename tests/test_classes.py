@@ -12,7 +12,7 @@ from permchar.classes import (
 )
 from permchar.dixon import character_table
 from permchar.group import PermGroup, trivial_group
-from permchar.perm import cycle_type, inv_images, parse_permutation, power_images
+from permchar.perm import cycle_type, inv_images, packer, parse_permutation, power_images
 from permchar.verify import SWEEP_FAMILIES
 
 from helpers import conj_images
@@ -161,16 +161,41 @@ def test_element_map_is_kept_above_ten_thousand_elements():
 
 @pytest.mark.parametrize("family", SWEEP_FAMILIES + ["m11", "psl2_23"])
 def test_stored_members_are_the_conjugation_orbits(family):
-    """The enumeration keeps each class's members: `elements(i)` is the
-    conjugation orbit of rep i, and after the early stop the element map
-    still covers the whole group."""
+    """The enumeration keeps each class's members: `elements(i)`, unpacked,
+    is the conjugation orbit of rep i, and after the early stop the element
+    map still covers the whole group."""
     G = corpus.build(family).group
     C = conjugacy_classes(G)
     for i, r in enumerate(C.reps):
         members = C.elements(i)
         assert len(members) == C.sizes[i]
-        assert set(members) == conjugation_orbit(G, r.images)
+        assert {tuple(m) for m in members} == conjugation_orbit(G, r.images)
     assert len(C.element_class_map()) == G.order()
+
+
+@pytest.mark.parametrize("family", ["d512", "d514"])
+def test_enumeration_on_either_side_of_degree_256(family):
+    """d512 acts on 256 points, so its classes are walked and kept as
+    bytes; d514 acts on 257, so as image tuples. Either way they are the
+    conjugation orbits of their reps, and `classify` takes both forms."""
+    G = corpus.build(family).group
+    C = conjugacy_classes(G)
+    pack = packer(G.degree)
+    assert sum(C.sizes) == G.order()
+    for i, r in enumerate(C.reps):
+        orbit = conjugation_orbit(G, r.images)
+        assert min(orbit) == r.images
+        assert set(C.elements(i)) == {pack(y) for y in orbit}
+        assert all(C.classify(y) == C.classify(pack(y)) == i for y in orbit)
+
+
+@pytest.mark.parametrize("family", ["s5", "m11", "psl2_23"])
+def test_classify_takes_image_tuples_and_packed_elements(family):
+    G = corpus.build(family).group
+    C = conjugacy_classes(G)
+    pack = packer(G.degree)
+    for x in G.element_images_iter():
+        assert C.classify(x) == C.classify(pack(x))
 
 
 def test_enumeration_stops_once_the_classes_cover_the_group(monkeypatch):

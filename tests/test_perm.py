@@ -9,10 +9,14 @@ from permchar.dixon import character_table, class_matrix
 from permchar.group import PermGroup, coset_action, trivial_group
 from permchar.perm import (
     Permutation,
+    conjugator,
     cycle_string,
     inv_images,
     mul_images,
     order_of_images,
+    packed_conjugator,
+    packed_multiplier,
+    packer,
     parse_permutation,
     power_images,
 )
@@ -140,6 +144,23 @@ def test_conjugation_orbit_matches_the_generator_form():
             got = conjugation_orbit(G, x)
             assert got == _old_conjugation_orbit(G, x)
             assert all(type(y) is tuple and len(y) == n for y in got)
+
+
+@pytest.mark.parametrize("n", [2, 24, 255, 256, 257])
+def test_packed_maps_match_the_tuple_maps(n):
+    """Up to degree 256 elements pack to bytes, which order like their
+    image tuples, and the packed conjugator and multiplier are translates;
+    above it the packed form is the image tuple."""
+    rng = random.Random(n)
+    pack = packer(n)
+    assert pack is (bytes if n <= 256 else tuple)
+    ys = [_random_images(rng, n) for _ in range(20)]
+    assert sorted(map(pack, ys)) == [pack(y) for y in sorted(ys)]
+    for y in ys:
+        g = _random_images(rng, n)
+        assert packed_conjugator(g)(pack(y)) == pack(conjugator(g)(y))
+        assert packed_multiplier(g)(pack(y)) == pack(mul_images(y, g))
+        assert tuple(pack(y)) == y
 
 
 @pytest.mark.parametrize("family", ["c1", "s1"])
