@@ -10,7 +10,7 @@ was generated or in what order elements are visited.
 from __future__ import annotations
 
 import random
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd, lcm
 
 from .cyclo import divisors
@@ -139,32 +139,6 @@ def conjugacy_classes(
     return ConjugacyClassSet(group, threshold=threshold)
 
 
-class _PackedSet:
-    """Membership for a sorted buffer of equal-width byte records."""
-
-    def __init__(self, records):
-        self.width = len(next(iter(records)))
-        self.buf = b"".join(sorted(records))
-        self.n = len(records)
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __contains__(self, rec) -> bool:
-        lo, hi = 0, self.n
-        w = self.width
-        while lo < hi:
-            mid = (lo + hi) // 2
-            probe = self.buf[mid * w : (mid + 1) * w]
-            if probe < rec:
-                lo = mid + 1
-            elif probe > rec:
-                hi = mid
-            else:
-                return True
-        return False
-
-
 def _invariant_set(images: tuple, ct: tuple) -> frozenset:
     """F(g) for g with cycle type ct: the points on the cycles of g of the
     length that covers the fewest points, ties going to the shorter length;
@@ -185,10 +159,10 @@ class _SetOrbit:
     """The G-orbit of an invariant point set `base` (F0), with its
     setwise stabilizer S. `transversal[i]` maps F0 onto the orbit's i-th
     set and `inverses[i]` is its inverse, so `move` conjugates an element
-    whose invariant set is the i-th onto one whose invariant set is F0.
-    When F0 is every point, S is G, nothing moves, and the S-classes are
-    walked and kept packed (`perm.packer`); `key` is the form of their
-    members."""
+    whose invariant set is the i-th onto one whose invariant set is F0, and
+    conjugating by `transversal[i]` moves it back. When F0 is every point,
+    S is G, nothing moves, and a class walked here is a whole G-class, kept
+    packed (`perm.packer`); `key` is the form of the members kept."""
 
     def __init__(self, group: PermGroup, base: frozenset, pack):
         if len(base) == group.degree:
@@ -215,27 +189,19 @@ class _SetOrbit:
 
 
 class _WalkedClass:
-    """One conjugacy class of G, found through the orbit `frame` of its
-    elements' invariant sets: `members` is the S-class of the moved `rep`,
-    S the stabilizer of F0, and n = |F0^G| * |members| is the size of the
-    G-class. Two elements are G-conjugate exactly when their moved copies
-    are S-conjugate. Where F0 is every point (one cycle length), S is G and
-    the members are the whole class, packed: a sorted buffer of byte
-    records up to degree 256, a set of image tuples above."""
+    """One conjugacy class of G, kept as walked: `members` is the S-class
+    of `rep` moved onto F0 (S the stabilizer of F0 in the orbit `frame`),
+    so the whole class, packed, where S is G, and n = |F0^G| * |members|.
+    Two elements are G-conjugate exactly when their moved copies are
+    S-conjugate. `index` is the class's place in a complete set."""
 
-    __slots__ = ("rep", "frame", "members", "n")
+    __slots__ = ("rep", "frame", "members", "n", "index")
 
     def __init__(self, rep: tuple, frame: _SetOrbit, moved: tuple):
         self.rep = rep
         self.frame = frame
-        members = conjugation_orbit(frame.stabilizer, moved, frame.key)
-        self.members = members if frame.key is tuple else _PackedSet(members)
-        self.n = len(frame.index) * len(members)
-
-    def holds(self, images: tuple, points: frozenset) -> bool:
-        """Whether an element with invariant set `points` lies in the class."""
-        moved = self.frame.move(images, points)
-        return moved is not None and self.frame.key(moved) in self.members
+        self.members = conjugation_orbit(frame.stabilizer, moved, frame.key)
+        self.n = len(frame.index) * len(self.members)
 
 
 class SampledClassSet:
@@ -264,12 +230,12 @@ class SampledClassSet:
     point sets, with its transversal and S, serves every class whose
     invariant sets lie in it. On M22 the order-4 elements fix 2 points, so
     S has order 1,920 and the two order-4 classes are walked as S-classes
-    of 60 and 120 elements instead of 13,860 and 27,720. Only an element
-    with one cycle length, whose invariant set is every point, has its
-    whole class walked, packed (`perm.packer`), and up to degree 256 that
-    class is kept as a sorted buffer of byte records. `classify` takes an
-    image tuple or a packed element, and `elements(i)` returns packed
-    members.
+    of 60 and 120 elements instead of 13,860 and 27,720. Each class is
+    walked once and kept: as its S-class, or, where g has one cycle length
+    and F0 is every point, whole and packed (`perm.packer`). `_lookup`
+    finds the walked class of an element; sizing walks a new class on a
+    miss, and `classify` (an image tuple or a packed element) never walks.
+    `elements(i)` streams a class that is not kept whole from its S-class.
     """
 
     def __init__(self, group: PermGroup, table=None, seed: int = 0, budget: int = 100_000):
@@ -278,6 +244,7 @@ class SampledClassSet:
         self._frames: dict = {}  # size of the invariant set -> [_SetOrbit]
         self._walked: dict = {}  # cycle type -> [_WalkedClass]
         self._total = 0
+        self._powers: set = set()
         self._pack = packer(group.degree)
         self._walk_orders = None if table is None else {
             o for o in table.orders
@@ -309,31 +276,43 @@ class SampledClassSet:
             self.buckets[key] = images
         return key
 
-    def _class_size(self, images: tuple, fp: tuple) -> int:
-        order, ct = fp
+    def _lookup(self, images: tuple, ct: tuple):
+        """The walked class of an element (image tuple or packed) of cycle
+        type ct, or None: the element is moved onto the base of the frame
+        holding its invariant set and probed in the classes of ct there."""
         points = _invariant_set(images, ct)
-        frames = self._frames.setdefault(len(points), [])
-        for frame in frames:
+        for frame in self._frames.get(len(points), ()):
             moved = frame.move(images, points)
             if moved is not None:
-                break
-        else:
+                record = frame.key(moved)
+                for cls in self._walked.get(ct, ()):
+                    if cls.frame is frame and record in cls.members:
+                        return cls
+                return None
+
+    def _class_size(self, images: tuple, fp: tuple) -> int:
+        order, ct = fp
+        cls = self._lookup(images, ct)
+        if cls is not None:
+            return cls.n
+        points = _invariant_set(images, ct)
+        frames = self._frames.setdefault(len(points), [])
+        frame = next((f for f in frames if points in f.index), None)
+        if frame is None:
             frame = _SetOrbit(self.group, points, self._pack)
             frames.append(frame)
-            moved = images
-        walked = self._walked.setdefault(ct, [])
-        record = frame.key(moved)
-        for cls in walked:
-            if cls.frame is frame and record in cls.members:
-                return cls.n
-        cls = _WalkedClass(images, frame, moved)
-        walked.append(cls)
+        cls = _WalkedClass(images, frame, frame.move(images, points))
+        self._walked.setdefault(ct, []).append(cls)
         self._total += cls.n
         if self._walk_orders is None:
             for k in range(2, order):
                 if gcd(k, order) == 1:
-                    # a coprime power generates the same cyclic group: same fingerprint
-                    self.add(power_images(images, k), fp)
+                    # a coprime power generates the same cyclic group: same fingerprint;
+                    # the powers of a new power are these again, so each is added once
+                    h = power_images(images, k)
+                    if h not in self._powers:
+                        self._powers.add(h)
+                        self.add(h, fp)
         return cls.n
 
     def _discover(self, rng: random.Random, budget: int) -> None:
@@ -346,36 +325,28 @@ class SampledClassSet:
                 )
             self.sample(rng, 1)
             used += 1
-        flat = sorted(
-            (order_of_images(cls.rep), cls.n, cls.rep)
-            for walked in self._walked.values()
-            for cls in walked
-        )
-        index = {rep: i for i, (_, _, rep) in enumerate(flat)}
-        self.reps = [Permutation(rep) for _, _, rep in flat]
-        self.sizes = [size for _, size, _ in flat]
-        self.orders = [o for o, _, _ in flat]
-        # the size sum proves every element lies in a walked class, so the
-        # last class walked of each cycle type classifies by elimination
-        # and its members need not be kept; nothing is added to a complete set
-        self._by_type = {
-            ct: [(index[cls.rep], cls) for cls in walked[:-1]] + [(index[walked[-1].rep], None)]
-            for ct, walked in self._walked.items()
-        }
-        del self._walked, self._frames
+        self._classes = sorted(chain.from_iterable(self._walked.values()),
+                               key=lambda cls: (order_of_images(cls.rep), cls.n, cls.rep))
+        for i, cls in enumerate(self._classes):
+            cls.index = i
+        self.reps = [Permutation(cls.rep) for cls in self._classes]
+        self.sizes = [cls.n for cls in self._classes]
+        self.orders = [order_of_images(cls.rep) for cls in self._classes]
 
     def classify(self, images: tuple) -> int:
-        """Class index of an element (image tuple or packed) of the group."""
+        """Class index of an element (image tuple or packed) of the group:
+        the size sum proves it lies in a walked class of its cycle type."""
         ct = cycle_type(images)
-        candidates = self._by_type[ct]
-        if len(candidates) > 1:
-            points = _invariant_set(images, ct)
-            for idx, cls in candidates[:-1]:
-                if cls.holds(images, points):
-                    return idx
-        return candidates[-1][0]
+        walked = self._walked[ct]
+        if len(walked) == 1:
+            return walked[0].index
+        return self._lookup(images, ct).index
 
-    def elements(self, i: int) -> set:
-        """The members of class i, packed, walked afresh: a complete set
-        keeps no class whole."""
-        return conjugation_orbit(self.group, self.reps[i].images, self._pack)
+    def elements(self, i: int):
+        """The members of class i, packed: a whole class as kept, any other
+        its S-class conjugated by each transversal element of its frame."""
+        cls = self._classes[i]
+        if cls.frame.stabilizer is self.group:
+            return cls.members
+        moved = [self._pack(y) for y in cls.members]
+        return chain.from_iterable(map(packed_conjugator(u), moved) for u in cls.frame.transversal)

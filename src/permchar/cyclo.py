@@ -178,9 +178,10 @@ class Cyclotomic:
     (indices taken mod n, coefficients ints or Fractions; anything else
     raises TypeError), reduced modulo
     Phi_n and moved to its minimal conductor. `coords` are then its
-    power-basis coordinates there, as Fractions."""
+    power-basis coordinates there, as Fractions. The hash is computed on
+    first use and kept."""
 
-    __slots__ = ("conductor", "coords")
+    __slots__ = ("conductor", "coords", "_hash")
 
     def __init__(self, conductor: int, terms, _reduced: bool = False):
         if not _reduced:
@@ -237,9 +238,12 @@ class Cyclotomic:
         return self.conductor == other.conductor and self.coords == other.coords
 
     def __hash__(self):
-        if self.conductor == 1:
-            return hash(self.coords[0])
-        return hash((self.conductor, self.coords))
+        try:
+            return self._hash
+        except AttributeError:
+            key = self.coords[0] if self.conductor == 1 else (self.conductor, self.coords)
+            object.__setattr__(self, "_hash", hash(key))
+            return self._hash
 
     def __repr__(self):
         return f"parse_cyclotomic({render_cyclotomic(self)!r})"

@@ -344,8 +344,8 @@ def character_table(G: PermGroup, C=None, name: str = "") -> CharacterTable:
     and then by value tuples. `C`, the class data (enumerated when None),
     is `group`, `reps`, `sizes`, `orders`, `classify` (element, as an
     image tuple or packed by `perm.packer`, -> class index; class 0 is the
-    identity) and `elements` (class index -> its members, packed): the
-    exponent, inverse map and power maps are derived
+    identity) and `elements` (class index -> an iterable of its members,
+    packed): the exponent, inverse map and power maps are derived
     here. Class matrices are consumed smallest first until one splits no
     space; from then on a class that is rational (its coprime powers lie
     in it) or a coprime power of a consumed class goes last, as it rarely

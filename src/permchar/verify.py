@@ -8,6 +8,7 @@ products, indicators from the squaring power map, parities from integers.
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 
 from . import corpus
 from .charfun import (
@@ -33,10 +34,10 @@ from .group import (
     on_sets,
     orbit_closure,
     orbit_stabilizer,
-    point_maps,
     proper_subgroup,
     sylow_2,
 )
+from .perm import inv_images, packer
 from .tableio import bundled_table, find_representatives
 
 
@@ -133,13 +134,14 @@ class GroupContext:
         corpus_group=None,
         table=None,
     ) -> "GroupContext":
-        """Match `table`, or the bundled table for `name`, to the classes of
-        `group` by seeded sampling; with neither, enumerate the classes and
-        build the table. Without `corpus_group` only generic selectors work."""
+        """Match `table`, or the bundled table of the corpus family
+        `corpus_group` (a bare `name` selects none), to the classes of `group`
+        by seeded sampling; with neither, enumerate the classes and build the
+        table. Without `corpus_group` only generic selectors work."""
+        if table is None and corpus_group is not None and corpus_group.name in _BUNDLED_TABLES:
+            table = bundled_table(corpus_group.name)
         if corpus_group is None:
             corpus_group = corpus.CorpusGroup(name, group)
-        if table is None and name in _BUNDLED_TABLES:
-            table = bundled_table(name)
         if table is not None:
             classes = find_representatives(group, table, seed=seed)
         else:
@@ -190,17 +192,15 @@ class GroupContext:
         """N_G(P) for P = sylow2(seed). N_G(P) permutes the P-orbits, so it
         lies in the stabilizer S of the partition of the points into
         P-orbits, and N_G(P) = N_S(P): the conjugation orbit of P's element
-        set is walked in S, not in G. Past the context's threshold this
-        raises."""
+        set is walked in S, not in G. S is found on label vectors
+        (`_partition_maps`). Past the context's threshold this raises."""
         N = self._sylow2_normalizer.get(seed)
         if N is None:
             if self.group.order() > self.threshold:
                 raise EnumerationThresholdError(f"group order {self.group.order()} exceeds"
                                                 f" enumeration threshold {self.threshold}")
             P = self.sylow2(seed=seed)
-            partition = frozenset(_point_orbits(P))
-            maps = on_sets(on_sets(point_maps(self.group)))
-            S = orbit_stabilizer(self.group, partition, maps)[2]
+            S = orbit_stabilizer(self.group, _block_labels(P), _partition_maps(self.group))[2]
             N = self._sylow2_normalizer[seed] = normalizer(S, P)
         return N
 
@@ -215,6 +215,29 @@ class GroupContext:
             else:
                 raise AssertionError("table has no trivial row")
         return self._trivial_row
+
+
+def _block_labels(P: PermGroup):
+    """The P-orbits as a label vector (see `_partition_maps`)."""
+    block = {p: i for i, orbit in enumerate(_point_orbits(P)) for p in orbit}
+    return packer(P.degree)(block[p] for p in range(P.degree))
+
+
+def _partition_maps(G: PermGroup) -> list:
+    """The action of each generator g of G on partitions of the points as
+    label vectors: label[p] is the index of p's block, blocks numbered in
+    order of least point, packed (`perm.packer`). An image reads the block
+    of g^-1(q) at each point q and renumbers the blocks by first occurrence."""
+    pack = packer(G.degree)
+
+    def action(take):
+        def image(labels):
+            moved = take(labels)
+            rank = {b: i for i, b in enumerate(dict.fromkeys(moved))}
+            return pack(map(rank.__getitem__, moved))
+        return image
+
+    return [action(itemgetter(*inv_images(g.images))) for g in G.generators]
 
 
 _context_cache: dict = {}

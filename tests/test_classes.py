@@ -246,6 +246,26 @@ def test_sampled_classes_agree_with_enumerated_classes(family, enumerated_classe
         assert sigma[S.classify(g)] == C.classify(g)
 
 
+@pytest.mark.parametrize("family", SWEEP_FAMILIES + ["psl2_23", "a7", "d512", "d514", "c257"])
+def test_sampled_elements_are_the_conjugation_orbits(family):
+    """`elements(i)` of a complete sampled set, a whole class as kept or
+    an S-class streamed through its frame's transversal, is the
+    conjugation orbit of rep i, packed, with no repeats; `classify` puts
+    every member in class i and walks nothing. Above degree 256 both kinds
+    of frame keep image tuples (d514, c257)."""
+    G = corpus.build(family).group
+    S = SampledClassSet(G, seed=0)
+    pack = packer(G.degree)
+    walked = {ct: list(classes) for ct, classes in S._walked.items()}
+    total = S._total
+    for i, r in enumerate(S.reps):
+        members = list(S.elements(i))
+        assert len(members) == len(set(members)) == S.sizes[i]
+        assert set(members) == conjugation_orbit(G, r.images, pack)
+        assert all(S.classify(x) == i for x in members)
+    assert S._walked == walked and S._total == total
+
+
 def test_sampled_classes_raise_when_the_budget_runs_out():
     with pytest.raises(RuntimeError, match=r"class sizes sum to \d+ of \|G\| = 7920 after 1 samples"):
         SampledClassSet(corpus.build("m11").group, seed=0, budget=1)

@@ -211,6 +211,17 @@ def test_group_file_input(tmp_path, capsys):
     assert out.count("degree") == 5
 
 
+def test_a_group_file_named_like_a_mathieu_group_gets_its_own_table(tmp_path, capsys):
+    """Only a corpus family selects a bundled table, not a file's name."""
+    from permchar import corpus
+
+    path = tmp_path / "m22.grp"
+    save_group_file(path, corpus.build("s4").group, "s4copy")
+    code, out, err = run(capsys, "fsind", "--group-file", str(path))
+    assert code == 0, err
+    assert out == run(capsys, "fsind", "--family", "s4")[1]
+
+
 def test_data_dir_override(tmp_path, capsys):
     # an empty data dir must break bundled-table loading loudly
     code, _, err = run(capsys, "decompose", "--family", "m11", "--subgroup", "s5",

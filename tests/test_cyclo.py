@@ -18,6 +18,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from permchar import corpus
 from permchar.corpus import data_dir
 from permchar.cyclo import (
     MAX_CONDUCTOR,
@@ -28,6 +29,7 @@ from permchar.cyclo import (
     prime_factors,
     render_cyclotomic,
 )
+from permchar.dixon import character_table
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -416,3 +418,30 @@ def test_value_grammar_matches_its_pinned_digest():
     assert sum(o != "ValueError" for o in outcomes) == GRAMMAR_ACCEPTED
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
     assert digest == GRAMMAR_DIGEST
+
+
+@pytest.mark.parametrize("family", ["psl2_7", "c12", "agl1_13", "f13_3"])
+def test_equal_values_hash_equal_however_built(family):
+    """The hash is kept on first use, so equal values built by Dixon's
+    lift, by `parse_cyclotomic` and by `galois` must hash equal whichever
+    is hashed first."""
+    T = character_table(corpus.build(family).group, name=family)
+    lifted = [v for row in T.rows for v in row.values]
+    assert any(not v.is_rational() for v in lifted)
+    for v in lifted:
+        parsed = parse_cyclotomic(render_cyclotomic(v))
+        assert hash(parsed) == hash(v) and parsed == v
+        n = v.conductor
+        for k in (k for k in range(2, n) if gcd(k, n) == 1):
+            w = v.galois(k)
+            back = w.galois(pow(k, -1, n))
+            assert back == v and hash(back) == hash(v)
+            again = parse_cyclotomic(render_cyclotomic(w))
+            assert hash(again) == hash(w)
+
+
+@pytest.mark.parametrize("q", [Fraction(0), Fraction(-2), Fraction(3, 4), Fraction(-7, 12)])
+def test_a_rationals_hash_is_its_fractions(q):
+    for v in (Cyclotomic.rational(q), parse_cyclotomic(str(q)), Cyclotomic(1, (q,))):
+        assert hash(v) == hash(q) == hash(v)  # computed, then kept
+        assert {q: "found"}[v] == "found"

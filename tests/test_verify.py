@@ -3,9 +3,13 @@ import pytest
 from permchar import corpus, verify
 from permchar.group import (
     PermGroup,
+    _point_orbits,
     is_normal_in,
     is_subgroup,
     normalizer,
+    on_sets,
+    orbit_stabilizer,
+    point_maps,
     sylow_2,
     trivial_group,
 )
@@ -155,6 +159,22 @@ def test_sylow2_normalizer_equals_the_normalizer_in_G(family):
     assert N.order() == reference.order()
     assert is_subgroup(N, reference) and is_subgroup(reference, N)
     assert is_subgroup(P, N) and is_normal_in(P, N)
+
+
+@pytest.mark.parametrize("family", THEOREM_D_FAMILIES + ["m22"])
+def test_partition_labels_give_the_frozenset_paths_generators(family):
+    """The P-orbit partition as a label vector walks the same orbit as the
+    partition as a frozenset of frozensets, so S and N_S(P) get the same
+    generator lists."""
+    ctx = verify.GroupContext(family, corpus.build(family).group, None, None, 10**9, None)
+    G, P = ctx.group, ctx.sylow2()
+    images = lambda H: [g.images for g in H.generators]
+    partition = frozenset(_point_orbits(P))
+    old = orbit_stabilizer(G, partition, on_sets(on_sets(point_maps(G))))
+    new = orbit_stabilizer(G, verify._block_labels(P), verify._partition_maps(G))
+    assert len(new[0]) == len(old[0]) and new[1] == old[1]
+    assert images(new[2]) == images(old[2])
+    assert images(ctx.sylow2_normalizer()) == images(normalizer(old[2], P))
 
 
 def test_sylow_caches_are_keyed_by_seed():
