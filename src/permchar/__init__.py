@@ -23,12 +23,7 @@ from .group import (
     sylow_2,
     trivial_group,
 )
-from .classes import (
-    ConjugacyClassSet,
-    EnumerationThresholdError,
-    SampledClassSet,
-    conjugacy_classes,
-)
+from .classes import ConjugacyClassSet, EnumerationThresholdError, conjugacy_classes
 from .cyclo import Cyclotomic, parse_cyclotomic, render_cyclotomic
 from .charfun import (
     CharacterTable,
@@ -58,7 +53,7 @@ __all__ = [
     "PermGroup", "CosetAction", "centralizer", "core", "coset_action",
     "is_normal_in", "is_subgroup", "normal_closure", "normalizer",
     "o_2prime", "setwise_stabilizer", "sylow_2", "trivial_group",
-    "ConjugacyClassSet", "EnumerationThresholdError", "SampledClassSet", "conjugacy_classes",
+    "ConjugacyClassSet", "EnumerationThresholdError", "conjugacy_classes",
     "Cyclotomic", "parse_cyclotomic", "render_cyclotomic",
     "CharacterTable", "CharacterTableError", "ClassFunction", "atlas_string",
     "decompose", "fs_indicator", "inner_product", "perm_character",

@@ -21,8 +21,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from .classes import ConjugacyClassSet
 from .cyclo import Cyclotomic, reduce_mod_phi
 from .group import PermGroup, check_subgroup, coset_action
+from .perm import mul_images, packer
 
 
 def _coerce_value(v) -> Cyclotomic:
@@ -350,8 +352,8 @@ def perm_character(G: PermGroup, H: PermGroup, classes) -> ClassFunction:
 def perm_character_by_fusion(G: PermGroup, H: PermGroup, classes) -> ClassFunction:
     """pi = 1_H^G by the induced-character formula
     pi(k) = |G| |H & C_k| / (|H| |C_k|), counting |H & C_k| with one
-    `classify` lookup per element of H. Raises ValueError unless H is a
-    subgroup of G, before any lookup.
+    `classify` lookup per element of H (packed for a `ConjugacyClassSet`).
+    Raises ValueError unless H is a subgroup of G, before any lookup.
 
     The counts and class sizes are pooled per value b = classify(rep_k),
     so pi(k) = |G| count[b] / (|H| sum of the sizes in b). For exact class
@@ -363,10 +365,12 @@ def perm_character_by_fusion(G: PermGroup, H: PermGroup, classes) -> ClassFuncti
     check_subgroup(G, H)
     counts = [0] * len(classes.sizes)
     classify = classes.classify
-    for h in H.element_images_iter():
+    # a class set's element map is keyed packed; a matching reads image tuples
+    pack = packer(G.degree) if isinstance(classes, ConjugacyClassSet) else tuple
+    for h in map(pack, H.element_images_iter()):
         counts[classify(h)] += 1
     pooled = [0] * len(classes.sizes)
-    buckets = [classify(r.images) for r in classes.reps]
+    buckets = [classify(pack(r.images)) for r in classes.reps]
     for b, s in zip(buckets, classes.sizes):
         pooled[b] += s
     g_order, h_order = G.order(), H.order()
@@ -449,8 +453,6 @@ def fs_indicator(row: ClassFunction, table: CharacterTable) -> int:
 def fs_indicator_brute(row: ClassFunction, group: PermGroup, classify) -> Fraction:
     """Independent oracle: literally (1/|G|) sum over group elements of
     row(class of g^2). `classify` maps an image tuple to a class index."""
-    from .perm import mul_images
-
     counts: dict = {}
     for g in group.element_images_iter():
         k = classify(mul_images(g, g))

@@ -1,8 +1,8 @@
-"""Conjugacy classes: by full enumeration for groups below a size threshold
-(`ConjugacyClassSet`), and by seeded sampling above it (`SampledClassSet`).
+"""Conjugacy classes: one `ConjugacyClassSet`, each class walked whole below
+a size threshold, discovered by seeded sampling above it or given a table.
 
-Enumerated class representatives are the lexicographically least members of
-their classes and classes are sorted by (element order, class size,
+Whole-walked class representatives are the lexicographically least members
+of their classes and classes are sorted by (element order, class size,
 representative images), so the result is identical no matter how the group
 was generated or in what order elements are visited.
 """
@@ -62,83 +62,6 @@ class _PackedKeys(dict):
         return self[bytes(key)]
 
 
-class ConjugacyClassSet:
-    """Classes of an enumerable group.
-
-    The class data `dixon.character_table` reads: group, reps (lex-least
-    Permutation per class), sizes, orders, classify (element -> class
-    index, one lookup in the element map the enumeration builds and keeps)
-    and elements (class index -> its members). The enumeration walks,
-    keys and keeps every element packed (`perm.packer`): as bytes up to
-    degree 256, as the image tuple above. `classify` takes an image tuple
-    or a packed element; packed, it is one dict probe on a cached hash.
-    `elements(i)` returns the members packed. Class 0 is the identity
-    class. The enumeration stops as soon as the classes found hold |G|
-    elements. Its classify is exact, so its `ambiguity_groups` (see
-    `tableio.ClassMatching`) are none.
-    """
-
-    ambiguity_groups = ()
-
-    def __init__(self, group: PermGroup, threshold: int = DEFAULT_ENUMERATION_THRESHOLD):
-        if group.order() > threshold:
-            raise EnumerationThresholdError(
-                f"group order {group.order()} exceeds enumeration threshold {threshold};"
-                " use table-based class matching instead"
-            )
-        self.group = group
-
-        pack = packer(group.degree)
-        element_class = _PackedKeys() if pack is bytes else {}
-        raw: list[tuple] = []  # (packed rep, packed members)
-        n = group.order()
-        for x in group.element_images_iter():
-            x = pack(x)
-            if x in element_class:
-                continue
-            orbit = conjugation_orbit(group, x, pack)
-            element_class.update(zip(orbit, repeat(len(raw))))
-            raw.append((min(orbit), tuple(orbit)))
-            if len(element_class) == n:
-                break
-
-        order_key = [order_of_images(rep) for rep, _ in raw]
-        perm = sorted(
-            range(len(raw)), key=lambda i: (order_key[i], len(raw[i][1]), raw[i][0])
-        )
-        newindex = [0] * len(raw)
-        for new, old in enumerate(perm):
-            newindex[old] = new
-        self.reps = [Permutation(raw[old][0]) for old in perm]
-        self.sizes = [len(raw[old][1]) for old in perm]
-        self.orders = [order_key[old] for old in perm]
-        self._members = [raw[old][1] for old in perm]
-
-        # renumber in place: only one element map exists at a time
-        for y, i in element_class.items():
-            element_class[y] = newindex[i]
-        self._element_class = element_class
-        self.classify = element_class.__getitem__
-
-    def __len__(self) -> int:
-        return len(self.reps)
-
-    def element_class_map(self) -> dict:
-        """Packed element -> class index: the map `classify` reads. It
-        also answers an image-tuple key."""
-        return self._element_class
-
-    def elements(self, i: int) -> tuple:
-        """The members of class i, packed."""
-        return self._members[i]
-
-
-def conjugacy_classes(
-    group: PermGroup, threshold: int = DEFAULT_ENUMERATION_THRESHOLD
-) -> ConjugacyClassSet:
-    return ConjugacyClassSet(group, threshold=threshold)
-
-
 def _invariant_set(images: tuple, ct: tuple) -> frozenset:
     """F(g) for g with cycle type ct: the points on the cycles of g of the
     length that covers the fewest points, ties going to the shorter length;
@@ -166,9 +89,7 @@ class _SetOrbit:
 
     def __init__(self, group: PermGroup, base: frozenset, pack):
         if len(base) == group.degree:
-            self.index = {base: 0}
-            self.stabilizer = group
-            self.key = pack
+            self.index, self.stabilizer, self.key = {base: 0}, group, pack
             return
         orbit, self.transversal, self.stabilizer = orbit_stabilizer(
             group, base, on_sets(point_maps(group)))
@@ -190,62 +111,66 @@ class _SetOrbit:
 
 class _WalkedClass:
     """One conjugacy class of G, kept as walked: `members` is the S-class
-    of `rep` moved onto F0 (S the stabilizer of F0 in the orbit `frame`),
-    so the whole class, packed, where S is G, and n = |F0^G| * |members|.
-    Two elements are G-conjugate exactly when their moved copies are
-    S-conjugate. `index` is the class's place in a complete set."""
+    of the rep moved onto F0 (S the stabilizer of F0 in the orbit
+    `frame`), so the whole class, packed, where S is G, and n = |F0^G| *
+    |members|. Two elements are G-conjugate exactly when their moved
+    copies are S-conjugate. `index` is the class's place in a complete set."""
 
-    __slots__ = ("rep", "frame", "members", "n", "index")
+    __slots__ = ("rep", "order", "frame", "members", "n", "index")
 
-    def __init__(self, rep: tuple, frame: _SetOrbit, moved: tuple):
-        self.rep = rep
-        self.frame = frame
-        self.members = conjugation_orbit(frame.stabilizer, moved, frame.key)
-        self.n = len(frame.index) * len(self.members)
+    def __init__(self, rep: tuple, order: int, frame: _SetOrbit, members):
+        self.rep, self.order, self.frame, self.members = rep, order, frame, members
+        self.n = len(frame.index) * len(members)
 
 
-class SampledClassSet:
-    """Classes of a group too large to enumerate, from seeded random elements.
+class ConjugacyClassSet:
+    """Conjugacy classes of a permutation group, in one of three modes.
 
-    Each element added goes into a bucket keyed (fingerprint, class size or
-    None), the fingerprint being (element order, cycle type); `buckets`
-    keeps the first element added per key. A class is sized only where its
-    size is part of the key:
+    - No `table`, |G| <= `threshold`: each element of `element_images_iter`
+      not yet in the element map opens a class, walked whole as its
+      conjugation orbit and kept as a tuple, its least member the rep; the
+      walk stops once the map holds |G| elements. `classify` is one probe
+      of that map (`element_class_map`).
+    - No `table`, above the threshold: classes are discovered from random
+      elements drawn from `seed`, with the coprime powers of each new
+      class, until the class sizes sum to |G| (RuntimeError after `budget`
+      samples). A class's rep is the first element added to it.
+    - Given `table`: the bucket store `tableio.find_representatives` fills
+      by `sample` and `add`, which sizes a class only for the element
+      orders whose table columns come in several sizes.
 
-    - Given `table`, for the element orders whose table columns come in
-      several sizes (the two order-4 classes of M22 on 22 points share a
-      cycle type but not a size). The set is then the bucket store that
-      `tableio.find_representatives` fills by `sample` and `add`.
-    - With no table, for every new class, and the coprime powers of a new
-      class, which include every class algebraically conjugate to it, are
-      added right away. Sampling from `seed` stops when the class sizes sum
-      to |G|, and raises RuntimeError if `budget` samples do not get there.
-      The set then holds the class data `dixon.character_table` reads:
-      group, reps (the first element added per class), sizes, orders,
-      classify and elements, classes sorted by (order, size, rep images).
+    Without a table the set holds the class data `dixon.character_table`
+    reads (group, reps, sizes, orders, classify, elements), classes sorted
+    by (order, size, rep images), and no `ambiguity_groups` (see
+    `tableio.ClassMatching`): `classify` is exact and takes an image tuple
+    or a packed (`perm.packer`) element, the form of the members.
 
-    A class is sized through the stabilizer S of an invariant point set
-    (`_invariant_set`) instead of being walked whole: |g^G| = |F0^G| *
-    |g0^S| for g0 the conjugate of g with invariant set F0. One orbit of
-    point sets, with its transversal and S, serves every class whose
-    invariant sets lie in it. On M22 the order-4 elements fix 2 points, so
-    S has order 1,920 and the two order-4 classes are walked as S-classes
-    of 60 and 120 elements instead of 13,860 and 27,720. Each class is
-    walked once and kept: as its S-class, or, where g has one cycle length
-    and F0 is every point, whole and packed (`perm.packer`). `_lookup`
-    finds the walked class of an element; sizing walks a new class on a
-    miss, and `classify` (an image tuple or a packed element) never walks.
-    `elements(i)` streams a class that is not kept whole from its S-class.
+    A sampled element goes into a bucket keyed (fingerprint, class size or
+    None); `buckets` keeps the first element added per key. A sampled class
+    is sized through the stabilizer S of its invariant point set F0
+    (`_invariant_set`), |g^G| = |F0^G| |g0^S| for g0 the conjugate of g
+    with invariant set F0, and kept as walked: as its S-class, or whole
+    where F0 is every point. `_lookup` finds an element's walked class;
+    sizing walks a new class on a miss, `classify` never walks, and
+    `elements(i)` streams a class not kept whole from its S-class.
     """
 
-    def __init__(self, group: PermGroup, table=None, seed: int = 0, budget: int = 100_000):
+    ambiguity_groups = ()
+    _element_class = None
+
+    def __init__(self, group: PermGroup, table=None, seed: int = 0, budget: int = 100_000,
+                 threshold: int = DEFAULT_ENUMERATION_THRESHOLD):
         self.group = group
+        self._pack = packer(group.degree)
+        self._classes: list = []  # every class walked, sorted once the set is complete
+        if table is None and group.order() <= threshold:
+            self._walk_whole()
+            return
         self.buckets: dict = {}
         self._frames: dict = {}  # size of the invariant set -> [_SetOrbit]
         self._walked: dict = {}  # cycle type -> [_WalkedClass]
         self._total = 0
         self._powers: set = set()
-        self._pack = packer(group.degree)
         self._walk_orders = None if table is None else {
             o for o in table.orders
             if len({s for o2, s in zip(table.orders, table.sizes) if o2 == o}) > 1
@@ -253,7 +178,56 @@ class SampledClassSet:
         identity = tuple(range(group.degree))
         self.add(identity, fingerprint(identity))
         if table is None:
-            self._discover(random.Random(seed), budget)
+            rng, used = random.Random(seed), 0
+            while self._total < group.order():
+                if used == budget:
+                    raise RuntimeError(f"class sizes sum to {self._total} of |G| ="
+                                       f" {group.order()} after {used} samples")
+                self.sample(rng, 1)
+                used += 1
+            self._sort()
+
+    def _walk_whole(self) -> None:
+        group, pack = self.group, self._pack
+        whole = _SetOrbit(group, frozenset(range(group.degree)), pack)
+        element_class = _PackedKeys() if pack is bytes else {}
+        n = group.order()
+        for x in group.element_images_iter():
+            x = pack(x)
+            if x in element_class:
+                continue
+            orbit = conjugation_orbit(group, x, pack)
+            element_class.update(zip(orbit, repeat(len(self._classes))))
+            rep = min(orbit)
+            self._classes.append(_WalkedClass(rep, order_of_images(rep), whole, tuple(orbit)))
+            if len(element_class) == n:
+                break
+        # renumber in place: only one element map exists at a time
+        index = self._sort()
+        for y, i in element_class.items():
+            element_class[y] = index[i]
+        self._element_class = element_class
+        self.classify = element_class.__getitem__
+
+    def _sort(self) -> list:
+        """Sort the classes by (order, size, rep) and set reps, sizes and
+        orders; return the new index of each class in the order walked."""
+        walked = self._classes
+        self._classes = sorted(walked, key=lambda cls: (cls.order, cls.n, cls.rep))
+        for i, cls in enumerate(self._classes):
+            cls.index = i
+        self.reps = [Permutation(cls.rep) for cls in self._classes]
+        self.sizes = [cls.n for cls in self._classes]
+        self.orders = [cls.order for cls in self._classes]
+        return [cls.index for cls in walked]
+
+    def __len__(self) -> int:
+        return len(self.reps)
+
+    def element_class_map(self) -> dict | None:
+        """Packed element (or image tuple) -> class index: the map `classify`
+        reads when every class is walked whole, else None."""
+        return self._element_class
 
     def sample(self, rng: random.Random, n: int) -> None:
         """Add n seeded-uniform elements of the group and all their powers."""
@@ -301,7 +275,9 @@ class SampledClassSet:
         if frame is None:
             frame = _SetOrbit(self.group, points, self._pack)
             frames.append(frame)
-        cls = _WalkedClass(images, frame, frame.move(images, points))
+        members = conjugation_orbit(frame.stabilizer, frame.move(images, points), frame.key)
+        cls = _WalkedClass(images, order, frame, members)
+        self._classes.append(cls)
         self._walked.setdefault(ct, []).append(cls)
         self._total += cls.n
         if self._walk_orders is None:
@@ -314,24 +290,6 @@ class SampledClassSet:
                         self._powers.add(h)
                         self.add(h, fp)
         return cls.n
-
-    def _discover(self, rng: random.Random, budget: int) -> None:
-        order = self.group.order()
-        used = 0
-        while self._total < order:
-            if used >= budget:
-                raise RuntimeError(
-                    f"class sizes sum to {self._total} of |G| = {order} after {used} samples"
-                )
-            self.sample(rng, 1)
-            used += 1
-        self._classes = sorted(chain.from_iterable(self._walked.values()),
-                               key=lambda cls: (order_of_images(cls.rep), cls.n, cls.rep))
-        for i, cls in enumerate(self._classes):
-            cls.index = i
-        self.reps = [Permutation(cls.rep) for cls in self._classes]
-        self.sizes = [cls.n for cls in self._classes]
-        self.orders = [order_of_images(cls.rep) for cls in self._classes]
 
     def classify(self, images: tuple) -> int:
         """Class index of an element (image tuple or packed) of the group:
@@ -350,3 +308,16 @@ class SampledClassSet:
             return cls.members
         moved = [self._pack(y) for y in cls.members]
         return chain.from_iterable(map(packed_conjugator(u), moved) for u in cls.frame.transversal)
+
+
+def conjugacy_classes(
+    group: PermGroup, threshold: int = DEFAULT_ENUMERATION_THRESHOLD
+) -> ConjugacyClassSet:
+    """The classes of `group`, each walked whole; EnumerationThresholdError
+    when |G| exceeds `threshold`."""
+    if group.order() > threshold:
+        raise EnumerationThresholdError(
+            f"group order {group.order()} exceeds enumeration threshold {threshold};"
+            " use table-based class matching instead"
+        )
+    return ConjugacyClassSet(group, threshold=threshold)

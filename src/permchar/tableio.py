@@ -10,14 +10,14 @@ table invariant (`CharacterTable.validate`).
 For groups too large to enumerate classes, `find_representatives` matches
 table columns to sampled group elements by invariant fingerprints (element
 order and cycle type in the group's own action), drawing `SAMPLE_ROUND`
-elements into a `classes.SampledClassSet` between matching attempts and
-propagating reps through the table's power maps and Galois conjugation.
+elements into a `classes.ConjugacyClassSet` bucket store between attempts
+and propagating reps through the table's power maps and Galois conjugation.
 Ambiguity groups are of two kinds. Columns that share a bucket key were
 Galois conjugate on every matching checked (about 50 groups), so no
 rational class function sees which is which. Columns where two
 power-consistent assignments differ have keys of their own; swapping
 their reps can change a rational class function (the natural character
-of d8 or s6). The matching keeps its `SampledClassSet` and classifies
+of d8 or s6). The matching keeps its bucket store and classifies
 elements by their bucket key, which is exact up to the shared keys.
 """
 
@@ -268,10 +268,10 @@ class ClassMatching:
     power-consistent assignments differ, which have keys of their own and
     on which a rational class function need not be constant. `reps[c]`
     lies in the class of column c for the assignment the matching chose.
-    `classify` maps an element to the first column assigned its
-    `SampledClassSet` bucket key, so it is exact only up to the columns
-    that share a key. Where the key holds a class size, the element is
-    moved onto a base invariant point set and looked up in a class of that
+    `classify` maps an element to the first column assigned its bucket
+    key (`classes.ConjugacyClassSet.add`), so it is exact only up to the
+    columns that share a key. Where the key holds a class size, the element
+    is moved onto a base invariant point set and looked up in a class of that
     set's stabilizer, not in a walked class of G. Every other key is fixed
     by the element's fingerprint alone, so its column is memoized by
     fingerprint: such an element costs one walk of its cycles and one dict
@@ -280,7 +280,7 @@ class ClassMatching:
 
     def __init__(self, table: CharacterTable, group: PermGroup, reps: list,
                  ambiguity_groups: list, samples_used: int,
-                 sampled: classes.SampledClassSet, columns: dict):
+                 sampled: classes.ConjugacyClassSet, columns: dict):
         self.table = table
         self.group = group
         self.reps = reps
@@ -320,7 +320,7 @@ def find_representatives(
 
     Fingerprints are (element order, cycle type) in G's own permutation
     action, refined by the exact class size where the table demands it
-    (`SampledClassSet` sizes a class through a point-set stabilizer).
+    (`ConjugacyClassSet` sizes a class through a point-set stabilizer).
     Power harvesting (all powers of each sample) reaches small classes
     quickly. The assignment search is deterministic. The ambiguity groups
     are the columns that share a bucket key, and the columns where two
@@ -334,7 +334,7 @@ def find_representatives(
     if budget is None:
         budget = 10_000 * k
     rng = random.Random(seed)
-    sampled = classes.SampledClassSet(G, table)
+    sampled = classes.ConjugacyClassSet(G, table)
     used = 0
     last_error = "no sampling performed"
     while True:
@@ -353,7 +353,7 @@ def find_representatives(
 
 
 def _assign(
-    G: PermGroup, table: CharacterTable, sampled: classes.SampledClassSet, used: int
+    G: PermGroup, table: CharacterTable, sampled: classes.ConjugacyClassSet, used: int
 ) -> ClassMatching:
     k = table.n_classes
     primes = sorted(table.power_maps)

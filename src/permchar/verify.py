@@ -96,10 +96,10 @@ _BUNDLED_TABLES = {"m11", "m22", "m23"}
 
 class GroupContext:
     """A group together with its character table and its class data
-    `classes`: an enumerated `ConjugacyClassSet`, or a `ClassMatching` of
+    `classes`: a whole-walked `ConjugacyClassSet`, or a `ClassMatching` of
     the table to sampled classes. Both have group, reps, sizes, orders,
     classify and ambiguity_groups: a classify is exact only up to its
-    ambiguity groups, which an enumeration does not have.
+    ambiguity groups, which a class set does not have.
     Built by `for_group` (or `for_family`)."""
 
     def __init__(self, name, group, table, classes, threshold, corpus_group):

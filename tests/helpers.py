@@ -1,14 +1,22 @@
 """Helpers that only the tests use: the theorem-D families, class
 functions, a group-file writer, conjugation of Permutations, an unguarded
 fixed-coset count, a second resolution of a matching's ambiguity groups,
-and a reference Schreier-Sims."""
+a reference class enumeration and a reference Schreier-Sims."""
 
 from fractions import Fraction
 from pathlib import Path
 
 from permchar.charfun import CharacterTable, ClassFunction
+from permchar.classes import conjugation_orbit
 from permchar.group import _FULL_TRANSVERSAL_MAX_DEGREE, PermGroup
-from permchar.perm import Permutation, cycle_string, identity_images, inv_images, mul_images
+from permchar.perm import (
+    Permutation,
+    cycle_string,
+    identity_images,
+    inv_images,
+    mul_images,
+    order_of_images,
+)
 
 
 # the groups on which the tests check theorem D and its Sylow 2-subgroup counts
@@ -70,6 +78,39 @@ def alternate_reps(matching) -> list:
         for a, b in zip(grp, grp[1:] + grp[:1]):
             out[b] = matching.reps[a]
     return out
+
+
+class ClassEnumeration:
+    """The reference class data of an enumerable group, on image tuples:
+    every element is visited, each one not yet classified opens a class
+    walked whole as its conjugation orbit, the lexicographically least
+    member is the class's rep, and the classes are sorted by (element
+    order, class size, rep images). `classify` takes an image tuple, and
+    `elements(i)` is the set of members of class i."""
+
+    def __init__(self, group: PermGroup):
+        self.group = group
+        element_class: dict = {}
+        orbits = []
+        for x in group.element_images_iter():
+            if x not in element_class:
+                orbit = conjugation_orbit(group, x)
+                element_class.update(dict.fromkeys(orbit, len(orbits)))
+                orbits.append(orbit)
+        keys = [(order_of_images(min(o)), len(o), min(o)) for o in orbits]
+        ranked = sorted(range(len(orbits)), key=keys.__getitem__)
+        self.reps = [Permutation(keys[i][2]) for i in ranked]
+        self.sizes = [keys[i][1] for i in ranked]
+        self.orders = [keys[i][0] for i in ranked]
+        self._members = [orbits[i] for i in ranked]
+        index = {old: new for new, old in enumerate(ranked)}
+        self.classify = {x: index[i] for x, i in element_class.items()}.__getitem__
+
+    def __len__(self) -> int:
+        return len(self.reps)
+
+    def elements(self, i: int) -> set:
+        return self._members[i]
 
 
 class _ReferenceLevel:

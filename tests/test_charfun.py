@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from permchar import corpus, verify
+from permchar import classes, corpus, verify
 from permchar.charfun import (
     ClassFunction,
     atlas_string,
@@ -92,6 +92,24 @@ def _sweep_subgroups(G) -> list:
     subgroups = [H for seed in (0, 1)
                  for _, H in verify.sample_subgroups(G, seed=seed, budget=14)]
     return subgroups + [trivial_group(G.degree), G]
+
+
+@pytest.mark.parametrize("family", ["s4", "a5", "psl2_11", "agl1_27", "c3q16"])
+def test_fusion_on_a_sweep_context_probes_only_packed_keys(monkeypatch, family):
+    """Fusion packs H's elements and the class reps (`perm.packer`), so the
+    packed element map of a sweep context answers every `classify` with
+    one probe and never falls back to `_PackedKeys.__missing__`."""
+    ctx = verify.context(family)
+    subgroups = _sweep_subgroups(ctx.group)
+    want = [perm_character_values(coset_action(ctx.group, H), ctx.classes.reps)
+            for H in subgroups]
+
+    def unpacked(self, key):
+        raise AssertionError(f"classify was given an unpacked key {key!r}")
+
+    monkeypatch.setattr(classes._PackedKeys, "__missing__", unpacked)
+    assert isinstance(ctx.classes.element_class_map(), classes._PackedKeys)
+    assert [perm_character_by_fusion(ctx.group, H, ctx.classes) for H in subgroups] == want
 
 
 @pytest.mark.parametrize("family", verify.SWEEP_FAMILIES + sorted(

@@ -2,20 +2,27 @@ import random
 
 import pytest
 
-from permchar import corpus
+from permchar import classes, corpus
 from permchar.classes import (
+    ConjugacyClassSet,
     EnumerationThresholdError,
-    SampledClassSet,
     _invariant_set,
     conjugacy_classes,
     conjugation_orbit,
 )
 from permchar.dixon import character_table
 from permchar.group import PermGroup, trivial_group
-from permchar.perm import cycle_type, inv_images, packer, parse_permutation, power_images
+from permchar.perm import (
+    Permutation,
+    cycle_type,
+    inv_images,
+    packer,
+    parse_permutation,
+    power_images,
+)
 from permchar.verify import SWEEP_FAMILIES
 
-from helpers import conj_images
+from helpers import ClassEnumeration, conj_images
 
 
 def _inverse_classes(C) -> list:
@@ -218,6 +225,73 @@ def test_enumeration_stops_once_the_classes_cover_the_group(monkeypatch):
     assert C.classify(visited[-1]) not in {C.classify(x) for x in visited[:-1]}
 
 
+ORACLE_FAMILIES = SWEEP_FAMILIES + ["psl2_23", "a7", "d512", "d514", "c257", "c300"]
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES)
+def test_class_set_agrees_with_the_reference_enumeration(family):
+    """Below the threshold every class is walked whole: the same reps,
+    sizes, orders and members as `ClassEnumeration`, and the same class
+    for every element, as an image tuple and packed. With threshold 0 the
+    classes are sampled and reps are first-sampled elements, so the
+    numbering differs by a bijection that keeps (order, size), and
+    `classify` (image tuple or packed) is that bijection on every element."""
+    G = corpus.build(family).group
+    E = ClassEnumeration(G)
+    C = conjugacy_classes(G)
+    S = ConjugacyClassSet(G, seed=0, threshold=0)
+    pack = packer(G.degree)
+    assert [r.images for r in C.reps] == [r.images for r in E.reps]
+    assert (C.sizes, C.orders) == (E.sizes, E.orders)
+    for i in range(len(C)):
+        assert set(C.elements(i)) == {pack(y) for y in E.elements(i)}
+    assert sorted(zip(S.orders, S.sizes)) == sorted(zip(E.orders, E.sizes))
+    sigma: dict = {}
+    for x in G.element_images_iter():
+        k = E.classify(x)
+        assert C.classify(x) == C.classify(pack(x)) == k
+        assert sigma.setdefault(k, S.classify(x)) == S.classify(pack(x))
+    assert sorted(sigma.values()) == list(range(len(S)))
+    assert all((S.orders[j], S.sizes[j]) == (E.orders[k], E.sizes[k]) for k, j in sigma.items())
+
+
+def test_whole_walk_draws_no_random_element(monkeypatch):
+    """Below the threshold nothing is sampled and no point-set orbit is
+    built: the one frame is the trivial one of every point."""
+    groups = [corpus.build(family).group for family in ("m11", "a7", "psl2_23", "agl1_27")]
+
+    def forbidden(self, rng):
+        raise AssertionError("the whole walk drew a random element")
+
+    frames = []
+
+    class RecordedOrbit(classes._SetOrbit):
+        def __init__(self, group, base, pack):
+            frames.append(len(base) == group.degree)
+            super().__init__(group, base, pack)
+
+    monkeypatch.setattr(PermGroup, "random_element", forbidden)
+    monkeypatch.setattr(classes, "_SetOrbit", RecordedOrbit)
+    for G in groups:
+        C = conjugacy_classes(G)
+        assert sum(C.sizes) == G.order()
+    assert frames == [True] * len(groups)
+
+
+def test_whole_walk_finds_sixteen_thousand_singleton_classes():
+    """14 disjoint transpositions on 28 points generate an elementary
+    abelian group of order 2^14, whose 16,384 classes have one element
+    each. Sampling would need about 16,384 ln 16,384, some 159,000
+    draws, to see them all, past its default budget of 100,000; the
+    whole walk visits each element once."""
+    G = PermGroup([Permutation.from_cycles(28, [(2 * i, 2 * i + 1)]) for i in range(14)], 28)
+    C = conjugacy_classes(G)
+    assert len(C) == G.order() == 16_384
+    assert set(C.sizes) == {1} and C.orders.count(2) == 16_383
+    assert len(C.element_class_map()) == G.order()
+    assert all(C.classify(r.images) == i for i, r in enumerate(C.reps))
+
+
 def test_real_class_indices_agree_with_inversion():
     for family, real in [("d10", [0, 1, 2, 3]), ("c3", [0])]:
         G = corpus.build(family).group
@@ -235,7 +309,7 @@ def test_real_class_indices_agree_with_inversion():
 def test_sampled_classes_agree_with_enumerated_classes(family, enumerated_classes):
     C = enumerated_classes(family)
     G = C.group
-    S = SampledClassSet(G, seed=0)
+    S = ConjugacyClassSet(G, seed=0, threshold=0)
     # sampled reps are first-sampled elements, not lex-least, so the two
     # numberings agree up to the bijection sigma
     sigma = [C.classify(r.images) for r in S.reps]
@@ -254,7 +328,7 @@ def test_sampled_elements_are_the_conjugation_orbits(family):
     every member in class i and walks nothing. Above degree 256 both kinds
     of frame keep image tuples (d514, c257)."""
     G = corpus.build(family).group
-    S = SampledClassSet(G, seed=0)
+    S = ConjugacyClassSet(G, seed=0, threshold=0)
     pack = packer(G.degree)
     walked = {ct: list(classes) for ct, classes in S._walked.items()}
     total = S._total
@@ -268,7 +342,7 @@ def test_sampled_elements_are_the_conjugation_orbits(family):
 
 def test_sampled_classes_raise_when_the_budget_runs_out():
     with pytest.raises(RuntimeError, match=r"class sizes sum to \d+ of \|G\| = 7920 after 1 samples"):
-        SampledClassSet(corpus.build("m11").group, seed=0, budget=1)
+        ConjugacyClassSet(corpus.build("m11").group, seed=0, budget=1, threshold=0)
 
 
 @pytest.mark.parametrize("family", [
@@ -281,7 +355,7 @@ def test_reduced_class_sizes_equal_whole_class_walks(family):
     """A class sized through the stabilizer of its invariant point set has
     the size of its whole conjugation orbit in G."""
     G = corpus.build(family).group
-    S = SampledClassSet(G, seed=0)
+    S = ConjugacyClassSet(G, seed=0, threshold=0)
     assert S.sizes == [len(conjugation_orbit(G, r.images)) for r in S.reps]
     lengths = [set(r.cycle_type()) for r in S.reps]
     if family == "c300":

@@ -379,6 +379,22 @@ def test_every_verb_output_matches_its_pin(capsys, argv, status, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_sweep_text_mode_converts_no_report(capsys, monkeypatch):
+    """Text mode prints the failures and the counts only, so no report is
+    converted to JSON: with `to_json` raising, stdout still matches its pin."""
+    from permchar.verify import VerificationReport
+
+    def unconverted(self):
+        raise AssertionError("text mode converted a report to JSON")
+
+    monkeypatch.setattr(VerificationReport, "to_json", unconverted)
+    argv, status, digest = next(pin for pin in PINNED_VERB_OUTPUTS
+                                if pin[0] == ("sweep", "--min-pairs", "1"))
+    code, out, _ = run(capsys, *argv)
+    assert code == status
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def _readme_examples() -> list:
     """The `permchar ...` lines of the README's "Command line" block, as
     (argv, the output after `# ->` or None)."""

@@ -5,7 +5,7 @@ from math import lcm, prod
 import pytest
 
 from permchar import corpus, dixon
-from permchar.classes import SampledClassSet, conjugacy_classes, conjugation_orbit
+from permchar.classes import ConjugacyClassSet, conjugacy_classes, conjugation_orbit
 from permchar.dixon import (
     character_table,
     class_matrix,
@@ -447,7 +447,7 @@ def test_sampled_class_data_gives_the_enumerated_m11_table():
     `classify` interface as enumerated classes: on M11 the two tables
     serialize identically and match the bundled file."""
     G = corpus.build("m11").group
-    T = character_table(G, SampledClassSet(G, seed=0), name="m11")
+    T = character_table(G, ConjugacyClassSet(G, seed=0, threshold=0), name="m11")
     assert serialize_table(T) == serialize_table(character_table(G, name="m11"))
     assert tables_match(T, bundled_table("m11"))
 

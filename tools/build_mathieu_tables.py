@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Regenerate the bundled M22 and M23 character-table files.
 
-M22 (order 443520) is within the enumeration threshold, so its table comes
-straight from the exact Dixon-Schneider driver over fully enumerated
-classes. M23 (order 10200960) is too large to enumerate, so its class data
-is `classes.SampledClassSet`: classes discovered by seeded sampling, sized
-and told apart (the algebraically-conjugate pairs that share a cycle type
-included) through the stabilizer of an invariant point set, and
-completeness proven by the class sizes summing to the group order. Each table must pass the full orthogonality validation before
-it is written.
+Both tables come from the exact Dixon-Schneider driver over a
+`classes.ConjugacyClassSet`. M22 (order 443520) is within the enumeration
+threshold, so each of its classes is walked whole. M23 (order 10200960)
+is above it, so its classes are discovered by seeded sampling (seed 0),
+sized and told apart (the algebraically-conjugate pairs that share a
+cycle type included) through the stabilizer of an invariant point set,
+and completeness is proven by the class sizes summing to the group
+order. Each table must pass the full orthogonality validation before it
+is written.
 
 For each file it prints the sha256 it wrote and whether that file is
 byte-identical to the one it replaced. When it is not, it also prints
@@ -27,7 +28,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from permchar import corpus
-from permchar.classes import SampledClassSet, conjugacy_classes
+from permchar.classes import ConjugacyClassSet, conjugacy_classes
 from permchar.dixon import character_table
 from permchar.tableio import parse_table, save_table, tables_match
 
@@ -78,7 +79,7 @@ def build(tables_dir, name, class_data):
 def main():
     tables_dir = Path(__file__).resolve().parent.parent / "src/permchar/data/tables"
     build(tables_dir, "m22", conjugacy_classes)
-    build(tables_dir, "m23", lambda G: SampledClassSet(G, seed=0))
+    build(tables_dir, "m23", lambda G: ConjugacyClassSet(G, seed=0))
 
 
 if __name__ == "__main__":
