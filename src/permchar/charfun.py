@@ -21,10 +21,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .classes import ConjugacyClassSet
 from .cyclo import Cyclotomic, reduce_mod_phi
-from .group import PermGroup, check_subgroup, coset_action
-from .perm import mul_images, packer
+from .group import PermGroup, check_subgroup, coset_action, orbit_closure
+from .perm import mul_images, packed_conjugator, packer
 
 
 def _coerce_value(v) -> Cyclotomic:
@@ -333,16 +332,18 @@ def _as_class_function(a) -> ClassFunction:
 
 def perm_character(G: PermGroup, H: PermGroup, classes) -> ClassFunction:
     """The permutation character pi = 1_H^G at the representatives of the
-    class data `classes` (group, reps, sizes, orders and classify): its
-    value at a class is the number of cosets of H fixed by the
-    representative. Raises ValueError unless H is a subgroup of G.
+    class data `classes` (group, reps, sizes, orders, classify and
+    element_class_map): its value at a class is the number of cosets of H
+    fixed by the representative. Raises ValueError unless H is a subgroup
+    of G.
 
     This is the one place that picks how pi is computed. If |H| <= k [G:H]
     for k classes, pi comes from the class fusion of H
-    (`perm_character_by_fusion`): |H| `classify` lookups. Otherwise G acts
-    on the [G:H] cosets and each representative is sifted through H once
-    per coset that passes the orbit guard of `CosetAction.fixed_cosets`,
-    at most k [G:H] sifts in all.
+    (`perm_character_by_fusion`): one element-map probe per element of H
+    when every class of G is walked whole, else one `classify` per class
+    of H. Otherwise G acts on the [G:H] cosets and each representative is
+    sifted through H once per coset that passes the orbit guard of
+    `CosetAction.fixed_cosets`, at most k [G:H] sifts in all.
     """
     if H.order() <= len(classes.sizes) * (G.order() // H.order()):
         return perm_character_by_fusion(G, H, classes)
@@ -351,9 +352,17 @@ def perm_character(G: PermGroup, H: PermGroup, classes) -> ClassFunction:
 
 def perm_character_by_fusion(G: PermGroup, H: PermGroup, classes) -> ClassFunction:
     """pi = 1_H^G by the induced-character formula
-    pi(k) = |G| |H & C_k| / (|H| |C_k|), counting |H & C_k| with one
-    `classify` lookup per element of H (packed for a `ConjugacyClassSet`).
-    Raises ValueError unless H is a subgroup of G, before any lookup.
+    pi(k) = |G| |H & C_k| / (|H| |C_k|). Raises ValueError unless H is a
+    subgroup of G, before any lookup.
+
+    With an element map (`element_class_map`, every class of G walked
+    whole) |H & C_k| counts one packed probe per element of H: a probe is
+    cheaper than walking the classes of H. Without one (a matching, or
+    classes sampled above the threshold) `classify` walks the element's
+    cycles and may move it onto a base point set, and it is a class
+    function, so H is walked class by class (`orbit_closure` under its
+    generators, packed) and each class of H costs one `classify` of its
+    first member, counted with the length of the class.
 
     The counts and class sizes are pooled per value b = classify(rep_k),
     so pi(k) = |G| count[b] / (|H| sum of the sizes in b). For exact class
@@ -363,17 +372,29 @@ def perm_character_by_fusion(G: PermGroup, H: PermGroup, classes) -> ClassFuncti
     constant on them, and the pooled ratio is that constant.
     """
     check_subgroup(G, H)
+    g_order, h_order = G.order(), H.order()
     counts = [0] * len(classes.sizes)
-    classify = classes.classify
-    # a class set's element map is keyed packed; a matching reads image tuples
-    pack = packer(G.degree) if isinstance(classes, ConjugacyClassSet) else tuple
-    for h in map(pack, H.element_images_iter()):
-        counts[classify(h)] += 1
+    classify, pack = classes.classify, packer(G.degree)
+    if classes.element_class_map() is not None:
+        # classify is the element map's probe, keyed packed
+        key = pack
+        for h in map(pack, H.element_images_iter()):
+            counts[classify(h)] += 1
+    else:
+        key, seen = tuple, set()
+        conjugators = [packed_conjugator(g.images) for g in H.generators]
+        for h in map(pack, H.element_images_iter()):
+            if h in seen:
+                continue
+            orbit = orbit_closure(h, conjugators)
+            seen |= orbit
+            counts[classify(tuple(h))] += len(orbit)
+            if len(seen) == h_order:
+                break
     pooled = [0] * len(classes.sizes)
-    buckets = [classify(pack(r.images)) for r in classes.reps]
+    buckets = [classify(key(r.images)) for r in classes.reps]
     for b, s in zip(buckets, classes.sizes):
         pooled[b] += s
-    g_order, h_order = G.order(), H.order()
     return ClassFunction([Fraction(g_order * counts[b], h_order * pooled[b]) for b in buckets])
 
 

@@ -10,7 +10,7 @@ was generated or in what order elements are visited.
 from __future__ import annotations
 
 import random
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from math import gcd, lcm
 
 from .cyclo import divisors
@@ -19,6 +19,7 @@ from .perm import (
     Permutation,
     cycle_type,
     cycles_of_images,
+    identity_images,
     inv_images,
     mul_images,
     order_of_images,
@@ -170,7 +171,7 @@ class ConjugacyClassSet:
         self._frames: dict = {}  # size of the invariant set -> [_SetOrbit]
         self._walked: dict = {}  # cycle type -> [_WalkedClass]
         self._total = 0
-        self._powers: set = set()
+        self._powers: dict = {}  # coprime power added -> (its family's powers, exponent)
         self._walk_orders = None if table is None else {
             o for o in table.orders
             if len({s for o2, s in zip(table.orders, table.sizes) if o2 == o}) > 1
@@ -280,14 +281,21 @@ class ConjugacyClassSet:
         self._classes.append(cls)
         self._walked.setdefault(ct, []).append(cls)
         self._total += cls.n
-        if self._walk_orders is None:
+        if self._walk_orders is None and order > 2:
+            # a coprime power generates the same cyclic group: same fingerprint;
+            # the powers of a new power are these again, so each is added once.
+            # The family's powers are listed once: images = base^e, so
+            # images^k = base^(e k).
+            powers, e = self._powers.get(images, (None, 1))
+            if powers is None:
+                powers = list(accumulate(repeat(images, order - 1), mul_images,
+                                         initial=identity_images(len(images))))
             for k in range(2, order):
                 if gcd(k, order) == 1:
-                    # a coprime power generates the same cyclic group: same fingerprint;
-                    # the powers of a new power are these again, so each is added once
-                    h = power_images(images, k)
+                    ek = e * k % order
+                    h = powers[ek]
                     if h not in self._powers:
-                        self._powers.add(h)
+                        self._powers[h] = (powers, ek)
                         self.add(h, fp)
         return cls.n
 

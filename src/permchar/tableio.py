@@ -275,7 +275,9 @@ class ClassMatching:
     set's stabilizer, not in a walked class of G. Every other key is fixed
     by the element's fingerprint alone, so its column is memoized by
     fingerprint: such an element costs one walk of its cycles and one dict
-    probe.
+    probe. A matching has no element map, so class fusion
+    (`charfun.perm_character_by_fusion`) calls `classify` once per
+    conjugacy class of H, not once per element.
     """
 
     def __init__(self, table: CharacterTable, group: PermGroup, reps: list,
@@ -293,6 +295,11 @@ class ClassMatching:
 
     sizes = property(lambda self: self.table.sizes)
     orders = property(lambda self: self.table.orders)
+
+    def element_class_map(self) -> None:
+        """None: a matching has no element map (see
+        `classes.ConjugacyClassSet.element_class_map`)."""
+        return None
 
     def classify(self, images: tuple) -> int:
         """The column of an element (image tuple) of the group, up to the

@@ -1,7 +1,8 @@
 """Helpers that only the tests use: the theorem-D families, class
 functions, a group-file writer, conjugation of Permutations, an unguarded
 fixed-coset count, a second resolution of a matching's ambiguity groups,
-a reference class enumeration and a reference Schreier-Sims."""
+a reference class enumeration, a per-element class fusion and a reference
+Schreier-Sims."""
 
 from fractions import Fraction
 from pathlib import Path
@@ -78,6 +79,22 @@ def alternate_reps(matching) -> list:
         for a, b in zip(grp, grp[1:] + grp[:1]):
             out[b] = matching.reps[a]
     return out
+
+
+def fusion_by_elements(G: PermGroup, H: PermGroup, classes) -> ClassFunction:
+    """pi = 1_H^G by the induced-character formula with one `classify` per
+    element of H, on image tuples, counts and class sizes pooled per
+    classify(rep): the count `charfun.perm_character_by_fusion` made before
+    it walked H class by class."""
+    counts = [0] * len(classes.sizes)
+    for h in H.element_images_iter():
+        counts[classes.classify(h)] += 1
+    buckets = [classes.classify(r.images) for r in classes.reps]
+    pooled = [0] * len(classes.sizes)
+    for b, s in zip(buckets, classes.sizes):
+        pooled[b] += s
+    return ClassFunction([Fraction(G.order() * counts[b], H.order() * pooled[b])
+                          for b in buckets])
 
 
 class ClassEnumeration:

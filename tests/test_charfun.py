@@ -15,14 +15,14 @@ from permchar.charfun import (
     perm_character_by_fusion,
     perm_character_values,
 )
-from permchar.classes import conjugacy_classes
+from permchar.classes import ConjugacyClassSet, conjugacy_classes
 from permchar.cyclo import Cyclotomic, parse_cyclotomic
 from permchar.dixon import character_table
 from permchar.group import PermGroup, coset_action, sylow_2, trivial_group
 from permchar.perm import Permutation, inv_images, parse_permutation
 from permchar.tableio import ClassMatching, bundled_table
 
-from helpers import regular_character, trivial_character
+from helpers import fusion_by_elements, regular_character, trivial_character
 
 
 def _self_inverse_classes(C) -> list:
@@ -77,10 +77,9 @@ THEOREM_D_FAMILIES = ["c6", "s4", "a5", "psl3_2", "agl1_27", "q8", "sl23",
                       "d10", "q16", "a4", "c3q16", "f7_3", "f13_3", "a4c4"]
 
 
-def _assert_fusion_matches_coset_action(ctx, subgroups):
+def _assert_fusion_matches_coset_action(G, C, subgroups):
     """pi by class fusion, and by whichever path `perm_character` picks,
-    equals pi by the coset action at the context's class reps."""
-    G, C = ctx.group, ctx.classes
+    equals pi by the coset action at the reps of the class data C."""
     for H in subgroups:
         oracle = perm_character_values(coset_action(G, H), C.reps)
         assert perm_character_by_fusion(G, H, C) == oracle, H
@@ -121,7 +120,45 @@ def test_fusion_matches_coset_action(family):
     subgroups = _sweep_subgroups(ctx.group)
     if family in THEOREM_D_FAMILIES:
         subgroups.append(ctx.sylow2_normalizer())
-    _assert_fusion_matches_coset_action(ctx, subgroups)
+    _assert_fusion_matches_coset_action(ctx.group, ctx.classes, subgroups)
+
+
+@pytest.mark.parametrize("family", ["s4", "a5", "psl2_11", "agl1_27", "psl3_2"])
+def test_fusion_on_sampled_classes_matches_coset_action(family):
+    """Classes sampled above the threshold have no element map, so fusion
+    walks H class by class: pi equals the coset action's and the count
+    with one `classify` per element of H."""
+    G = verify.context(family).group
+    S = ConjugacyClassSet(G, seed=0, threshold=0)
+    assert S.element_class_map() is None
+    subgroups = _sweep_subgroups(G)
+    _assert_fusion_matches_coset_action(G, S, subgroups)
+    for H in subgroups:
+        assert perm_character_by_fusion(G, H, S) == fusion_by_elements(G, H, S), H
+
+
+@pytest.mark.parametrize("family", ["m11", "m22"])
+def test_matched_fusion_classifies_once_per_class_of_the_subgroup(monkeypatch, family):
+    """On a matching fusion calls `classify` once per conjugacy class of H
+    and once per class rep, not once per element of H, and pi equals the
+    coset action's and the per-element count: the paper's pairs of the
+    family and the sweep's subgroups of order and index at most 10,000."""
+    ctx = verify.context(family)
+    G, C = ctx.group, ctx.classes
+    assert isinstance(C, ClassMatching)
+    subgroups = [ctx.subgroup(s) for f, s, _, _ in verify.PAPER_TABLE_ITEMS if f == family]
+    subgroups += [H for H in _sweep_subgroups(G)
+                  if max(H.order(), G.order() // H.order()) <= 10_000]
+    calls = []
+    classify = ClassMatching.classify
+    monkeypatch.setattr(ClassMatching, "classify",
+                        lambda self, images: calls.append(images) or classify(self, images))
+    for H in subgroups:
+        calls.clear()
+        pi = perm_character_by_fusion(G, H, C)
+        assert len(calls) == len(conjugacy_classes(H)) + len(C.reps), H
+        assert pi == perm_character_values(coset_action(G, H), C.reps), H
+        assert pi == fusion_by_elements(G, H, C), H
 
 
 # the sweep families whose Dixon table `find_representatives` cannot match:
@@ -137,7 +174,7 @@ def test_fusion_matches_coset_action_on_matched_classes(family):
     enumerated = verify.context(family)
     ctx = verify.GroupContext.for_group(family, enumerated.group, table=enumerated.table)
     assert isinstance(ctx.classes, ClassMatching)
-    _assert_fusion_matches_coset_action(ctx, _sweep_subgroups(ctx.group))
+    _assert_fusion_matches_coset_action(ctx.group, ctx.classes, _sweep_subgroups(ctx.group))
 
 
 @pytest.mark.parametrize("family, selector", [
@@ -146,7 +183,7 @@ def test_fusion_matches_coset_action_on_matched_classes(family):
 ])
 def test_fusion_matches_coset_action_on_the_paper_pairs(family, selector):
     ctx = verify.context(family)
-    _assert_fusion_matches_coset_action(ctx, [ctx.subgroup(selector)])
+    _assert_fusion_matches_coset_action(ctx.group, ctx.classes, [ctx.subgroup(selector)])
 
 
 def test_both_perm_character_paths_reject_non_subgroups():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -338,6 +339,39 @@ def test_sampled_elements_are_the_conjugation_orbits(family):
         assert set(members) == conjugation_orbit(G, r.images, pack)
         assert all(S.classify(x) == i for x in members)
     assert S._walked == walked and S._total == total
+
+
+def test_sampled_coprime_powers_are_listed_once_per_galois_family(monkeypatch):
+    """The 256 classes of C257 are one Galois family: the coprime powers
+    of each new class are read off one list of the powers of the family's
+    first element, so the only `power_images` call is the sample's own
+    257th power in `sample` (65,281 calls when each power of each class
+    was computed on its own)."""
+    calls = []
+    monkeypatch.setattr(classes, "power_images",
+                        lambda p, n: calls.append(n) or power_images(p, n))
+    S = ConjugacyClassSet(corpus.build("c257").group, seed=0, threshold=0)
+    assert S.sizes == [1] * 257
+    assert calls == [257]
+
+
+# sha256 of repr([rep images]) of ConjugacyClassSet(G, seed=0, threshold=0):
+# a sampled rep is the first element added to its class, so these pin the
+# order of the samples and of the coprime powers added after each new class
+SAMPLED_REP_DIGESTS = {
+    "m11": "17e5266417042cd4d66989f9922974f4f9db41487d5ddbfc66fe9aaee58dc667",
+    "psl2_23": "0593ed9d7d2cd1831e78af29f48eed5cd06ae6a140156e9fb25a91da48735ba5",
+    "agl1_27": "cd9ee2b7a9d84cfb3d5ef36749be4ea7f4fff7aaa2d7e9341784de6a71382f99",
+    "d514": "2875d3b2201f50ab71f5c17687e94c354a062b0506b92faa83e784b311ce91d8",
+    "c257": "8e29d724b92e7b2d8a023bf93435e0206e4362da11983b52d21f997e18874002",
+}
+
+
+@pytest.mark.parametrize("family", sorted(SAMPLED_REP_DIGESTS))
+def test_sampled_reps_match_their_pins(family):
+    S = ConjugacyClassSet(corpus.build(family).group, seed=0, threshold=0)
+    digest = hashlib.sha256(repr([r.images for r in S.reps]).encode()).hexdigest()
+    assert digest == SAMPLED_REP_DIGESTS[family]
 
 
 def test_sampled_classes_raise_when_the_budget_runs_out():
