@@ -276,7 +276,13 @@ class PermGroup:
             yield Permutation(g)
 
     def pointwise_stabilizer(self, points) -> "PermGroup":
-        """Subgroup fixing every listed point."""
+        """Subgroup fixing every listed point. A chain built with no base
+        hint starts at its first generator's first moved point p, and it is
+        the chain that base_hint=[p] builds, so G_p takes the strong
+        generators below G's own first level."""
+        points = _checked_points(points, self.degree)
+        if len(points) == 1 and self._levels and self._levels[0].point == points[0]:
+            return PermGroup(self._stab_gens(1), self.degree)
         return PermGroup(_gens_fixing(self.generators, self.degree, points), self.degree)
 
     def __repr__(self) -> str:
@@ -543,9 +549,12 @@ def _coset_key(H: PermGroup, y: tuple) -> tuple:
     return y
 
 
-def _point_orbits(H: PermGroup) -> list:
-    """The orbits of H on its points, as frozensets, in order of least point."""
-    maps = point_maps(H)
+def _point_orbits(H: PermGroup, maps: list | None = None) -> list:
+    """The orbits on H's points of H, or of the group that `maps` generate
+    (one map per generator, on the same points), as frozensets, in order of
+    least point."""
+    if maps is None:
+        maps = point_maps(H)
     orbits: list = []
     seen: set = set()
     for start in range(H.degree):

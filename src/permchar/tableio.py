@@ -429,13 +429,20 @@ def _assign(
             )
         raise MatchingError("no fingerprint assignment satisfies the power maps")
 
-    chosen = full[0]
-    reps = _derive_reps(G, table, buckets, chosen)
-    ambiguity = _ambiguity_groups(table, chosen, full)
-    columns = {chosen[c]: c for c in reversed(range(k))}  # the first column per key
-    matching = ClassMatching(table, G, reps, ambiguity, used, sampled, columns)
-    _validate_matching(G, matching)
-    return matching
+    # the first full solution whose reps the natural character accepts;
+    # if none does, the first solution's error
+    first_error = None
+    for chosen in full:
+        try:
+            reps = _derive_reps(G, table, buckets, chosen)
+            ambiguity = _ambiguity_groups(table, chosen, full)
+            columns = {chosen[c]: c for c in reversed(range(k))}  # the first column per key
+            matching = ClassMatching(table, G, reps, ambiguity, used, sampled, columns)
+            _validate_matching(G, matching)
+            return matching
+        except MatchingError as exc:
+            first_error = first_error or exc
+    raise first_error
 
 
 def _derive_reps(G, table, buckets, assignment) -> list:

@@ -8,6 +8,7 @@ products, indicators from the squaring power map, parities from integers.
 from __future__ import annotations
 
 import random
+from math import lcm
 from operator import itemgetter
 
 from . import corpus
@@ -691,17 +692,22 @@ SWEEP_FAMILIES = [
 
 def sample_subgroups(G: PermGroup, seed: int = 0, budget: int = 12) -> list:
     """A deterministic sample of subgroups: cyclic and 2-generated random
-    subgroups, a point stabilizer, a Sylow 2-subgroup, and G itself."""
+    subgroups, a point stabilizer, a Sylow 2-subgroup, and G itself, at most
+    one per key (order, sorted orbit lengths).
+
+    A 2-generated sample <g,h> is proved redundant before its chain is
+    built where it can be: its order is a multiple of L = lcm(o(g), o(h),
+    its orbit lengths), so L = |G| proves <g,h> = G, and a kept subgroup K
+    with key (L, the same orbit lengths) that holds g and h is <g,h>."""
     rng = random.Random(seed)
     out = []
-    seen_orders = set()
+    kept = {}  # key -> the subgroup kept under it
 
     def push(name, H):
         key = (H.order(), tuple(sorted(len(o) for o in _point_orbits(H))))
-        if key in seen_orders:
-            return
-        seen_orders.add(key)
-        out.append((name, H))
+        if key not in kept:
+            kept[key] = H
+            out.append((name, H))
 
     push("whole", G)
     push("sylow2", sylow_2(G, seed=seed))
@@ -715,15 +721,24 @@ def sample_subgroups(G: PermGroup, seed: int = 0, budget: int = 12) -> list:
             # <g> has the order of g and the cycles of g as its orbits, so
             # g's fingerprint is <g>'s key and a cyclic sample is skipped
             # before its group is built
-            if fingerprint(g.images) not in seen_orders:
+            if fingerprint(g.images) not in kept:
                 H = PermGroup([g], G.degree)
                 push(f"cyclic{H.order()}", H)
-        else:
-            h = G.random_element(rng)
-            # G itself holds the "whole" key already, so its chain is not finished
-            H = proper_subgroup(G, [g, h])
-            if H is not None:
-                push(f"gen2_{H.order()}", H)
+            continue
+        h = G.random_element(rng)
+        lengths = tuple(sorted(
+            len(o) for o in _point_orbits(G, [g.images.__getitem__, h.images.__getitem__])
+        ))
+        L = lcm(g.order(), h.order(), *lengths)
+        if L == G.order():
+            continue
+        K = kept.get((L, lengths))
+        if K is not None and K.contains_images(g.images) and K.contains_images(h.images):
+            continue
+        # G itself holds the "whole" key already, so its chain is not finished
+        H = proper_subgroup(G, [g, h])
+        if H is not None:
+            push(f"gen2_{H.order()}", H)
     return out
 
 

@@ -1,15 +1,22 @@
 """Helpers that only the tests use: the theorem-D families, class
 functions, a group-file writer, conjugation of Permutations, an unguarded
 fixed-coset count, a second resolution of a matching's ambiguity groups,
-a reference class enumeration, a per-element class fusion and a reference
-Schreier-Sims."""
+a reference class enumeration, a per-element class fusion, a reference
+Schreier-Sims and a reference subgroup sampler."""
 
+import random
 from fractions import Fraction
 from pathlib import Path
 
 from permchar.charfun import CharacterTable, ClassFunction
-from permchar.classes import conjugation_orbit
-from permchar.group import _FULL_TRANSVERSAL_MAX_DEGREE, PermGroup
+from permchar.classes import conjugation_orbit, fingerprint
+from permchar.group import (
+    _FULL_TRANSVERSAL_MAX_DEGREE,
+    PermGroup,
+    _point_orbits,
+    proper_subgroup,
+    sylow_2,
+)
 from permchar.perm import (
     Permutation,
     cycle_string,
@@ -264,3 +271,41 @@ def chain_levels(levels) -> list:
     full-mode entries are the transversal images, vector-mode entries the
     Schreier vector, which with the orbit generators fixes them."""
     return [(lv.point, lv.gens, list(lv.orbit.items()), lv.orbit_gens) for lv in levels]
+
+
+def reference_sample_subgroups(G: PermGroup, seed: int = 0, budget: int = 12, pairs=None) -> list:
+    """`verify.sample_subgroups` as it was before it proved 2-generated
+    samples redundant: it builds every 2-generated sample with
+    `proper_subgroup`. Each 2-generated draw (g, h) is appended to `pairs`
+    when a list is given."""
+    rng = random.Random(seed)
+    out = []
+    seen_orders = set()
+
+    def push(name, H):
+        key = (H.order(), tuple(sorted(len(o) for o in _point_orbits(H))))
+        if key in seen_orders:
+            return
+        seen_orders.add(key)
+        out.append((name, H))
+
+    push("whole", G)
+    push("sylow2", sylow_2(G, seed=seed))
+    if G.degree > 1:
+        push("point0", G.pointwise_stabilizer([0]))
+    tries = 0
+    while len(out) < budget and tries < 6 * budget:
+        tries += 1
+        g = G.random_element(rng)
+        if tries % 2:
+            if fingerprint(g.images) not in seen_orders:
+                H = PermGroup([g], G.degree)
+                push(f"cyclic{H.order()}", H)
+        else:
+            h = G.random_element(rng)
+            if pairs is not None:
+                pairs.append((g, h))
+            H = proper_subgroup(G, [g, h])
+            if H is not None:
+                push(f"gen2_{H.order()}", H)
+    return out

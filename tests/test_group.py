@@ -9,6 +9,7 @@ from permchar.classes import _SetOrbit, conjugacy_classes
 from permchar.group import (
     PermGroup,
     _coset_key,
+    _gens_fixing,
     _Level,
     _point_orbits,
     centralizer,
@@ -641,6 +642,18 @@ def test_pointwise_and_setwise_stabilizers():
     assert a5.pointwise_stabilizer([0]).order() == 12
     assert a5.pointwise_stabilizer([0, 1]).order() == 3
     assert setwise_stabilizer(a5, {0, 1}).order() == 6
+
+
+@pytest.mark.parametrize("family", CORPUS_FAMILIES)
+def test_point_stabilizer_at_the_first_base_point_reads_the_chain(family):
+    """G_p for G's first base point p takes the strong generators below G's
+    first level; they are the generators that a chain hinted at p gives."""
+    G = corpus.build(family).group
+    p = G._levels[0].point
+    H = G.pointwise_stabilizer([p])
+    assert [g.images for g in H.generators] == _gens_fixing(G.generators, G.degree, [p])
+    assert H.order() == G.order() // len(G._levels[0].orbit)
+    assert all(g.images[p] == p for g in H.generators)
 
 
 @pytest.mark.parametrize("point", [-1, 4])

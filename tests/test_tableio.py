@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from permchar import classes, corpus, verify
+from permchar import classes, corpus, tableio, verify
 from permchar.charfun import CharacterTable, CharacterTableError, ClassFunction, decompose
 from permchar.classes import conjugacy_classes
 from permchar.cyclo import divisors
@@ -537,6 +537,41 @@ def test_ambiguity_groups_come_in_two_kinds(family, shared_key, own_keys, rotate
             decompose(alt, T)
     else:
         assert pi != rotated == decompose(alt, T)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_matching_tries_the_next_solution_the_natural_character_accepts(seed, monkeypatch):
+    """S6's columns 6 and 7, cycle types (1,1,4) and (2,4), agree in order,
+    class size and power maps, so with the two swapped the table is still
+    valid. The first full solution of the swapped table gives the natural
+    character a fractional multiplicity; the matcher goes on to the next
+    one instead of sampling again."""
+    G = corpus.build("s6").group
+    T = _dixon_table("s6")
+    assert [T.sizes[6], T.orders[6]] == [T.sizes[7], T.orders[7]] == [90, 4]
+    cols = list(range(T.n_classes))
+    cols[6], cols[7] = 7, 6  # its own inverse, so it relabels the power maps too
+    swapped = _with(
+        T, sizes=[T.sizes[c] for c in cols], orders=[T.orders[c] for c in cols],
+        power_maps={p: [cols[pm[c]] for c in cols] for p, pm in T.power_maps.items()},
+        rows=[[row.values[c] for c in cols] for row in T.rows])
+    swapped.validate()
+    outcomes = []
+    validate = tableio._validate_matching
+
+    def recording(G, matching):
+        try:
+            validate(G, matching)
+        except MatchingError:
+            outcomes.append(False)
+            raise
+        outcomes.append(True)
+
+    monkeypatch.setattr(tableio, "_validate_matching", recording)
+    m = find_representatives(G, swapped, seed=seed)
+    assert outcomes[0] is False and outcomes[-1] is True
+    assert [m.reps[6].cycle_type(), m.reps[7].cycle_type()] == [(2, 4), (1, 1, 4)]
+    assert m.samples_used == find_representatives(G, T, seed=seed).samples_used
 
 
 @pytest.mark.parametrize("name, seed, digest, ambiguity, used", PINNED_MATCHINGS)

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from permchar import corpus, verify
@@ -10,13 +14,15 @@ from permchar.group import (
     on_sets,
     orbit_stabilizer,
     point_maps,
+    proper_subgroup,
     sylow_2,
     trivial_group,
 )
 from permchar.perm import parse_permutation
 from permchar.tableio import ClassMatching
 
-from helpers import THEOREM_D_FAMILIES, conj_images
+import helpers
+from helpers import THEOREM_D_FAMILIES, conj_images, reference_sample_subgroups
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -309,6 +315,99 @@ def test_sweep_runner_small(monkeypatch):
     assert not result["failures"]
     statements = {r.statement for r in result["reports"]}
     assert "theorem-A" in statements and "lemma-plus-type" in statements
+
+
+def _perfbench_sweep_families() -> list:
+    """The families of perfbench's `sweep` workload, read from its module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.SWEEP_FAMILIES
+
+
+def _sample_signature(sample) -> list:
+    return [(name, [g.images for g in H.generators], H.order()) for name, H in sample]
+
+
+def _sample_key(H) -> tuple:
+    return H.order(), tuple(sorted(len(o) for o in _point_orbits(H)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_sample_subgroups_matches_the_reference_sampler(seed):
+    """Skipping proven 2-generated samples keeps every name, generator list
+    and order, on every sweep family (perfbench's among them)."""
+    assert set(_perfbench_sweep_families()) <= set(verify.SWEEP_FAMILIES)
+    for family in verify.SWEEP_FAMILIES:
+        G = corpus.build(family).group
+        for budget in (6, 8, 14):
+            assert (_sample_signature(verify.sample_subgroups(G, seed=seed, budget=budget))
+                    == _sample_signature(reference_sample_subgroups(G, seed=seed, budget=budget))
+                    ), (family, budget)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sample_subgroups_skips_only_proven_pairs(seed, monkeypatch):
+    """Every 2-generated draw that the sampler does not build generates G,
+    or is the kept subgroup with its key, element for element."""
+    built = []
+
+    def recording(G, gens):
+        built.append(tuple(g.images for g in gens))
+        return proper_subgroup(G, gens)
+
+    monkeypatch.setattr(verify, "proper_subgroup", recording)
+    whole = duplicate = 0
+    for family in verify.SWEEP_FAMILIES:
+        G = corpus.build(family).group
+        built.clear()
+        sample = verify.sample_subgroups(G, seed=seed, budget=14)
+        drawn = []
+        reference_sample_subgroups(G, seed=seed, budget=14, pairs=drawn)
+        kept = {_sample_key(K): K for _, K in sample}
+        # the built pairs are the drawn ones in order, with the skipped left out
+        skipped = []
+        for g, h in drawn:
+            if built[:1] == [(g.images, h.images)]:
+                built.pop(0)
+            else:
+                skipped.append((g, h))
+        assert not built
+        for g, h in skipped:
+            H = PermGroup([g, h], G.degree)
+            if H.order() == G.order():
+                whole += 1
+                continue
+            K = kept[_sample_key(H)]
+            assert set(H.element_images_iter()) == set(K.element_images_iter()), family
+            duplicate += 1
+    assert whole and duplicate
+
+
+def test_sample_subgroups_chain_count_on_the_perfbench_sweep(monkeypatch):
+    """perfbench's sweep samples (seed 1, budget 8) start 158 chains, where
+    building every 2-generated sample started 565."""
+    calls = []
+
+    def counting(G, gens):
+        calls.append(len(gens))
+        return proper_subgroup(G, gens)
+
+    monkeypatch.setattr(verify, "proper_subgroup", counting)
+    monkeypatch.setattr(helpers, "proper_subgroup", counting)
+    groups = [corpus.build(family).group for family in _perfbench_sweep_families()]
+    for G in groups:
+        verify.sample_subgroups(G, seed=1, budget=8)
+    assert len(calls) == 158
+    calls.clear()
+    for G in groups:
+        reference_sample_subgroups(G, seed=1, budget=8)
+    assert len(calls) == 565
 
 
 def _first_round_theorem_B():
