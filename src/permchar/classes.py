@@ -84,12 +84,14 @@ class _SetOrbit:
     setwise stabilizer S. `transversal[i]` maps F0 onto the orbit's i-th
     set and `inverses[i]` is its inverse, so `move` conjugates an element
     whose invariant set is the i-th onto one whose invariant set is F0, and
-    conjugating by `transversal[i]` moves it back. When F0 is every point,
-    S is G, nothing moves, and a class walked here is a whole G-class, kept
-    packed (`perm.packer`); `key` is the form of the members kept."""
+    conjugating by `transversal[i]` moves it back. When every generator
+    maps F0 onto itself (F0 is every point, say), the orbit is {F0}, S is
+    G with no chain built, nothing moves, and a class walked here is a
+    whole G-class, kept packed (`perm.packer`); `key` is the form of the
+    members kept."""
 
     def __init__(self, group: PermGroup, base: frozenset, pack):
-        if len(base) == group.degree:
+        if all(f(p) in base for f in point_maps(group) for p in base):
             self.index, self.stabilizer, self.key = {base: 0}, group, pack
             return
         orbit, self.transversal, self.stabilizer = orbit_stabilizer(

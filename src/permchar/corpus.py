@@ -401,6 +401,8 @@ def c3_q16() -> CorpusGroup:
 
 
 _DATA_DIR_OVERRIDE: Path | None = None
+# resolved once: `verify.context` reads the data directory on every lookup
+_BUNDLED_DATA_DIR = Path(resources.files("permchar")) / "data"
 
 
 def set_data_dir(path) -> Path | None:
@@ -413,9 +415,7 @@ def set_data_dir(path) -> Path | None:
 
 
 def data_dir() -> Path:
-    if _DATA_DIR_OVERRIDE is not None:
-        return _DATA_DIR_OVERRIDE
-    return Path(resources.files("permchar")) / "data"
+    return _DATA_DIR_OVERRIDE or _BUNDLED_DATA_DIR
 
 
 # Every generator is a tuple of `degree` images, so a file declaring a huge

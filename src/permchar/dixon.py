@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import attrgetter, mul
 
 from .charfun import CharacterTable
 from .classes import conjugacy_classes
@@ -467,17 +467,22 @@ def character_table(G: PermGroup, C=None, name: str = "") -> CharacterTable:
             values.append(value)
         rows.append(values)
 
-    one = Cyclotomic.rational(1)
-    rows.sort(
-        key=lambda vals: (
-            vals[0].as_rational(),
-            not all(v == one for v in vals),  # trivial character first
-            [v.sort_key() for v in vals],
-        )
-    )
+    rows.sort(key=_row_key)
     table = CharacterTable(name or f"order{order}", order, sizes, orders, power_maps, rows)
     table.validate()
     return table
+
+
+_numerator = attrgetter("numerator")
+
+
+def _row_key(values) -> tuple:
+    """(degree, not trivial, (conductor, coordinates) of each value), all
+    ints. A character value is an algebraic integer and the power basis of
+    Q(zeta_n) is an integral basis, so the coordinates are integers and
+    their numerators order the rows as the Fraction coordinates did."""
+    ints = [(v.conductor, tuple(map(_numerator, v.coords))) for v in values]
+    return ints[0][1][0], any(key != (1, (1,)) for key in ints), ints
 
 
 def _next_class(pending, skip):

@@ -18,6 +18,10 @@ from .perm import (
     identity_images,
     inv_images,
     mul_images,
+    packed_conjugator,
+    packed_set,
+    packed_set_conjugator,
+    packer,
 )
 
 # Above this degree, transversals hold Schreier-vector entries instead of
@@ -129,6 +133,7 @@ class PermGroup:
                 raise ValueError(f"generator degree {g.degree} != group degree {degree}")
         self.degree = degree
         self._identity = identity_images(degree)
+        self._sylow_2: dict = {}  # seed -> the Sylow 2-subgroup `sylow_2` found
         self.generators = [g for g in gens if not g.is_identity()]
         self._levels: list[_Level] = [_Level(pt, degree) for pt in base_hint or ()]
         if not self._schreier_sims([g.images for g in self.generators], stop_order):
@@ -458,20 +463,25 @@ def orbit_stabilizer(G: PermGroup, seed, maps: list):
 
 
 def centralizer(G: PermGroup, x: Permutation) -> PermGroup:
-    """C_G(x) via the conjugation orbit of x (the class of x)."""
-    return orbit_stabilizer(G, x.images, conjugators(G))[2]
+    """C_G(x) via the conjugation orbit of x (the class of x), walked
+    packed (`perm.packed_conjugator`)."""
+    maps = [packed_conjugator(g.images) for g in G.generators]
+    return orbit_stabilizer(G, packer(G.degree)(x.images), maps)[2]
 
 
 def normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
-    """N_G(H) via the conjugation orbit of H's element set."""
-    elems = frozenset(H.element_images_iter())
-    return orbit_stabilizer(G, elems, on_sets(conjugators(G)))[2]
+    """N_G(H) via the conjugation orbit of H's element set, walked on its
+    packed key (`perm.packed_set`)."""
+    maps = [packed_set_conjugator(g.images) for g in G.generators]
+    return orbit_stabilizer(G, packed_set(H.element_images_iter(), G.degree), maps)[2]
 
 
 def setwise_stabilizer(G: PermGroup, points) -> PermGroup:
-    """Stabilizer of a point set, via the orbit on point sets."""
-    seed = frozenset(_checked_points(points, G.degree))
-    return orbit_stabilizer(G, seed, on_sets(point_maps(G)))[2]
+    """Stabilizer of a point set, via the orbit on point sets, each kept
+    as its sorted points."""
+    seed = tuple(sorted(set(_checked_points(points, G.degree))))
+    maps = [lambda pts, f=f: tuple(sorted(map(f, pts))) for f in point_maps(G)]
+    return orbit_stabilizer(G, seed, maps)[2]
 
 
 # -- coset actions -----------------------------------------------------------
@@ -638,10 +648,13 @@ def sylow_2(G: PermGroup, seed: int = 0) -> PermGroup:
 
     Descends into centralizers of involutions (2-central involutions pull
     the full Sylow subgroup down into a much smaller group), finishing
-    with a normalizer ascent when the descent stalls.
+    with a normalizer ascent when the descent stalls. G is immutable, so
+    the result is kept on G, one per seed: every caller shares one P.
     """
-    rng = random.Random(seed)
-    return _sylow_2_in(G, G, rng)
+    P = G._sylow_2.get(seed)
+    if P is None:
+        P = G._sylow_2[seed] = _sylow_2_in(G, G, random.Random(seed))
+    return P
 
 
 def o_2prime(G: PermGroup, seed: int = 0) -> PermGroup:

@@ -8,7 +8,8 @@ Class enumeration and the Dixon class matrices hold elements packed
 (`packer`): up to degree 256 as `bytes`, one byte per point, above it as
 the image tuple itself. Packed bytes hash once and order like their image
 tuples; `packed_conjugator` and `packed_multiplier` act on them with
-`bytes.translate`, a C call that reads a 256-byte table.
+`bytes.translate`, a C call that reads a 256-byte table. A set of elements
+is keyed the same way (`packed_set`): its sorted packed members, joined.
 """
 
 from __future__ import annotations
@@ -59,6 +60,35 @@ def packed_conjugator(g: tuple):
     pad = bytes(PACKED_MAX_DEGREE - n)
     g_inv, g_table = bytes(inv_images(g)), bytes(g) + pad
     return lambda y: g_inv.translate(y + pad).translate(g_table)
+
+
+def packed_set(elements, degree: int):
+    """The key of a set of elements (image tuples or packed) of this
+    degree: its sorted packed members, joined into one `bytes` up to degree
+    256 and a tuple above. Equal sets give equal keys and distinct sets
+    distinct ones, so an orbit walked on keys is the orbit of the sets."""
+    members = sorted(map(packer(degree), elements))
+    return b"".join(members) if degree <= PACKED_MAX_DEGREE else tuple(members)
+
+
+def packed_set_conjugator(g: tuple):
+    """S -> g^-1 * S * g on `packed_set` keys of g's degree: each member
+    conjugated, then sorted and joined again. On bytes, the second
+    translate of `packed_conjugator` (by g) maps values, so it is one
+    translate of the whole key; each member then takes one translate."""
+    n = len(g)
+    if n > PACKED_MAX_DEGREE:
+        conj = conjugator(g)
+        return lambda key: tuple(sorted(map(conj, key)))
+    pad = bytes(PACKED_MAX_DEGREE - n)
+    g_inv, g_table = bytes(inv_images(g)), bytes(g) + pad
+
+    def image(key):
+        moved = key.translate(g_table)
+        return b"".join(sorted([g_inv.translate(moved[i:i + n] + pad)
+                                for i in range(0, len(key), n)]))
+
+    return image
 
 
 def packed_multiplier(z: tuple):

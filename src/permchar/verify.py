@@ -110,7 +110,6 @@ class GroupContext:
         self.classes = classes
         self.threshold = threshold
         self.corpus_group = corpus_group
-        self._sylow2: dict = {}  # seed -> P
         self._sylow2_normalizer: dict = {}  # seed -> N_G(P)
         self._trivial_row = None
         self._decompositions: dict = {}
@@ -184,10 +183,8 @@ class GroupContext:
         return covers, inside
 
     def sylow2(self, seed: int = 0) -> PermGroup:
-        P = self._sylow2.get(seed)
-        if P is None:
-            P = self._sylow2[seed] = sylow_2(self.group, seed=seed)
-        return P
+        """`group.sylow_2`, which keeps P on the group."""
+        return sylow_2(self.group, seed=seed)
 
     def sylow2_normalizer(self, seed: int = 0) -> PermGroup:
         """N_G(P) for P = sylow2(seed). N_G(P) permutes the P-orbits, so it

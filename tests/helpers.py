@@ -2,7 +2,8 @@
 functions, a group-file writer, conjugation of Permutations, an unguarded
 fixed-coset count, a second resolution of a matching's ambiguity groups,
 a reference class enumeration, a per-element class fusion, a reference
-Schreier-Sims and a reference subgroup sampler."""
+Schreier-Sims, a reference subgroup sampler and the frozenset orbit walks
+of the normalizer, centralizer and setwise stabilizer."""
 
 import random
 from fractions import Fraction
@@ -14,8 +15,12 @@ from permchar.group import (
     _FULL_TRANSVERSAL_MAX_DEGREE,
     PermGroup,
     _point_orbits,
+    _sylow_2_in,
+    conjugators,
+    on_sets,
+    orbit_stabilizer,
+    point_maps,
     proper_subgroup,
-    sylow_2,
 )
 from permchar.perm import (
     Permutation,
@@ -290,7 +295,7 @@ def reference_sample_subgroups(G: PermGroup, seed: int = 0, budget: int = 12, pa
         out.append((name, H))
 
     push("whole", G)
-    push("sylow2", sylow_2(G, seed=seed))
+    push("sylow2", _sylow_2_in(G, G, random.Random(seed)))  # not the P kept on G
     if G.degree > 1:
         push("point0", G.pointwise_stabilizer([0]))
     tries = 0
@@ -309,3 +314,20 @@ def reference_sample_subgroups(G: PermGroup, seed: int = 0, budget: int = 12, pa
             if H is not None:
                 push(f"gen2_{H.order()}", H)
     return out
+
+
+# The orbit walks that `group.normalizer`, `centralizer` and
+# `setwise_stabilizer` made before they walked packed keys: element sets
+# and point sets as frozensets, elements as image tuples.
+
+
+def frozenset_normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
+    return orbit_stabilizer(G, frozenset(H.element_images_iter()), on_sets(conjugators(G)))[2]
+
+
+def frozenset_centralizer(G: PermGroup, x: Permutation) -> PermGroup:
+    return orbit_stabilizer(G, x.images, conjugators(G))[2]
+
+
+def frozenset_setwise_stabilizer(G: PermGroup, points) -> PermGroup:
+    return orbit_stabilizer(G, frozenset(points), on_sets(point_maps(G)))[2]

@@ -355,6 +355,23 @@ def test_sampled_coprime_powers_are_listed_once_per_galois_family(monkeypatch):
     assert calls == [257]
 
 
+def test_sampled_classes_build_no_chain_for_frames_that_g_fixes(monkeypatch):
+    """In 2^10, ten disjoint transpositions on 20 points, every invariant
+    set is a union of the pairs, which G fixes: each frame's orbit is its
+    base and its stabilizer G, with no chain built (7,007 `_schreier_sims`
+    calls when every new frame ran `orbit_stabilizer`)."""
+    G = PermGroup([Permutation.from_cycles(20, [[2 * i, 2 * i + 1]]) for i in range(10)], 20)
+    calls = []
+    build = PermGroup._schreier_sims
+    monkeypatch.setattr(PermGroup, "_schreier_sims",
+                        lambda self, *args: calls.append(1) or build(self, *args))
+    S = ConjugacyClassSet(G, seed=0, threshold=0)
+    assert S.sizes == [1] * 1024 and not calls
+    frames = [f for fs in S._frames.values() for f in fs]
+    assert len(frames) > 1 and all(f.stabilizer is G for f in frames)
+    assert all(S.classify(x) == i for i in range(len(S)) for x in S.elements(i))
+
+
 # sha256 of repr([rep images]) of ConjugacyClassSet(G, seed=0, threshold=0):
 # a sampled rep is the first element added to its class, so these pin the
 # order of the samples and of the coprime powers added after each new class

@@ -39,6 +39,9 @@ from helpers import (
     ReferenceChain,
     chain_levels,
     conj_images,
+    frozenset_centralizer,
+    frozenset_normalizer,
+    frozenset_setwise_stabilizer,
     unguarded_fixed_cosets,
 )
 
@@ -598,6 +601,34 @@ def test_sylow_2_normalizer_matches_parent_pointer_oracle(family):
     _assert_matches_parent_pointer_oracle(G, seed, _conjugate_set, normalizer(G, P))
 
 
+def _assert_orbit_keys_match_the_frozenset_walks(G):
+    """normalizer, centralizer and setwise_stabilizer, which walk packed
+    keys, return the generators of the frozenset walks they replaced."""
+    def images(K):
+        return [g.images for g in K.generators]
+
+    subgroups = [sylow_2(G)] + [H for _, H in verify.sample_subgroups(G, seed=0, budget=6)]
+    for H in subgroups:
+        assert images(normalizer(G, H)) == images(frozenset_normalizer(G, H))
+    rng = random.Random(0)
+    for x in [G.random_element(rng) for _ in range(4)] + list(G.generators):
+        assert images(centralizer(G, x)) == images(frozenset_centralizer(G, x))
+    for points in [set(range(k)) for k in (1, 2, 3) if k <= G.degree] + [{1, G.degree - 1}]:
+        assert (images(setwise_stabilizer(G, points))
+                == images(frozenset_setwise_stabilizer(G, points)))
+
+
+@pytest.mark.parametrize("family", sorted({*verify.SWEEP_FAMILIES, *THEOREM_D_FAMILIES, "m11"}))
+def test_orbit_keys_match_the_frozenset_walks(family):
+    _assert_orbit_keys_match_the_frozenset_walks(corpus.build(family).group)
+
+
+@pytest.mark.parametrize("family", ["s4", "a5", "d12", "psl2_7", "agl1_9", "q16"])
+def test_orbit_keys_match_the_frozenset_walks_above_degree_256(family):
+    # above degree 256 an element set is keyed by a sorted tuple of tuples
+    _assert_orbit_keys_match_the_frozenset_walks(_padded(corpus.build(family).group, 300))
+
+
 def test_normal_closure():
     s4 = corpus.build("s4").group
     assert normal_closure(s4, [parse_permutation("(1,2)", 4)]).order() == 24
@@ -616,6 +647,24 @@ def test_sylow_2_orders(family, expected):
     assert all(g.order() & (g.order() - 1) == 0 for g in P.generators)
     # Lagrange: the odd part
     assert (G.order() // P.order()) % 2 == 1
+
+
+@pytest.mark.parametrize("family", ["s4", "a5", "psl3_2", "agl1_27", "m11"])
+def test_sylow_2_is_kept_on_the_group(family):
+    """One P per (group, seed), shared by the context, the corpus selector
+    and O^{2'}; a rebuilt copy of G finds the same generators afresh."""
+    cg = corpus.build(family)
+    G = cg.group
+    for seed in (0, 1):
+        P = sylow_2(G, seed=seed)
+        assert sylow_2(G, seed) is P
+        fresh = sylow_2(PermGroup(G.generators, G.degree), seed=seed)
+        assert fresh is not P
+        assert [g.images for g in fresh.generators] == [g.images for g in P.generators]
+    assert sylow_2(G, 0) is not sylow_2(G, 1)
+    assert cg.subgroup("sylow2") is sylow_2(G)
+    ctx = verify.GroupContext(family, G, None, None, G.order(), cg)
+    assert ctx.sylow2(1) is sylow_2(G, seed=1)
 
 
 @pytest.mark.parametrize("family,expected_index", [

@@ -16,6 +16,8 @@ from permchar.perm import (
     order_of_images,
     packed_conjugator,
     packed_multiplier,
+    packed_set,
+    packed_set_conjugator,
     packer,
     parse_permutation,
     power_images,
@@ -161,6 +163,24 @@ def test_packed_maps_match_the_tuple_maps(n):
         assert packed_conjugator(g)(pack(y)) == pack(conjugator(g)(y))
         assert packed_multiplier(g)(pack(y)) == pack(mul_images(y, g))
         assert tuple(pack(y)) == y
+
+
+@pytest.mark.parametrize("n", [6, 24, 256, 257, 300])
+def test_packed_set_keys_are_one_to_one_and_move_by_conjugation(n):
+    """A set of elements keys as its sorted packed members, one `bytes` up
+    to degree 256 and a tuple above: equal sets share a key, distinct
+    sets do not, and conjugating the key conjugates the set."""
+    rng = random.Random(n)
+    sets = [{_random_images(rng, n) for _ in range(k)} for k in (1, 2, 5, 5, 9)]
+    sets.append(set(sets[2]) | set(sets[3]))
+    keys = [packed_set(S, n) for S in sets]
+    assert all(type(key) is (bytes if n <= 256 else tuple) for key in keys)
+    assert len(set(keys)) == len(sets)
+    for S, key in zip(sets, keys):
+        assert packed_set(reversed(sorted(S)), n) == key
+        assert packed_set(map(packer(n), S), n) == key
+        g = _random_images(rng, n)
+        assert packed_set_conjugator(g)(key) == packed_set(map(conjugator(g), S), n)
 
 
 @pytest.mark.parametrize("family", ["c1", "s1"])

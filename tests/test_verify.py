@@ -641,3 +641,18 @@ def test_context_cache_is_keyed_on_the_data_dir(tmp_path):
             verify.context("m11")
     finally:
         corpus.set_data_dir(None)
+
+
+def test_a_data_dir_override_changes_the_context_key(tmp_path):
+    """The bundled directory is resolved once, and an override still keys
+    its own contexts; dropping it finds the bundled ones again."""
+    bundled = verify.context("s3")
+    assert corpus.data_dir() is corpus.data_dir()
+    corpus.set_data_dir(tmp_path)
+    try:
+        assert corpus.data_dir() == tmp_path
+        moved = verify.context("s3")
+        assert moved is not bundled and verify.context("s3") is moved
+    finally:
+        corpus.set_data_dir(None)
+    assert verify.context("s3") is bundled
